@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import gzip
 import io
 import json
@@ -29,6 +30,8 @@ EXIT_USAGE = 2
 EXIT_CONSTRAINT = 3
 
 CACHE_ENV = "MALDRIFT_CACHE_DIR"
+
+WORKERS_HELP = "deprecated and ignored (sampling and generation run serially); to be removed"
 
 _TIMESTAMP_KINDS = {
     "dex": labeling.TimestampKind.CREATION_DEX,
@@ -257,7 +260,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     settings = Settings(args, "sample")
     out = _out_dir(settings, "sample_out")
     seed = settings.get("seed", 0, int)
-    workers = settings.get("workers", 1, int)
     allow_violations = settings.get("allow_violations", False, bool)
     rule, policy, plan, params = _sizing_inputs(settings)
     pop = _load_population(args.population)
@@ -277,7 +279,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for warning in plan_result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     manifest = sampler.stratified_sample(
-        pool, rule, policy, plan_result, seed=seed, market_filter=market_filter, workers=workers
+        pool, rule, policy, plan_result, seed=seed, market_filter=market_filter
     )
     checks = sampler.verify_constraints(
         manifest,
@@ -307,11 +309,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONSTRAINT
-    manifest = sampler.DatasetManifest(
-        entries=manifest.entries,
-        spec=manifest.spec,
-        created=manifest.created,
-        strata=manifest.strata,
+    manifest = dataclasses.replace(
+        manifest,
         checks=tuple(
             {"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks
         ),
@@ -452,7 +451,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = Settings(args, "synth")
     out = _out_dir(settings, "synth_out")
-    workers = settings.get("workers", 1, int)
     if args.preset:
         presets = synth.scenario_presets()
         if args.preset not in presets:
@@ -464,7 +462,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         config = presets[args.preset]
         seed_override = settings.get("seed", None, int)
         if seed_override is not None:
-            config = synth.replace_seed(config, seed_override)
+            config = dataclasses.replace(config, seed=seed_override)
     else:
         config = synth.SynthConfig(
             months=settings.get("months", 24, int),
@@ -476,7 +474,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             start=settings.get("start", "2014-01"),
             seed=settings.get("seed", 0, int),
         )
-    pop, truth = synth.generate(config, workers=workers)
+    pop, truth = synth.generate(config)
     _write_population_gz(pop, out / "population.csv.gz")
     truth_payload = {
         "config": synth.config_to_dict(config),
@@ -559,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bonferroni-m", type=int)
     p.add_argument("--markets", help="comma-separated market filter")
     p.add_argument("--snapshot", help="crawl-date cutoff emulating a historical snapshot")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.add_argument("--allow-violations", action="store_const", const=True)
     p.set_defaults(func=cmd_sample)
 
@@ -603,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-lifetime", type=int)
     p.add_argument("--start")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fetch", help="download a remote metadata file")

@@ -9,14 +9,11 @@ from __future__ import annotations
 import csv
 import gzip
 import shutil
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Optional, Union
-
-import requests
 
 from .errors import FetchError, FormatError
 from .model import ApkRecord, Population, format_timestamp, parse_timestamp
@@ -161,16 +158,7 @@ def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population,
         fam = mapping.get(rec.sha256)
         if fam is not None:
             stats.matched += 1
-            rec = ApkRecord(
-                sha256=rec.sha256,
-                dex_date=rec.dex_date,
-                vt_detection=rec.vt_detection,
-                crawl_date=rec.crawl_date,
-                vt_scan_date=rec.vt_scan_date,
-                markets=rec.markets,
-                apk_size=rec.apk_size,
-                family=fam,
-            )
+            rec = replace(rec, family=fam)
         records.append(rec)
     stats.unmatched = tuple(sorted(set(mapping) - pop.by_sha.keys()))
     return Population(tuple(records), pop.provenance, pop.snapshot_date), stats
@@ -267,15 +255,6 @@ def snapshot_filter(pop: Population, cutoff: datetime) -> SnapshotResult:
     return SnapshotResult(snapped, dropped_late, dropped_missing)
 
 
-_fetch_locks: dict[str, threading.Lock] = {}
-_fetch_locks_guard = threading.Lock()
-
-
-def _lock_for(destination: str) -> threading.Lock:
-    with _fetch_locks_guard:
-        return _fetch_locks.setdefault(destination, threading.Lock())
-
-
 def fetch_metadata(
     url: str,
     destination: Union[str, Path],
@@ -287,46 +266,63 @@ def fetch_metadata(
     """Download a metadata file with retry/backoff and optional byte-range resume.
 
     When the URL ends in .gz and the destination does not, the payload is
-    transparently decompressed. Single-flight per destination path.
+    transparently decompressed.
     """
+    # the HTTP modules load on first fetch: urllib.request pulls in ssl and
+    # email, which no other command needs
+    import http.client
+
     destination = Path(destination)
-    with _lock_for(str(destination.resolve())):
-        part = destination.with_name(destination.name + ".part")
-        last_error: Optional[Exception] = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(backoff * 2 ** (attempt - 1))
-            try:
-                _download(url, part, resume, timeout)
-                break
-            except (requests.RequestException, FetchError, OSError) as exc:
-                last_error = exc
-        else:
-            raise FetchError(f"fetch of {url} failed after {attempts} attempts: {last_error}")
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        if url.split("?")[0].endswith(".gz") and not destination.name.endswith(".gz"):
-            with gzip.open(part, "rb") as src, open(destination, "wb") as dst:
-                shutil.copyfileobj(src, dst)
-            part.unlink()
-        else:
-            part.replace(destination)
-        return destination
+    part = destination.with_name(destination.name + ".part")
+    last_error: Optional[Exception] = None
+    for attempt in range(attempts):
+        if attempt:
+            time.sleep(backoff * 2 ** (attempt - 1))
+        try:
+            _download(url, part, resume, timeout)
+            break
+        except (FetchError, OSError, http.client.HTTPException) as exc:
+            last_error = exc
+    else:
+        raise FetchError(f"fetch of {url} failed after {attempts} attempts: {last_error}")
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    if url.split("?")[0].endswith(".gz") and not destination.name.endswith(".gz"):
+        with gzip.open(part, "rb") as src, open(destination, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+        part.unlink()
+    else:
+        part.replace(destination)
+    return destination
 
 
 def _download(url: str, part: Path, resume: bool, timeout: float) -> None:
-    headers = {}
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url)
     mode = "wb"
     if resume and part.exists() and part.stat().st_size > 0:
-        headers["Range"] = f"bytes={part.stat().st_size}-"
+        request.add_header("Range", f"bytes={part.stat().st_size}-")
         mode = "ab"
-    with requests.get(url, headers=headers, stream=True, timeout=timeout) as resp:
-        if resp.status_code == 416:
+    try:
+        resp = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as err:
+        err.close()
+        if err.code == 416 and mode == "ab":
             return  # already complete
-        if resp.status_code == 200 and mode == "ab":
+        raise FetchError(f"HTTP {err.code} for {url}") from None
+    with resp:
+        if resp.status == 200 and mode == "ab":
             mode = "wb"  # server ignored the range request; restart
-        if resp.status_code not in (200, 206):
-            raise FetchError(f"HTTP {resp.status_code} for {url}")
+        if resp.status not in (200, 206):
+            raise FetchError(f"HTTP {resp.status} for {url}")
+        expected = resp.headers.get("Content-Length")
+        received = 0
         part.parent.mkdir(parents=True, exist_ok=True)
         with open(part, mode) as out:
-            for chunk in resp.iter_content(chunk_size=1 << 16):
+            while chunk := resp.read(1 << 16):
                 out.write(chunk)
+                received += len(chunk)
+    # a connection closed early ends the read without an error
+    if expected is not None and received != int(expected):
+        raise FetchError(f"short read from {url}: {received} of {expected} bytes")

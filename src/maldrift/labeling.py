@@ -178,7 +178,8 @@ class ConsistencyResult:
 
 
 def _normalized_market_dist(items: Iterable[frozenset[str]], priority: tuple[str, ...]) -> dict[str, float]:
-    counts = Counter(attribute_market(markets, priority) for markets in items)
+    key = market_sort_key(priority)  # attribute_market's key, built once per call
+    counts = Counter(min(markets, key=key) for markets in items)
     total = sum(counts.values())
     return {tag: c / total for tag, c in counts.items()}
 

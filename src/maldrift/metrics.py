@@ -4,7 +4,7 @@ Per-period confusion metrics, the trapezoidal area-under-time summary, rolling
 train/test windows, the (mean, population-std) aggregate over splits, and the
 representation-free family-overlap measure. Everything here is pure and
 deterministic; series are accumulated left-to-right over sorted periods so
-results are bit-stable regardless of worker count.
+results are bit-stable.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 All timestamps are stored tz-naive at second resolution and mean UTC;
 date-only inputs are interpreted as midnight UTC. Every type here is
-immutable after construction and safe to share across workers.
+immutable after construction.
 """
 from __future__ import annotations
 
@@ -30,7 +30,10 @@ class ClassLabel(str, Enum):
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse a metadata timestamp; date-only strings mean midnight UTC."""
+    """Parse a metadata timestamp; date-only strings mean midnight UTC.
+
+    A year outside MIN_YEAR..MAX_YEAR raises ValueError, as in period_of.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty timestamp")
@@ -42,6 +45,7 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"unparseable timestamp: {text!r}") from None
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    _check_year(dt.year)
     return dt.replace(microsecond=0)
 
 

@@ -3,13 +3,13 @@
 Selection is input-order independent: candidates are keyed by sorted sha256,
 shuffled with a generator derived from (seed, period, class), and taken as a
 prefix. Identical population content, parameters, and seed therefore yield a
-byte-identical manifest, serially or across worker threads.
+byte-identical manifest.
 """
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -17,6 +17,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
+from .errors import FormatError
 from .labeling import (
     LabelRule,
     TimestampKind,
@@ -32,6 +33,7 @@ from .version import __version__
 _GRAN_CODE = {Granularity.MONTH: 0, Granularity.YEAR: 1}
 _CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}
 _GLOBAL_PERIOD_CODE = 10**6
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def _take(candidates: list[ManifestEntry], count: int, rng: np.random.Generator)
     return [ordered[i] for i in picks]
 
 
-def _default_created(entries: list[ManifestEntry], pop: Population) -> str:
+def _default_created(pop: Population) -> str:
     """Deterministic data-horizon stamp: the latest timestamp seen in the source.
 
     A wall-clock stamp would break byte-for-byte reproducibility of identical
@@ -157,7 +159,6 @@ def stratified_sample(
     sizing: SizingResult,
     seed: int,
     market_filter: Optional[frozenset[str]] = None,
-    workers: int = 1,
     created: Optional[str] = None,
 ) -> DatasetManifest:
     """Draw the per-stratum counts of a sizing result as a reproducible manifest.
@@ -189,44 +190,29 @@ def stratified_sample(
     if not pools:
         raise ValueError("empty candidate pool: no labeled, datable records to sample")
 
-    tasks: list[tuple[Optional[Period], Optional[ClassLabel], int]] = []
+    fills: list[StratumFill] = []
+    entries: list[ManifestEntry] = []
     for stratum in sizing.strata:
         if plan.spatial:
             # echo the uncapped plan request so shortfalls stay visible here
-            tasks.append(
-                (stratum.period, ClassLabel.MALWARE, (stratum.malware or 0) + stratum.malware_shortfall)
-            )
-            tasks.append(
-                (stratum.period, ClassLabel.GOODWARE, (stratum.goodware or 0) + stratum.goodware_shortfall)
-            )
+            cells = [
+                (ClassLabel.MALWARE, (stratum.malware or 0) + stratum.malware_shortfall),
+                (ClassLabel.GOODWARE, (stratum.goodware or 0) + stratum.goodware_shortfall),
+            ]
         else:
-            tasks.append((stratum.period, None, stratum.n))
-
-    def run(task: tuple[Optional[Period], Optional[ClassLabel], int]) -> tuple[StratumFill, list[ManifestEntry]]:
-        period, cls, requested = task
-        candidates = pools.get((period, cls), [])
-        rng = _stratum_rng(seed, stratum_gran, period, cls)
-        chosen = _take(candidates, requested, rng)
-        return StratumFill(period, cls, requested, len(chosen)), chosen
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    fills = []
-    entries: list[ManifestEntry] = []
-    for fill, chosen in results:
-        fills.append(fill)
-        entries.extend(chosen)
+            cells = [(None, stratum.n)]
+        for cls, requested in cells:
+            rng = _stratum_rng(seed, stratum_gran, stratum.period, cls)
+            chosen = _take(pools.get((stratum.period, cls), []), requested, rng)
+            fills.append(StratumFill(stratum.period, cls, requested, len(chosen)))
+            entries.extend(chosen)
     spec = build_spec_echo(
         rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter
     )
     return DatasetManifest(
         entries=_sort_entries(entries),
         spec=spec,
-        created=created if created is not None else _default_created(entries, pop),
+        created=created if created is not None else _default_created(pop),
         strata=tuple(fills),
     )
 
@@ -434,7 +420,7 @@ def market_scenario(
         return DatasetManifest(
             entries=_sort_entries(entries),
             spec=spec,
-            created=_default_created(entries, pop),
+            created=_default_created(pop),
             strata=tuple(fills),
         )
 
@@ -507,7 +493,34 @@ def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> No
 
 
 def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
-    return manifest_from_dict(json.loads(Path(path).read_text()))
+    """Load a manifest; a malformed file raises FormatError naming the bad key or value."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object, not {type(data).__name__}")
+    _require_keys(data, ("spec", "created", "entries"), f"{path}: manifest")
+    if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
+        raise FormatError(f"{path}: manifest 'spec' must be an object and 'entries' a list")
+    for i, entry in enumerate(data["entries"]):
+        where = f"{path}: entries[{i}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where} must be an object")
+        _require_keys(entry, ("sha256", "label", "period", "markets"), where)
+        sha = entry["sha256"]
+        if not isinstance(sha, str) or not _SHA256.fullmatch(sha):
+            raise FormatError(f"{where}: sha256 {sha!r} is not 64 lowercase hex characters")
+    try:
+        return manifest_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _require_keys(data: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise FormatError(f"{where} missing key(s): {', '.join(missing)}")
 
 
 def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:

@@ -8,8 +8,7 @@ and every aggregate count is fixed by the config (seed-independent).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Optional
 
@@ -210,28 +209,19 @@ def _generate_month(config: SynthConfig, month_offset: int, active: list[str]) -
     return rows
 
 
-def generate(config: SynthConfig, workers: int = 1) -> tuple[Population, GroundTruth]:
+def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
     """Deterministic synthetic population plus its ground truth.
 
     Per-month record and class counts are exact and seed-independent; all
-    draws run on month-derived sub-seeds so serial and parallel generation
-    produce identical results.
+    draws run on month-derived sub-seeds, so no month's records depend on
+    another month's draws.
     """
     config.validate()
     births = _family_births(config)
     active_by_month = [
         sorted(_active_at(births, m, config.family_lifetime)) for m in range(config.months)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            month_rows = list(
-                pool.map(
-                    lambda m: _generate_month(config, m, active_by_month[m]),
-                    range(config.months),
-                )
-            )
-    else:
-        month_rows = [_generate_month(config, m, active_by_month[m]) for m in range(config.months)]
+    month_rows = [_generate_month(config, m, active_by_month[m]) for m in range(config.months)]
 
     records = []
     true_class = {}
@@ -245,10 +235,6 @@ def generate(config: SynthConfig, workers: int = 1) -> tuple[Population, GroundT
     }
     pop = Population(tuple(records), provenance=f"synth(seed={config.seed})")
     return pop, GroundTruth(active_families, true_class)
-
-
-def replace_seed(config: SynthConfig, seed: int) -> SynthConfig:
-    return replace(config, seed=seed)
 
 
 def config_to_dict(config: SynthConfig) -> dict:

@@ -1,5 +1,9 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from maldrift import cli
 from maldrift.sampler import read_manifest_json
 
 from helpers import sha_of
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CSV = (
     "sha256,dex_date,vt_detection,markets,added,vt_scan_date,apk_size,family\n"
@@ -256,3 +262,92 @@ def test_stats_tables(tmp_path):
         "family_overlap.csv",
     ):
         assert (stats_out / name).exists(), name
+
+
+def test_sample_succeeds_after_lenient_ingest_skips_out_of_range_date(tmp_path):
+    synth_out = tmp_path / "synth"
+    assert run(["synth", "--preset", "stable", "--out", synth_out]) == 0
+    with gzip.open(synth_out / "population.csv.gz", "rt") as fh:
+        text = fh.read()
+    bad = f"{sha_of('ancient')},1601-01-01,0,play.google.com,2014-02-01,,100,\n"
+    src = tmp_path / "meta.csv"
+    src.write_text(text + bad)
+    cache = tmp_path / "cache"
+    assert run(["ingest", "--input", src, "--out", cache]) == 0
+    assert json.loads((cache / "ingest_stats.json").read_text())["malformed_skipped"] == 1
+    assert run(["ingest", "--input", src, "--out", tmp_path / "strict", "--strict"]) == cli.EXIT_ERROR
+    code = run(
+        [
+            "sample",
+            "--population", cache / "population.csv.gz",
+            "--timestamp", "dex",
+            "--mode", "monthly",
+            "--spatial",
+            "--seed", 3,
+            "--out", tmp_path / "sample",
+        ]
+    )
+    assert code == 0
+
+
+@pytest.fixture(scope="module")
+def good_manifest(tmp_path_factory):
+    base = tmp_path_factory.mktemp("manifest")
+    assert cli.main(["synth", "--preset", "stable", "--out", str(base / "synth")]) == 0
+    argv = [
+        "sample",
+        "--population", str(base / "synth" / "population.csv.gz"),
+        "--timestamp", "dex",
+        "--mode", "monthly",
+        "--spatial",
+        "--seed", "3",
+        "--out", str(base / "sample"),
+    ]
+    assert cli.main(argv) == 0
+    return json.loads((base / "sample" / "manifest.json").read_text())
+
+
+def _drop_created(data):
+    del data["created"]
+    return data
+
+
+def _short_sha(data):
+    data["entries"][0]["sha256"] = "ab"
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_created, "missing key(s): created"),
+        (lambda data: [data], "must be a JSON object, not list"),
+        (_short_sha, "entries[0]: sha256 'ab'"),
+    ],
+    ids=["no-created", "top-level-list", "short-sha256"],
+)
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_malformed_manifest_exits_1(good_manifest, tmp_path, capsys, corrupt, message, command):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(corrupt(json.loads(json.dumps(good_manifest)))))
+    argv = [command, "--manifest", path]
+    if command == "evaluate":
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"])
+        )
+        argv += ["--predictions", f"p={preds}", "--out", tmp_path / "eval"]
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+
+
+def test_import_cli_loads_no_http_client():
+    code = (
+        "import sys, maldrift.cli; "
+        "print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

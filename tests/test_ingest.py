@@ -56,6 +56,16 @@ def test_parse_negative_detection_lenient_and_strict():
         parse_metadata(_csv(rows), strict=True)
 
 
+@pytest.mark.parametrize("column", ["dex", "added", "scan"])
+def test_parse_out_of_range_year_lenient_and_strict(column):
+    rows = [_row(1), _row(2, **{column: "1601-01-01"}), _row(3, added="2101-03-01 10:00:00")]
+    result = parse_metadata(_csv(rows))
+    assert [r.sha256 for r in result.population] == [sha_of(1)]
+    assert result.stats.malformed == 2
+    with pytest.raises(FormatError, match="line 3.*year 1601"):
+        parse_metadata(_csv(rows), strict=True)
+
+
 def test_parse_missing_required_column():
     with pytest.raises(FormatError):
         parse_metadata(io.StringIO("sha256,vt_detection\nabc,0\n"))
@@ -197,10 +207,20 @@ PAYLOAD = bytes(range(256)) * 4096  # 1 MiB
 
 
 class _Handler(BaseHTTPRequestHandler):
+    hits: dict[str, int] = {}
+
     def log_message(self, *args):
         pass
 
     def do_GET(self):
+        self.hits[self.path] = self.hits.get(self.path, 0) + 1
+        if self.path in ("/norange.bin", "/short.bin"):
+            # both ignore Range; /short.bin closes before the promised body ends
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(PAYLOAD)))
+            self.end_headers()
+            self.wfile.write(PAYLOAD if self.path == "/norange.bin" else PAYLOAD[: len(PAYLOAD) // 3])
+            return
         if self.path == "/missing":
             self.send_response(404)
             self.end_headers()
@@ -234,6 +254,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_fetch_full_download(http_server, tmp_path):
@@ -257,3 +278,26 @@ def test_fetch_404_after_retries(http_server, tmp_path):
 def test_fetch_gzip_decode(http_server, tmp_path):
     dest = fetch_metadata(f"{http_server}/pop.csv.gz", tmp_path / "pop.csv")
     assert dest.read_bytes() == b"sha256,dex_date,vt_detection\n"
+
+
+def test_fetch_resume_restarts_when_range_ignored(http_server, tmp_path):
+    dest = tmp_path / "data.bin"
+    (tmp_path / "data.bin.part").write_bytes(PAYLOAD[: len(PAYLOAD) // 2])
+    fetch_metadata(f"{http_server}/norange.bin", dest, resume=True)
+    assert dest.read_bytes() == PAYLOAD
+
+
+def test_fetch_resume_complete_part_kept(http_server, tmp_path):
+    dest = tmp_path / "data.bin"
+    (tmp_path / "data.bin.part").write_bytes(PAYLOAD)  # server answers 416
+    fetch_metadata(f"{http_server}/data.bin", dest, resume=True)
+    assert dest.read_bytes() == PAYLOAD
+    assert not (tmp_path / "data.bin.part").exists()
+
+
+def test_fetch_short_body_retried_then_fails(http_server, tmp_path):
+    before = _Handler.hits.get("/short.bin", 0)
+    with pytest.raises(FetchError):
+        fetch_metadata(f"{http_server}/short.bin", tmp_path / "x", attempts=3, backoff=0.01)
+    assert _Handler.hits["/short.bin"] - before == 3
+    assert not (tmp_path / "x").exists()

@@ -65,12 +65,12 @@ def test_sample_input_order_independent():
     )
 
 
-def test_sample_workers_identical():
+def test_sample_run_twice_identical():
     pop, _ = generate(SynthConfig(months=6, per_month=300, family_pool=6, seed=4))
     sizing = spatial_sizing(pop)
-    serial = stratified_sample(pop, RULE, DEX, sizing, seed=1, workers=1)
-    parallel = stratified_sample(pop, RULE, DEX, sizing, seed=1, workers=8)
-    assert serial == parallel
+    first = stratified_sample(pop, RULE, DEX, sizing, seed=1)
+    second = stratified_sample(pop, RULE, DEX, sizing, seed=1)
+    assert first == second
 
 
 def test_sample_never_contains_greyware():

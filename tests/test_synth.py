@@ -24,19 +24,19 @@ from maldrift.synth import (
 DEX = TimestampPolicy(TimestampKind.CREATION_DEX)
 
 
-def test_generate_deterministic():
-    config = SynthConfig(months=6, per_month=100, family_pool=5, seed=21)
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(months=6, per_month=100, family_pool=5, seed=21),
+        SynthConfig(months=8, per_month=150, family_pool=5, seed=22),
+    ],
+    ids=["6x100-seed21", "8x150-seed22"],
+)
+def test_generate_deterministic(config):
     pop1, truth1 = generate(config)
     pop2, truth2 = generate(config)
     assert pop1.records == pop2.records
     assert truth1 == truth2
-
-
-def test_generate_parallel_identical():
-    config = SynthConfig(months=8, per_month=150, family_pool=5, seed=22)
-    serial, _ = generate(config, workers=1)
-    parallel, _ = generate(config, workers=8)
-    assert serial.records == parallel.records
 
 
 def test_counts_exact_and_seed_independent():
