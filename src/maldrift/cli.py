@@ -18,10 +18,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import ingest as ingest_mod
 from . import labeling, metrics, report, sampler, sizing, synth
 from .errors import FetchError, FormatError, MissingPredictionsError
-from .model import Granularity, Period, Population, parse_timestamp
+from .model import MIN_YEAR, Granularity, Period, Population, parse_timestamp
 from .version import __version__
 
 EXIT_OK = 0
@@ -83,13 +85,16 @@ def _load_population(path: str) -> Population:
 
 
 def _write_population_gz(pop: Population, path: Path) -> None:
-    buffer = io.StringIO()
-    ingest_mod.write_metadata_csv(pop, buffer)
+    buffer = io.BytesIO()
+    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+    ingest_mod.write_metadata_csv(pop, text)
+    text.detach()  # flushes; the CSV stays in buffer
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as raw:
-        # fixed mtime keeps byte-identical outputs across runs
-        with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
-            gz.write(buffer.getvalue().encode())
+    # fixed mtime keeps byte-identical outputs across runs; one write, because
+    # deflate's output depends on how its input is split
+    with open(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
+        with buffer.getbuffer() as csv_bytes:
+            gz.write(csv_bytes)
 
 
 def _out_dir(settings: Settings, default: str) -> Path:
@@ -119,9 +124,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     else:
         family_info = None
     _write_population_gz(pop, out / "population.csv.gz")
-    per_year: dict[str, int] = {}
-    for rec in pop:
-        per_year[str(rec.dex_date.year)] = per_year.get(str(rec.dex_date.year), 0) + 1
+    years, counts = np.unique(pop.dex_date.astype("datetime64[Y]").astype(np.int64) + MIN_YEAR, return_counts=True)
+    per_year = {str(year): n for year, n in zip(years.tolist(), counts.tolist())}
     stats_payload = {
         "rows": stats.rows,
         "parsed": stats.parsed,
@@ -273,7 +277,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         )
     markets_raw = settings.get("markets")
     market_filter = frozenset(m.strip() for m in markets_raw.split(",") if m.strip()) if markets_raw else None
-    pool = pop.filter(lambda r: bool(r.markets & market_filter)) if market_filter else pop
+    pool = pop.select(pop.carrying_any(market_filter)) if market_filter else pop
 
     plan_result = sizing.plan_sizes(pool, rule, policy, plan, params)
     for warning in plan_result.warnings:

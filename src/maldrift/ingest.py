@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
+import itertools
 import shutil
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Optional, Union
 
+import numpy as np
+
 from .errors import FetchError, FormatError
-from .model import ApkRecord, Population, format_timestamp, parse_timestamp
+from .model import COLUMNS, MAX_YEAR, MIN_YEAR, ApkRecord, Population, format_timestamps, parse_timestamp
 
 REQUIRED_COLUMNS = ("sha256", "dex_date", "vt_detection")
 OPTIONAL_COLUMNS = ("markets", "added", "vt_scan_date", "apk_size", "family")
@@ -67,57 +71,229 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
     )
 
 
+# Rows per vectorised parse or write step: peak memory follows this, not the row count.
+_CHUNK_ROWS = 1 << 13
+
+
+def _characters(texts: tuple[str, ...], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's length, and its first `width` code points (NUL-padded) as an (n, width) array."""
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
+    return lengths, chars
+
+
+def _digits(chars: np.ndarray, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the code points at positions are all ASCII digits, and their decimal value (0 if not)."""
+    picked = chars[:, positions].astype(np.int64) - ord("0")
+    ok = ((picked >= 0) & (picked <= 9)).all(axis=1)
+    value = np.zeros(len(chars), dtype=np.int64)
+    for column in picked.T:
+        value = value * 10 + column
+    return ok, np.where(ok, value, 0)
+
+
+def _canonical_stamps(texts: tuple[str, ...], required: bool) -> tuple[np.ndarray, np.ndarray]:
+    """datetime64[s] of "YYYY-MM-DD" and "YYYY-MM-DD HH:MM:SS" texts naming a real
+    time in the supported years, and a mask of those texts; an optional "" is NaT
+    and in the mask. Other texts are _parse_row's to judge."""
+    lengths, chars = _characters(texts, 19)
+    fields = [_digits(chars, positions) for positions in ([0, 1, 2, 3], [5, 6], [8, 9], [11, 12], [14, 15], [17, 18])]
+    (year_ok, year), (month_ok, month), (day_ok, day), (hour_ok, hour), (minute_ok, minute), (second_ok, second) = fields
+    clock = (chars[:, 10] == ord(" ")) & (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":"))
+    clock &= hour_ok & minute_ok & second_ok & (hour <= 23) & (minute <= 59) & (second <= 59)
+    ok = ((lengths == 10) | ((lengths == 19) & clock)) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
+    ok &= year_ok & month_ok & day_ok & (year >= MIN_YEAR) & (year <= MAX_YEAR)
+    ok &= (month >= 1) & (month <= 12) & (day >= 1)
+    months = np.where(ok, (year - MIN_YEAR) * 12 + month - 1, 0).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
+    ok &= days.astype("datetime64[M]") == months  # no 30 February
+    stamps = days.astype("datetime64[s]") + (hour * 3600 + minute * 60 + second)
+    stamps[~ok] = np.datetime64("NaT")
+    return stamps, ok if required else ok | (lengths == 0)
+
+
+def _canonical_naturals(texts: tuple[str, ...], required: bool) -> tuple[np.ndarray, np.ndarray]:
+    """int64 of texts of 1-18 ASCII digits, and a mask of those texts; an optional "" is 0."""
+    lengths, chars = _characters(texts, 18)
+    digits = chars.astype(np.int64) - ord("0")
+    is_digit = (digits >= 0) & (digits <= 9)
+    # NUL padding is no digit, so a text is all digits when its digit count is its length
+    ok = (lengths >= 1) & (is_digit.sum(axis=1) == lengths)
+    value = np.zeros(len(texts), dtype=np.int64)
+    for position, column in enumerate(digits.T):
+        value = np.where(ok & (position < lengths), value * 10 + column, value)
+    return value, ok if required else ok | (lengths == 0)
+
+
+def _canonical_hashes(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """S64 of 64-character lowercase hex texts, and a mask of those texts."""
+    lengths, chars = _characters(texts, 64)
+    hexdigit = ((chars >= ord("0")) & (chars <= ord("9"))) | ((chars >= ord("a")) & (chars <= ord("f")))
+    ok = (lengths == 64) & hexdigit.all(axis=1)
+    return chars.astype(np.uint8).view("S64").ravel(), ok
+
+
+class _ChunkedColumns:
+    """The well-formed rows of a metadata CSV as column chunks, plus the value tables."""
+
+    def __init__(self, header: list[str]):
+        self.header = header
+        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        self.position = {name: position.get(name) for name in CANONICAL_COLUMNS}
+        self.parts: list[dict[str, np.ndarray]] = []
+        self.market_sets: dict[frozenset[str], int] = {}
+        self.families: dict[str, int] = {}
+        self._market_text: dict[str, int] = {}
+        self._family_text: dict[str, int] = {}
+
+    def _market_codes(self, texts: tuple[str, ...]) -> np.ndarray:
+        for text in set(texts).difference(self._market_text):
+            tags = frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"})
+            self._market_text[text] = self.market_sets.setdefault(tags, len(self.market_sets))
+        return np.fromiter(map(self._market_text.__getitem__, texts), dtype=np.int32, count=len(texts))
+
+    def _family_codes(self, texts: tuple[str, ...]) -> np.ndarray:
+        for text in set(texts).difference(self._family_text):
+            name = text.strip()
+            self._family_text[text] = self.families.setdefault(name, len(self.families)) if name else -1
+        return np.fromiter(map(self._family_text.__getitem__, texts), dtype=np.int32, count=len(texts))
+
+    def _as_dict(self, row: list[str]) -> dict:
+        """The row as csv.DictReader gives it: short rows padded with None, extra fields under None."""
+        record: dict = dict(zip(self.header, row))
+        if len(row) > len(self.header):
+            record[None] = row[len(self.header):]
+        for name in self.header[len(row):]:
+            record[name] = None
+        return record
+
+    def add(self, rows: list[list[str]], stats: ParseStats, strict: bool) -> None:
+        """Parse one chunk: canonical rows with numpy, every other row with _parse_row."""
+        if not rows:
+            return
+        n, width = len(rows), len(self.header)
+        regular = np.fromiter(map(len, rows), dtype=np.int64, count=n) == width
+        padded = rows
+        if not regular.all():  # pad or cut odd rows to the header's width; _parse_row judges them
+            padded = [row if len(row) == width else (row + [""] * width)[:width] for row in rows]
+        table = list(zip(*padded))
+
+        def texts(name: str) -> tuple[str, ...]:
+            at = self.position[name]
+            return ("",) * n if at is None else table[at]
+
+        sha, ok = _canonical_hashes(texts("sha256"))
+        dex, dex_ok = _canonical_stamps(texts("dex_date"), required=True)
+        vt, vt_ok = _canonical_naturals(texts("vt_detection"), required=True)
+        crawl, crawl_ok = _canonical_stamps(texts("added"), required=False)
+        scan, scan_ok = _canonical_stamps(texts("vt_scan_date"), required=False)
+        size, size_ok = _canonical_naturals(texts("apk_size"), required=False)
+        markets = self._market_codes(texts("markets"))
+        family = self._family_codes(texts("family"))
+        ok &= regular & dex_ok & vt_ok & crawl_ok & scan_ok & size_ok
+        valid = ok.copy()
+        for k in np.flatnonzero(~ok).tolist():
+            try:
+                rec = _parse_row(self._as_dict(rows[k]))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                if strict:
+                    raise FormatError(f"malformed metadata row at line {stats.rows + k + 2}: {exc}") from exc
+                stats.malformed += 1
+                continue
+            valid[k] = True
+            sha[k], dex[k], vt[k], size[k] = rec.sha256, rec.dex_date, rec.vt_detection, rec.apk_size
+            crawl[k] = np.datetime64("NaT") if rec.crawl_date is None else rec.crawl_date
+            scan[k] = np.datetime64("NaT") if rec.vt_scan_date is None else rec.vt_scan_date
+            markets[k] = self.market_sets.setdefault(rec.markets, len(self.market_sets))
+            family[k] = -1 if rec.family is None else self.families.setdefault(rec.family, len(self.families))
+        stats.rows += n
+        stats.parsed += int(valid.sum())
+        chunk = dict(sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
+                     apk_size=size, markets=markets, family=family)
+        self.parts.append({name: column[valid] for name, column in chunk.items()})
+
+    def population(self, stats: ParseStats, provenance: str) -> Population:
+        """Unique hashes in first-seen order, each with its last row's values."""
+        columns = {
+            name: np.concatenate([np.empty(0, dtype), *(part[name] for part in self.parts)])
+            for name, dtype in COLUMNS.items()
+        }
+        sha = columns["sha256"]
+        order = np.argsort(sha, kind="stable")
+        ordered = sha[order]
+        change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        starts = np.concatenate(([0], change))[: len(sha)]
+        ends = np.concatenate((change, [len(sha)]))[: len(sha)]
+        first, last = order[starts], order[ends - 1]
+        appearance = np.argsort(first)
+        rows = last[appearance]
+        sha_order = np.empty_like(appearance)
+        sha_order[appearance] = np.arange(len(appearance))
+        stats.duplicates = len(sha) - len(rows)
+        return Population.from_columns(
+            {name: column[rows] for name, column in columns.items()},
+            tuple(self.market_sets),
+            tuple(self.families),
+            provenance,
+            sha_order=sha_order,
+        )
+
+
 def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") -> ParseResult:
     """Parse an AndroZoo-shaped metadata CSV into a population.
 
     Duplicate hashes are last-wins (counted); malformed rows are counted and
-    skipped unless strict, in which case they raise FormatError.
+    skipped unless strict, in which case they raise FormatError. Rows are read
+    in chunks: canonical fields are parsed with numpy, and any other row goes
+    through _parse_row, the one definition of a well-formed row.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
         raise FormatError("empty metadata input")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
     stats = ParseStats()
-    by_sha: dict[str, ApkRecord] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        stats.rows += 1
-        try:
-            rec = _parse_row(row)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            if strict:
-                raise FormatError(f"malformed metadata row at line {lineno}: {exc}") from exc
-            stats.malformed += 1
-            continue
-        if rec.sha256 in by_sha:
-            stats.duplicates += 1
-        else:
-            order.append(rec.sha256)
-        by_sha[rec.sha256] = rec
-        stats.parsed += 1
-    population = Population(tuple(by_sha[s] for s in order), provenance=provenance)
-    return ParseResult(population, stats)
+    parsed = _ChunkedColumns(header)
+    while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+        # blank lines are skipped and not counted, as csv.DictReader does
+        parsed.add([row for row in chunk if row], stats, strict)
+    return ParseResult(parsed.population(stats, provenance), stats)
+
+
+def _csv_fields(texts: list[str], end: str = "") -> np.ndarray:
+    """Each text as csv.writer writes it in a row (quoted when it must be), plus end."""
+    fields = []
+    for text in texts:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+        fields.append(buffer.getvalue()[:-2] + end)  # drop the empty field's "," and the "\n"
+    return np.array(fields or [end], dtype=object)
 
 
 def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
-    """Serialize a population in the same CSV schema parse_metadata consumes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CANONICAL_COLUMNS)
-    for rec in pop:
-        writer.writerow(
-            (
-                rec.sha256,
-                format_timestamp(rec.dex_date),
-                rec.vt_detection,
-                "|".join(sorted(rec.markets)),
-                format_timestamp(rec.crawl_date) if rec.crawl_date else "",
-                format_timestamp(rec.vt_scan_date) if rec.vt_scan_date else "",
-                rec.apk_size,
-                rec.family or "",
-            )
+    """Serialize a population in the same CSV schema parse_metadata consumes.
+
+    The bytes are csv.writer's: market and family texts are quoted once per
+    table entry, and rows are joined a chunk at a time.
+    """
+    csv.writer(stream, lineterminator="\n").writerow(CANONICAL_COLUMNS)
+    markets = _csv_fields(["|".join(sorted(tags)) for tags in pop.market_sets])
+    families = _csv_fields([*pop.families, ""], end="\n")  # code -1 is the last entry
+    for start in range(0, len(pop), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        fields = zip(
+            pop.sha256[rows].astype("U64").tolist(),
+            format_timestamps(pop.dex_date[rows]),
+            pop.vt_detection[rows].astype("U20").tolist(),
+            markets[pop.markets[rows]].tolist(),
+            format_timestamps(pop.crawl_date[rows]),
+            format_timestamps(pop.vt_scan_date[rows]),
+            pop.apk_size[rows].astype("U20").tolist(),
+            families[pop.family[rows]].tolist(),
         )
+        stream.write("".join(map(",".join, fields)))
 
 
 @dataclass
@@ -153,15 +329,21 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
 def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population, FamilyJoinStats]:
     """Attach family labels to matching records; unmatched hashes are reported."""
     stats = FamilyJoinStats(mapped=len(mapping))
-    records = []
-    for rec in pop:
-        fam = mapping.get(rec.sha256)
-        if fam is not None:
+    hashes = list(mapping)
+    rows = pop.positions(hashes)
+    families = {name: i for i, name in enumerate(pop.families)}
+    family = pop.family.copy()
+    for sha, row in zip(hashes, rows.tolist()):
+        name = mapping[sha]
+        if row >= 0 and name is not None:
             stats.matched += 1
-            rec = replace(rec, family=fam)
-        records.append(rec)
-    stats.unmatched = tuple(sorted(set(mapping) - pop.by_sha.keys()))
-    return Population(tuple(records), pop.provenance, pop.snapshot_date), stats
+            family[row] = families.setdefault(name, len(families)) if name.strip() else -1
+    stats.unmatched = tuple(sorted(sha for sha, row in zip(hashes, rows.tolist()) if row < 0))
+    columns = pop.columns() | {"family": family}
+    joined = Population.from_columns(
+        columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, pop.sha_order
+    )
+    return joined, stats
 
 
 @dataclass(frozen=True)
@@ -242,17 +424,10 @@ def snapshot_filter(pop: Population, cutoff: datetime) -> SnapshotResult:
     Records lacking a crawl date are dropped (and counted): they cannot be
     placed before the cutoff. The result carries snapshot_date = cutoff.
     """
-    kept = []
-    dropped_late = dropped_missing = 0
-    for rec in pop:
-        if rec.crawl_date is None:
-            dropped_missing += 1
-        elif rec.crawl_date > cutoff:
-            dropped_late += 1
-        else:
-            kept.append(rec)
-    snapped = Population(tuple(kept), pop.provenance, snapshot_date=cutoff)
-    return SnapshotResult(snapped, dropped_late, dropped_missing)
+    missing = np.isnat(pop.crawl_date)
+    late = pop.crawl_date > np.datetime64(cutoff)  # False for NaT
+    snapped = pop.select(~missing & ~late, snapshot_date=cutoff)
+    return SnapshotResult(snapped, int(late.sum()), int(missing.sum()))
 
 
 def fetch_metadata(

@@ -1,12 +1,15 @@
 """Detection-threshold labeling, timeline policies, and market statistics."""
 from __future__ import annotations
 
+import math
 import statistics
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .model import ApkRecord, ClassLabel, Population
 
@@ -42,6 +45,11 @@ class LabelRule:
     def __post_init__(self) -> None:
         if self.vtt < 1:
             raise ValueError(f"vtt must be >= 1, got {self.vtt}")
+
+
+# The class codes class_codes returns; CLASSES[code] is the label.
+GOODWARE, GREYWARE, MALWARE = 0, 1, 2
+CLASSES = (ClassLabel.GOODWARE, ClassLabel.GREYWARE, ClassLabel.MALWARE)
 
 
 def label(record: ApkRecord, rule: LabelRule) -> ClassLabel:
@@ -81,6 +89,20 @@ def timeline_date(record: ApkRecord, policy: TimestampPolicy) -> Optional[dateti
     return ts
 
 
+def class_codes(pop: Population, rule: LabelRule) -> np.ndarray:
+    """label() of every record, as a code into CLASSES."""
+    vt = pop.vt_detection
+    return np.where(vt == 0, GOODWARE, np.where(vt >= rule.vtt, MALWARE, GREYWARE)).astype(np.int8)
+
+
+def timeline_dates(pop: Population, policy: TimestampPolicy) -> np.ndarray:
+    """timeline_date() of every record, NaT where the record is undated."""
+    dates = getattr(pop, _FIELD_BY_KIND[policy.kind])
+    if policy.fallback is not None:
+        dates = np.where(np.isnat(dates), getattr(pop, _FIELD_BY_KIND[policy.fallback]), dates)
+    return dates
+
+
 @dataclass(frozen=True)
 class LagStats:
     """Distribution of (b - a) in days over records carrying both timestamps."""
@@ -94,29 +116,24 @@ class LagStats:
 
 
 def timestamp_lag_stats(pop: Population, a: TimestampKind, b: TimestampKind) -> LagStats:
-    field_a, field_b = _FIELD_BY_KIND[a], _FIELD_BY_KIND[b]
-    lags: list[float] = []
-    excluded = 0
-    for rec in pop:
-        ts_a, ts_b = getattr(rec, field_a), getattr(rec, field_b)
-        if ts_a is None or ts_b is None:
-            excluded += 1
-            continue
-        lags.append((ts_b - ts_a).total_seconds() / 86400.0)
-    if not lags:
+    dates_a, dates_b = getattr(pop, _FIELD_BY_KIND[a]), getattr(pop, _FIELD_BY_KIND[b])
+    both = ~np.isnat(dates_a) & ~np.isnat(dates_b)
+    lags = (dates_b[both] - dates_a[both]).astype(np.int64) / 86400.0
+    if not lags.size:
         raise ValueError("no records carry both timestamps")
-    if len(lags) >= 2:
-        q1, _, q3 = statistics.quantiles(lags, n=4)
+    values = lags.tolist()
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4)
     else:
-        q1 = q3 = lags[0]
-    histogram = Counter(int(x // 1) for x in lags)
+        q1 = q3 = values[0]
+    days, counts = np.unique(np.floor(lags).astype(np.int64), return_counts=True)
     return LagStats(
-        count=len(lags),
-        excluded=excluded,
-        median_days=statistics.median(lags),
+        count=len(values),
+        excluded=len(pop) - len(values),
+        median_days=statistics.median(values),
         q1_days=q1,
         q3_days=q3,
-        histogram=dict(sorted(histogram.items())),
+        histogram=dict(zip(days.tolist(), counts.tolist())),
     )
 
 
@@ -141,6 +158,17 @@ class MarketShare:
     malware_pct: float
 
 
+def _tag_counts(pop: Population, mask: np.ndarray) -> Counter:
+    """Records under mask carrying each tag; a record with k tags counts toward all k."""
+    per_set = np.bincount(pop.markets[mask], minlength=len(pop.market_sets)).tolist()
+    counts: Counter = Counter()
+    for tags, n in zip(pop.market_sets, per_set):
+        if n:
+            for tag in tags:
+                counts[tag] += n
+    return counts
+
+
 def market_composition(
     pop: Population,
     rule: LabelRule,
@@ -151,19 +179,14 @@ def market_composition(
     A record with k market tags contributes to all k rows, so a class's
     column may sum past 100%. Greyware is excluded.
     """
-    counts: dict[str, Counter] = defaultdict(Counter)
-    totals: Counter = Counter()
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            continue
-        totals[cls] += 1
-        for tag in rec.markets:
-            counts[tag][cls] += 1
+    classes = class_codes(pop, rule)
+    goodware, malware = classes == GOODWARE, classes == MALWARE
+    gw_counts, mw_counts = _tag_counts(pop, goodware), _tag_counts(pop, malware)
+    gw_total, mw_total = int(goodware.sum()), int(malware.sum())
     rows = []
-    for tag in sorted(counts, key=market_sort_key(priority)):
-        gw = 100.0 * counts[tag][ClassLabel.GOODWARE] / totals[ClassLabel.GOODWARE] if totals[ClassLabel.GOODWARE] else 0.0
-        mw = 100.0 * counts[tag][ClassLabel.MALWARE] / totals[ClassLabel.MALWARE] if totals[ClassLabel.MALWARE] else 0.0
+    for tag in sorted(gw_counts.keys() | mw_counts.keys(), key=market_sort_key(priority)):
+        gw = 100.0 * gw_counts[tag] / gw_total if gw_total else 0.0
+        mw = 100.0 * mw_counts[tag] / mw_total if mw_total else 0.0
         rows.append(MarketShare(tag, gw, mw))
     return rows
 
@@ -185,8 +208,15 @@ def _normalized_market_dist(items: Iterable[frozenset[str]], priority: tuple[str
 
 
 def tv_distance(p: dict[str, float], q: dict[str, float]) -> float:
+    # fsum rounds once, so the result does not depend on the set's iteration
+    # order, which follows the per-process string hash seed
     support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(t, 0.0) - q.get(t, 0.0)) for t in support)
+    return 0.5 * math.fsum(abs(p.get(t, 0.0) - q.get(t, 0.0)) for t in support)
+
+
+def _consistency(p: dict[str, float], q: dict[str, float], threshold: float) -> ConsistencyResult:
+    tv = tv_distance(p, q)
+    return ConsistencyResult(tv, tv <= threshold, threshold, p, q)
 
 
 def market_consistency_from_pairs(
@@ -203,10 +233,18 @@ def market_consistency_from_pairs(
     mw = [m for m, cls in materialized if cls is ClassLabel.MALWARE]
     if not gw or not mw:
         raise ValueError("market consistency undefined: a class is empty")
-    p = _normalized_market_dist(gw, priority)
-    q = _normalized_market_dist(mw, priority)
-    tv = tv_distance(p, q)
-    return ConsistencyResult(tv, tv <= threshold, threshold, p, q)
+    return _consistency(_normalized_market_dist(gw, priority), _normalized_market_dist(mw, priority), threshold)
+
+
+def _attributed_dist(pop: Population, mask: np.ndarray, attributed: list[str]) -> dict[str, float]:
+    """_normalized_market_dist of the records under mask, tags in first-seen order."""
+    codes = pop.markets[mask]
+    per_set = np.bincount(codes, minlength=len(attributed)).tolist()
+    seen, first = np.unique(codes, return_index=True)
+    counts: dict[str, int] = {}
+    for code in seen[np.argsort(first)].tolist():
+        counts[attributed[code]] = counts.get(attributed[code], 0) + per_set[code]
+    return {tag: c / len(codes) for tag, c in counts.items()}
 
 
 def market_consistency(
@@ -215,19 +253,25 @@ def market_consistency(
     threshold: float = 0.10,
     priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
 ) -> ConsistencyResult:
-    pairs = [(rec.markets, label(rec, rule)) for rec in pop]
-    return market_consistency_from_pairs(pairs, threshold, priority)
+    classes = class_codes(pop, rule)
+    goodware, malware = classes == GOODWARE, classes == MALWARE
+    if not goodware.any() or not malware.any():
+        raise ValueError("market consistency undefined: a class is empty")
+    key = market_sort_key(priority)
+    attributed = [min(tags, key=key) for tags in pop.market_sets]
+    p = _attributed_dist(pop, goodware, attributed)
+    q = _attributed_dist(pop, malware, attributed)
+    return _consistency(p, q, threshold)
 
 
 def vtt_coverage(pop: Population, vtt: int) -> float:
     """Fraction of detected samples (d >= 1) that a threshold of vtt retains."""
     if vtt < 1:
         raise ValueError(f"vtt must be >= 1, got {vtt}")
-    detected = sum(1 for rec in pop if rec.vt_detection >= 1)
+    detected = int(np.count_nonzero(pop.vt_detection >= 1))
     if detected == 0:
         raise ValueError("no detected samples (vt_detection >= 1) in population")
-    captured = sum(1 for rec in pop if rec.vt_detection >= vtt)
-    return captured / detected
+    return int(np.count_nonzero(pop.vt_detection >= vtt)) / detected
 
 
 def vtt_market_heatmap(
@@ -244,16 +288,11 @@ def vtt_market_heatmap(
     for vtt in vtt_values:
         if vtt < 1:
             raise ValueError(f"vtt must be >= 1, got {vtt}")
-        hits = [rec for rec in pop if rec.vt_detection >= vtt]
-        if not hits:
+        hits = pop.vt_detection >= vtt
+        n = int(hits.sum())
+        if not n:
             out[vtt] = None
             continue
-        counts: Counter = Counter()
-        for rec in hits:
-            for tag in rec.markets:
-                counts[tag] += 1
-        out[vtt] = {
-            tag: 100.0 * counts[tag] / len(hits)
-            for tag in sorted(counts, key=market_sort_key(priority))
-        }
+        counts = _tag_counts(pop, hits)
+        out[vtt] = {tag: 100.0 * counts[tag] / n for tag in sorted(counts, key=market_sort_key(priority))}
     return out

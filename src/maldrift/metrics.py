@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import MissingPredictionsError
 from .ingest import PredictionSet
-from .labeling import LabelRule, TimestampPolicy, label, timeline_date
-from .model import ClassLabel, Granularity, Period, Population, period_of
+from .labeling import MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
+from .model import ClassLabel, Granularity, Period, Population, period_indices
 
 METRIC_NAMES = ("f1", "fpr", "tpr", "precision", "recall")
 
@@ -250,16 +252,19 @@ def malware_families_by_period(
     policy: TimestampPolicy,
     granularity: Granularity = Granularity.MONTH,
 ) -> dict[Period, list[Optional[str]]]:
-    """Family labels of every datable malware record, grouped by period."""
-    out: dict[Period, list[Optional[str]]] = {}
-    for rec in pop:
-        if label(rec, rule) is not ClassLabel.MALWARE:
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            continue
-        out.setdefault(period_of(ts, granularity), []).append(rec.family)
-    return out
+    """Family labels of every datable malware record, grouped by period.
+
+    Periods come in order of their first record, and each list in record order.
+    """
+    dates = timeline_dates(pop, policy)
+    rows = np.flatnonzero((class_codes(pop, rule) == MALWARE) & ~np.isnat(dates))
+    periods = period_indices(dates[rows], granularity)
+    names = np.array([*pop.families, None], dtype=object)  # code -1 picks the None
+    families = names[pop.family[rows]]
+    seen, first, counts = np.unique(periods, return_index=True, return_counts=True)
+    lists = np.split(families[np.argsort(periods, kind="stable")], np.cumsum(counts)[:-1])
+    groups = dict(zip(seen.tolist(), lists))
+    return {Period(granularity, p): groups[p].tolist() for p in seen[np.argsort(first)].tolist()}
 
 
 def overlap_series(

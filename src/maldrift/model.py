@@ -2,15 +2,18 @@
 
 All timestamps are stored tz-naive at second resolution and mean UTC;
 date-only inputs are interpreted as midnight UTC. Every type here is
-immutable after construction.
+immutable after construction. A population holds its records as numpy
+columns; ApkRecord is its row view.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 MIN_YEAR = 1970
 MAX_YEAR = 2100
@@ -51,6 +54,31 @@ def parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%d %H:%M:%S")
+
+
+def format_timestamps(values: np.ndarray) -> list[str]:
+    """format_timestamp of each datetime64[s] value; NaT formats as ""."""
+    days = values.astype("datetime64[D]")
+    months = values.astype("datetime64[M]")
+    clock = (values - days).astype(np.int64)
+    fields = (
+        (values.astype("datetime64[Y]").astype(np.int64) + 1970, 4),
+        (months.astype(np.int64) % 12 + 1, 2),
+        ((days - months).astype(np.int64) + 1, 2),
+        (clock // 3600, 2),
+        (clock // 60 % 60, 2),
+        (clock % 60, 2),
+    )
+    chars = np.empty((len(values), 19), dtype=np.uint32)
+    chars[:, [4, 7]], chars[:, 10], chars[:, [13, 16]] = ord("-"), ord(" "), ord(":")
+    at = 0
+    for value, width in fields:
+        for place in range(width):
+            chars[:, at + place] = value // 10 ** (width - 1 - place) % 10 + ord("0")
+        at += width + 1
+    text = chars.view("U19").ravel()
+    text[np.isnat(values)] = ""
+    return text.tolist()
 
 
 def _check_year(year: int) -> None:
@@ -161,6 +189,20 @@ def period_of(ts: datetime, granularity: Granularity) -> Period:
     return Period(Granularity.YEAR, ts.year - MIN_YEAR)
 
 
+def period_indices(dates: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """Period.index of each datetime64 value (no NaT), as period_of computes it.
+
+    The integer of datetime64[M] counts months since 1970-01 and that of
+    datetime64[Y] years since 1970, which is exactly Period.index.
+    """
+    unit, per_year = ("datetime64[M]", 12) if granularity is Granularity.MONTH else ("datetime64[Y]", 1)
+    index = dates.astype(unit).astype(np.int64)
+    outside = (index < 0) | (index >= (MAX_YEAR - MIN_YEAR + 1) * per_year)
+    if outside.any():
+        _check_year(MIN_YEAR + int(index[outside.argmax()]) // per_year)
+    return index
+
+
 def period_range(start: Period, end: Period) -> list[Period]:
     """Inclusive, contiguous, ascending list of periods from start to end."""
     if start.granularity is not end.granularity:
@@ -168,6 +210,9 @@ def period_range(start: Period, end: Period) -> list[Period]:
     if start.index > end.index:
         raise ValueError(f"period_range start {start} after end {end}")
     return [Period(start.granularity, i) for i in range(start.index, end.index + 1)]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -193,10 +238,10 @@ class ApkRecord:
         if len(sha) != 64 or not set(sha) <= _HEX:
             raise ValueError(f"sha256 must be 64 hex chars, got {self.sha256!r}")
         object.__setattr__(self, "sha256", sha)
-        if self.vt_detection < 0:
-            raise ValueError(f"vt_detection must be >= 0, got {self.vt_detection}")
-        if self.apk_size < 0:
-            raise ValueError(f"apk_size must be >= 0, got {self.apk_size}")
+        if not 0 <= self.vt_detection <= _INT64_MAX:
+            raise ValueError(f"vt_detection must be in 0..2**63-1, got {self.vt_detection}")
+        if not 0 <= self.apk_size <= _INT64_MAX:
+            raise ValueError(f"apk_size must be in 0..2**63-1, got {self.apk_size}")
         markets = frozenset(m for m in self.markets if m)
         if not markets:
             markets = frozenset({"unknown"})
@@ -205,49 +250,194 @@ class ApkRecord:
             object.__setattr__(self, "family", None)
 
 
-@dataclass(frozen=True)
+# column name -> dtype; the names are ApkRecord's fields
+COLUMNS = {
+    "sha256": "S64",
+    "dex_date": "datetime64[s]",
+    "crawl_date": "datetime64[s]",
+    "vt_scan_date": "datetime64[s]",
+    "vt_detection": np.int64,
+    "apk_size": np.int64,
+    "markets": np.int32,  # code into Population.market_sets
+    "family": np.int32,  # code into Population.families; -1 = no family
+}
+
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+_NAT = np.iinfo(np.int64).min  # the int64 of NaT
+
+
+def _seconds(values: Iterable[Optional[datetime]], count: int) -> np.ndarray:
+    """datetime64[s] of naive datetimes (None is NaT), sub-second parts dropped."""
+    ints = (_NAT if v is None else (v - _EPOCH) // _SECOND for v in values)
+    return np.fromiter(ints, dtype=np.int64, count=count).view("datetime64[s]")
+
+
 class Population:
-    """An immutable set of records, unique by sha256."""
+    """An immutable set of records, unique by sha256, held as numpy columns.
 
-    records: tuple[ApkRecord, ...]
-    provenance: str = ""
-    snapshot_date: Optional[datetime] = None
+    The columns (see COLUMNS) keep record order; markets and family are
+    codes into the market_sets and families tables. Library functions read
+    the columns. ``Population(records)``, iteration, ``records``, ``by_sha``,
+    ``filter`` and ``union`` are a row view of ApkRecord objects for callers
+    that want rows.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.sha256 in seen:
-                raise ValueError(f"duplicate sha256 in population: {rec.sha256}")
-            seen.add(rec.sha256)
-        if self.snapshot_date is not None:
-            for rec in self.records:
-                if rec.crawl_date is None or rec.crawl_date > self.snapshot_date:
-                    raise ValueError(
-                        f"record {rec.sha256} violates snapshot_date {self.snapshot_date}"
-                    )
+    sha256: np.ndarray
+    dex_date: np.ndarray
+    crawl_date: np.ndarray
+    vt_scan_date: np.ndarray
+    vt_detection: np.ndarray
+    apk_size: np.ndarray
+    markets: np.ndarray
+    family: np.ndarray
+
+    def __init__(
+        self,
+        records: Iterable[ApkRecord] = (),
+        provenance: str = "",
+        snapshot_date: Optional[datetime] = None,
+    ):
+        records = tuple(records)
+        n = len(records)
+        market_sets: dict[frozenset[str], int] = {}
+        families: dict[str, int] = {}
+        columns = {
+            "sha256": np.fromiter((r.sha256 for r in records), dtype="S64", count=n),
+            "dex_date": _seconds((r.dex_date for r in records), n),
+            "crawl_date": _seconds((r.crawl_date for r in records), n),
+            "vt_scan_date": _seconds((r.vt_scan_date for r in records), n),
+            "vt_detection": np.fromiter((r.vt_detection for r in records), dtype=np.int64, count=n),
+            "apk_size": np.fromiter((r.apk_size for r in records), dtype=np.int64, count=n),
+            "markets": np.fromiter(
+                (market_sets.setdefault(r.markets, len(market_sets)) for r in records), dtype=np.int32, count=n
+            ),
+            "family": np.fromiter(
+                (-1 if r.family is None else families.setdefault(r.family, len(families)) for r in records),
+                dtype=np.int32,
+                count=n,
+            ),
+        }
+        self._init(columns, tuple(market_sets), tuple(families), provenance, snapshot_date)
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: dict,
+        market_sets: Sequence[frozenset[str]],
+        families: Sequence[str],
+        provenance: str = "",
+        snapshot_date: Optional[datetime] = None,
+        sha_order: Optional[np.ndarray] = None,
+    ) -> "Population":
+        """A population over ready columns; sha_order, when known, spares the sort."""
+        pop = cls.__new__(cls)
+        pop._init(columns, tuple(market_sets), tuple(families), provenance, snapshot_date, sha_order)
+        return pop
+
+    def _init(self, columns, market_sets, families, provenance, snapshot_date, sha_order=None) -> None:
+        for name, dtype in COLUMNS.items():
+            array = np.asarray(columns[name], dtype=dtype)
+            array.flags.writeable = False
+            setattr(self, name, array)
+        self.market_sets: tuple[frozenset[str], ...] = market_sets
+        self.families: tuple[str, ...] = families
+        self.provenance = provenance
+        self.snapshot_date = snapshot_date
+        if sha_order is None:
+            sha_order = np.argsort(self.sha256, kind="stable")
+            ordered = self.sha256[sha_order]
+            repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if repeated.size:
+                raise ValueError(f"duplicate sha256 in population: {ordered[repeated[0]].decode()}")
+        sha_order.flags.writeable = False
+        self.sha_order = sha_order  # row positions in ascending sha256 order
+        if snapshot_date is not None:
+            late = np.isnat(self.crawl_date) | (self.crawl_date > np.datetime64(snapshot_date))
+            if late.any():
+                sha = self.sha256[late.argmax()].decode()
+                raise ValueError(f"record {sha} violates snapshot_date {snapshot_date}")
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in COLUMNS}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sha256)
 
     def __iter__(self) -> Iterator[ApkRecord]:
         return iter(self.records)
+
+    def __repr__(self) -> str:
+        return f"Population({len(self)} records, provenance={self.provenance!r}, snapshot_date={self.snapshot_date!r})"
+
+    @cached_property
+    def records(self) -> tuple[ApkRecord, ...]:
+        families = (*self.families, None)  # code -1 picks the None
+        return tuple(
+            ApkRecord(sha.decode(), dex, vt, crawl, scan, self.market_sets[m], size, families[f])
+            for sha, dex, vt, crawl, scan, m, size, f in zip(
+                self.sha256.tolist(),
+                self.dex_date.tolist(),
+                self.vt_detection.tolist(),
+                self.crawl_date.tolist(),
+                self.vt_scan_date.tolist(),
+                self.markets.tolist(),
+                self.apk_size.tolist(),
+                self.family.tolist(),
+            )
+        )
 
     @cached_property
     def by_sha(self) -> dict[str, ApkRecord]:
         return {rec.sha256: rec for rec in self.records}
 
+    def positions(self, hashes: Sequence[str]) -> np.ndarray:
+        """Row position of each hash, -1 where the population lacks it."""
+        valid = np.array([len(h) == 64 and h.isascii() for h in hashes], dtype=bool)
+        keys = np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype="S64")
+        if not len(self):
+            return np.full(len(keys), -1, dtype=np.int64)
+        ordered = self.sha256[self.sha_order]
+        at = np.minimum(np.searchsorted(ordered, keys), len(self) - 1)
+        return np.where(valid & (ordered[at] == keys), self.sha_order[at], -1)
+
+    def carrying_any(self, tags: frozenset[str]) -> np.ndarray:
+        """Mask of the records sharing at least one market tag with tags."""
+        hit = np.array([bool(markets & tags) for markets in self.market_sets], dtype=bool)
+        return hit[self.markets] if hit.size else np.zeros(len(self), dtype=bool)
+
+    def select(self, keep: np.ndarray, provenance: str = "", snapshot_date: Optional[datetime] = None) -> "Population":
+        """The records under the boolean mask keep, in order; provenance and
+        snapshot_date default to this population's."""
+        rank = np.cumsum(keep) - 1
+        sha_order = rank[self.sha_order[keep[self.sha_order]]]
+        return Population.from_columns(
+            {name: column[keep] for name, column in self.columns().items()},
+            self.market_sets,
+            self.families,
+            provenance or self.provenance,
+            snapshot_date if snapshot_date is not None else self.snapshot_date,
+            sha_order,
+        )
+
     def filter(self, predicate: Callable[[ApkRecord], bool], provenance: str = "") -> "Population":
-        kept = tuple(rec for rec in self.records if predicate(rec))
-        return Population(kept, provenance or self.provenance, self.snapshot_date)
+        keep = np.fromiter((bool(predicate(rec)) for rec in self.records), dtype=bool, count=len(self))
+        return self.select(keep, provenance)
 
     def union(self, other: "Population") -> "Population":
         """Disjoint union; duplicate hashes are an error."""
-        overlap = self.by_sha.keys() & other.by_sha.keys()
-        if overlap:
-            raise ValueError(f"union would duplicate {len(overlap)} hashes (e.g. {next(iter(overlap))})")
+        overlap = np.intersect1d(self.sha256, other.sha256)
+        if overlap.size:
+            raise ValueError(f"union would duplicate {overlap.size} hashes (e.g. {overlap[0].decode()})")
         snap = None
         if self.snapshot_date is not None and other.snapshot_date is not None:
             snap = max(self.snapshot_date, other.snapshot_date)
         provenance = " + ".join(p for p in (self.provenance, other.provenance) if p)
-        return Population(self.records + other.records, provenance, snap)
+        market_sets = {m: i for i, m in enumerate(self.market_sets)}
+        families = {f: i for i, f in enumerate(self.families)}
+        market_codes = np.array([market_sets.setdefault(m, len(market_sets)) for m in other.market_sets] or [0])
+        family_codes = np.array([families.setdefault(f, len(families)) for f in other.families] + [-1])
+        columns = {name: np.concatenate([column, getattr(other, name)]) for name, column in self.columns().items()}
+        columns["markets"] = np.concatenate([self.markets, market_codes[other.markets]])
+        columns["family"] = np.concatenate([self.family, family_codes[other.family]])
+        return Population.from_columns(columns, tuple(market_sets), tuple(families), provenance, snap)

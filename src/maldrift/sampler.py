@@ -19,14 +19,16 @@ import numpy as np
 
 from .errors import FormatError
 from .labeling import (
+    CLASSES,
+    GREYWARE,
     LabelRule,
     TimestampKind,
     TimestampPolicy,
-    label,
+    class_codes,
     market_consistency_from_pairs,
-    timeline_date,
+    timeline_dates,
 )
-from .model import ClassLabel, Granularity, Period, Population, format_timestamp, period_of
+from .model import ClassLabel, Granularity, Period, Population, format_timestamp, period_indices
 from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
 from .version import __version__
 
@@ -86,10 +88,6 @@ class DatasetManifest:
         return out
 
 
-def _sort_entries(entries: list[ManifestEntry]) -> tuple[ManifestEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (e.period.index, e.label.value, e.sha256)))
-
-
 def build_spec_echo(
     rule: LabelRule,
     policy: TimestampPolicy,
@@ -133,12 +131,43 @@ def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], 
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _take(candidates: list[ManifestEntry], count: int, rng: np.random.Generator) -> list[ManifestEntry]:
-    ordered = sorted(candidates, key=lambda e: e.sha256)
-    if count >= len(ordered):
-        return ordered
-    picks = rng.permutation(len(ordered))[:count]
-    return [ordered[i] for i in picks]
+def _candidates(
+    pop: Population, rule: LabelRule, policy: TimestampPolicy, keep: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the labeled, datable records (within keep) in ascending sha256
+    order, with their class codes and timeline dates."""
+    classes = class_codes(pop, rule)
+    dates = timeline_dates(pop, policy)
+    eligible = (classes != GREYWARE) & ~np.isnat(dates)
+    if keep is not None:
+        eligible &= keep
+    rows = pop.sha_order[eligible[pop.sha_order]]
+    return rows, classes[rows], dates[rows]
+
+
+def _take(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions drawn from a sha-sorted pool of size: all of it, or a seeded prefix of a permutation."""
+    if count >= size:
+        return np.arange(size)
+    return rng.permutation(size)[:count]
+
+
+def _entries(
+    pop: Population, rows: np.ndarray, classes: np.ndarray, periods: np.ndarray, granularity: Granularity
+) -> list[ManifestEntry]:
+    """Manifest entries for the given rows, their class codes and period indices."""
+    families = (*pop.families, None)  # code -1 picks the None
+    period_of_index = {i: Period(granularity, i) for i in set(periods.tolist())}
+    return [
+        ManifestEntry(sha, CLASSES[cls], period_of_index[period], pop.market_sets[markets], families[family])
+        for sha, cls, period, markets, family in zip(
+            pop.sha256[rows].astype("U64").tolist(),
+            classes.tolist(),
+            periods.tolist(),
+            pop.markets[rows].tolist(),
+            pop.family[rows].tolist(),
+        )
+    ]
 
 
 def _default_created(pop: Population) -> str:
@@ -147,9 +176,9 @@ def _default_created(pop: Population) -> str:
     A wall-clock stamp would break byte-for-byte reproducibility of identical
     runs, so the manifest is dated by its data instead.
     """
-    stamps = [rec.crawl_date for rec in pop if rec.crawl_date is not None]
-    stamps.extend(rec.dex_date for rec in pop)
-    return format_timestamp(max(stamps)) if stamps else "1970-01-01 00:00:00"
+    crawled = pop.crawl_date[~np.isnat(pop.crawl_date)]
+    stamps = np.concatenate([crawled, pop.dex_date])
+    return format_timestamp(stamps.max().item()) if stamps.size else "1970-01-01 00:00:00"
 
 
 def stratified_sample(
@@ -170,28 +199,20 @@ def stratified_sample(
     """
     plan = sizing.plan
     stratum_gran = Granularity.YEAR if plan.mode is PlanMode.YEARLY else Granularity.MONTH
-    pools: dict[tuple[Optional[Period], Optional[ClassLabel]], list[ManifestEntry]] = {}
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            continue
-        if market_filter and not (rec.markets & market_filter):
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            continue
-        entry_period = period_of(ts, stratum_gran)
-        stratum_period = None if plan.mode is PlanMode.GLOBAL else entry_period
-        if plan.mode is PlanMode.GLOBAL:
-            entry_period = period_of(ts, Granularity.MONTH)
-        entry = ManifestEntry(rec.sha256, cls, entry_period, rec.markets, rec.family)
-        key = (stratum_period, cls if plan.spatial else None)
-        pools.setdefault(key, []).append(entry)
-    if not pools:
+    keep = pop.carrying_any(market_filter) if market_filter else None
+    rows, classes, dates = _candidates(pop, rule, policy, keep)
+    if not rows.size:
         raise ValueError("empty candidate pool: no labeled, datable records to sample")
+    periods = period_indices(dates, stratum_gran)
+    pooled = plan.mode is PlanMode.GLOBAL
+    # one key per stratum cell: its period (0 when global) and, when spatial, its class
+    zeros = np.zeros_like(periods)
+    keys = (zeros if pooled else periods) * len(CLASSES) + (classes if plan.spatial else zeros)
+    by_key = np.argsort(keys, kind="stable")  # each cell's candidates stay sha-sorted
+    sorted_keys = keys[by_key]
 
     fills: list[StratumFill] = []
-    entries: list[ManifestEntry] = []
+    chosen: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     for stratum in sizing.strata:
         if plan.spatial:
             # echo the uncapped plan request so shortfalls stay visible here
@@ -201,16 +222,27 @@ def stratified_sample(
             ]
         else:
             cells = [(None, stratum.n)]
+        period = stratum.period
+        # a period the candidate pools cannot hold (a hand-built sizing) finds no candidates
+        known = period is None if pooled else period is not None and period.granularity is stratum_gran
         for cls, requested in cells:
-            rng = _stratum_rng(seed, stratum_gran, stratum.period, cls)
-            chosen = _take(pools.get((stratum.period, cls), []), requested, rng)
-            fills.append(StratumFill(stratum.period, cls, requested, len(chosen)))
-            entries.extend(chosen)
+            lo = hi = 0
+            if known:
+                cell = (0 if pooled else period.index) * len(CLASSES) + (0 if cls is None else CLASSES.index(cls))
+                lo, hi = np.searchsorted(sorted_keys, [cell, cell + 1])
+            rng = _stratum_rng(seed, stratum_gran, period, cls)
+            picks = by_key[lo:hi][_take(requested, int(hi - lo), rng)]
+            fills.append(StratumFill(period, cls, requested, len(picks)))
+            chosen.append(picks)
+    picked = np.concatenate(chosen)
+    # manifest order: period, label name (goodware < malware), sha256 (candidates are sha-sorted)
+    picked = picked[np.lexsort((picked, classes[picked], periods[picked]))]
+    entries = _entries(pop, rows[picked], classes[picked], periods[picked], stratum_gran)
     spec = build_spec_echo(
         rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter
     )
     return DatasetManifest(
-        entries=_sort_entries(entries),
+        entries=tuple(entries),
         spec=spec,
         created=created if created is not None else _default_created(pop),
         strata=tuple(fills),
@@ -316,12 +348,7 @@ def verify_constraints(
             if manifest.spec["policy"].get("fallback")
             else None,
         )
-        bad = []
-        for entry in manifest.entries:
-            rec = population.by_sha.get(entry.sha256)
-            ts = timeline_date(rec, policy) if rec is not None else None
-            if ts is None or period_of(ts, entry.period.granularity) != entry.period:
-                bad.append(entry.sha256)
+        bad = _misdated(manifest.entries, population, policy)
         checks.append(
             CheckResult(
                 "timestamp_policy",
@@ -332,6 +359,21 @@ def verify_constraints(
             )
         )
     return checks
+
+
+def _misdated(entries: tuple[ManifestEntry, ...], population: Population, policy: TimestampPolicy) -> list[str]:
+    """Hashes of the entries the policy does not place in their recorded period
+    (absent from the population, undated, or dated elsewhere), in entry order."""
+    if not len(population):
+        return [e.sha256 for e in entries]
+    rows = population.positions([e.sha256 for e in entries])
+    dates = timeline_dates(population, policy)[rows]
+    ok = (rows >= 0) & ~np.isnat(dates)
+    for granularity in Granularity:
+        mine = ok & np.array([e.period.granularity is granularity for e in entries], dtype=bool)
+        recorded = np.array([e.period.index for e in entries], dtype=np.int64)[mine]
+        ok[mine] = period_indices(dates[mine], granularity) == recorded
+    return [e.sha256 for e, good in zip(entries, ok.tolist()) if not good]
 
 
 # (goodware GP, goodware 3PM, malware GP, malware 3PM) per train/test split.
@@ -365,17 +407,9 @@ def market_scenario(
     if name not in MARKET_SCENARIOS:
         raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
     train_cells, test_cells = MARKET_SCENARIOS[name]
-    pools: dict[tuple[ClassLabel, str], list[ManifestEntry]] = {}
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            continue
-        group = "GP" if rec.markets & gp_tags else "3PM"
-        entry = ManifestEntry(rec.sha256, cls, period_of(ts, Granularity.MONTH), rec.markets, rec.family)
-        pools.setdefault((cls, group), []).append(entry)
+    rows, classes, dates = _candidates(pop, rule, policy)
+    months = period_indices(dates, Granularity.MONTH)
+    gp = pop.carrying_any(gp_tags)[rows]
 
     cell_order = [
         (ClassLabel.GOODWARE, "GP", train_cells[0], test_cells[0]),
@@ -383,14 +417,14 @@ def market_scenario(
         (ClassLabel.MALWARE, "GP", train_cells[2], test_cells[2]),
         (ClassLabel.MALWARE, "3PM", train_cells[3], test_cells[3]),
     ]
-    train_entries: list[ManifestEntry] = []
-    test_entries: list[ManifestEntry] = []
+    train_picks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    test_picks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     train_fills: list[StratumFill] = []
     test_fills: list[StratumFill] = []
     for cls, group, n_train, n_test in cell_order:
         if n_train + n_test == 0:
             continue
-        pool = pools.get((cls, group), [])
+        pool = np.flatnonzero((classes == CLASSES.index(cls)) & (gp == (group == "GP")))  # sha-sorted
         if len(pool) < n_train + n_test:
             raise ValueError(
                 f"insufficient population for cell ({group}, {cls.value}): "
@@ -398,13 +432,17 @@ def market_scenario(
             )
         # one shuffle per (class, group) cell keeps train/test disjoint
         code = 1 if group == "GP" else 2
-        ordered = sorted(pool, key=lambda e: e.sha256)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, code, _CLASS_CODE[cls]])))
-        picks = rng.permutation(len(ordered))
-        train_entries.extend(ordered[i] for i in picks[:n_train])
-        test_entries.extend(ordered[i] for i in picks[n_train : n_train + n_test])
+        picks = pool[rng.permutation(len(pool))]
+        train_picks.append(picks[:n_train])
+        test_picks.append(picks[n_train : n_train + n_test])
         train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
         test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
+
+    def entries_of(chosen: list[np.ndarray]) -> list[ManifestEntry]:
+        picked = np.concatenate(chosen)
+        picked = picked[np.lexsort((picked, classes[picked], months[picked]))]
+        return _entries(pop, rows[picked], classes[picked], months[picked], Granularity.MONTH)
 
     def build(entries: list[ManifestEntry], fills: list[StratumFill], split: str) -> DatasetManifest:
         spec = build_spec_echo(
@@ -418,13 +456,13 @@ def market_scenario(
             extra={"scenario": name, "split": split, "gp_tags": sorted(gp_tags)},
         )
         return DatasetManifest(
-            entries=_sort_entries(entries),
+            entries=tuple(entries),
             spec=spec,
             created=_default_created(pop),
             strata=tuple(fills),
         )
 
-    return build(train_entries, train_fills, "train"), build(test_entries, test_fills, "test")
+    return build(entries_of(train_picks), train_fills, "train"), build(entries_of(test_picks), test_fills, "test")
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
@@ -511,10 +549,32 @@ def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
         sha = entry["sha256"]
         if not isinstance(sha, str) or not _SHA256.fullmatch(sha):
             raise FormatError(f"{where}: sha256 {sha!r} is not 64 lowercase hex characters")
+    _check_spec(data["spec"], f"{path}: spec")
     try:
         return manifest_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _check_spec(spec: dict, where: str) -> None:
+    """The spec values verify_constraints reads: the timestamp policy and the plan ratio."""
+    _require_keys(spec, ("policy",), where)
+    policy = spec["policy"]
+    if not isinstance(policy, dict):
+        raise FormatError(f"{where}.policy must be an object")
+    kinds = [k.value for k in TimestampKind]
+    if policy.get("kind") not in kinds:
+        raise FormatError(f"{where}.policy.kind {policy.get('kind')!r} is not one of {', '.join(kinds)}")
+    if policy.get("fallback") not in (None, *kinds):
+        raise FormatError(f"{where}.policy.fallback {policy['fallback']!r} is not null or one of {', '.join(kinds)}")
+    plan = spec.get("plan")
+    if plan is None:
+        return
+    if not isinstance(plan, dict):
+        raise FormatError(f"{where}.plan must be an object or null")
+    ratio = plan.get("ratio_malware")
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0.0 < ratio < 1.0:
+        raise FormatError(f"{where}.plan.ratio_malware {ratio!r} is not a number in (0,1)")
 
 
 def _require_keys(data: dict, keys: tuple[str, ...], where: str) -> None:

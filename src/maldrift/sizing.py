@@ -10,8 +10,10 @@ from enum import Enum
 from statistics import NormalDist
 from typing import Optional
 
-from .labeling import LabelRule, TimestampPolicy, label, timeline_date
-from .model import ClassLabel, Granularity, Period, Population, period_of, period_range
+import numpy as np
+
+from .labeling import GREYWARE, MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
+from .model import Granularity, Period, Population, period_indices
 
 
 @dataclass(frozen=True)
@@ -132,52 +134,54 @@ def plan_sizes(
     """
     if len(pop) == 0:
         raise ValueError("population is empty")
-    dated: list[tuple[Period, ClassLabel]] = []
-    excluded_undated = excluded_greyware = 0
     granularity = Granularity.MONTH if plan.mode is not PlanMode.YEARLY else Granularity.YEAR
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            excluded_greyware += 1
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            excluded_undated += 1
-            continue
-        dated.append((period_of(ts, granularity), cls))
-    if not dated:
-        raise ValueError("no records are datable under the timestamp policy")
+    periods, malware, excluded_undated, excluded_greyware = _eligible(pop, rule, policy, granularity)
 
     warnings: list[str] = []
     strata: list[StratumSize] = []
     if plan.mode is PlanMode.GLOBAL:
-        groups = {None: dated}
+        groups = [(None, len(periods), int(malware.sum()))]
     else:
-        periods = [p for p, _ in dated]
-        groups = {p: [] for p in period_range(min(periods), max(periods))}
-        for p, cls in dated:
-            groups[p].append((p, cls))
+        first = int(periods.min())
+        pool = np.bincount(periods - first).tolist()
+        mw = np.bincount(periods[malware] - first, minlength=len(pool)).tolist()
+        groups = [(Period(granularity, first + i), pool[i], mw[i]) for i in range(len(pool))]
 
-    for period, members in groups.items():
-        mw_avail = sum(1 for _, cls in members if cls is ClassLabel.MALWARE)
-        gw_avail = len(members) - mw_avail
-        if not members:
+    for period, size, mw_avail in groups:
+        gw_avail = size - mw_avail
+        if not size:
             warnings.append(f"stratum {period} has no eligible records")
             strata.append(StratumSize(period, 0, 0, 0, 0))
             continue
-        n = required_sample_size(len(members), params)
+        n = required_sample_size(size, params)
         if plan.spatial:
             mw, gw, mw_short, gw_short = _spatial_split(n, plan.ratio_malware, mw_avail, gw_avail)
             strata.append(
-                StratumSize(period, len(members), mw + gw, mw_avail, gw_avail, mw, gw, mw_short, gw_short)
+                StratumSize(period, size, mw + gw, mw_avail, gw_avail, mw, gw, mw_short, gw_short)
             )
             if mw_short or gw_short:
                 warnings.append(
                     f"stratum {period}: shortfall malware={mw_short} goodware={gw_short}"
                 )
         else:
-            strata.append(StratumSize(period, len(members), n, mw_avail, gw_avail))
+            strata.append(StratumSize(period, size, n, mw_avail, gw_avail))
     return SizingResult(plan, params, tuple(strata), excluded_undated, excluded_greyware, tuple(warnings))
+
+
+def _eligible(
+    pop: Population, rule: LabelRule, policy: TimestampPolicy, granularity: Granularity
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Period index and malware mask of the eligible pool (datable, not greyware),
+    and the undated and greyware counts it excludes."""
+    classes = class_codes(pop, rule)
+    dates = timeline_dates(pop, policy)
+    greyware = classes == GREYWARE
+    eligible = ~greyware & ~np.isnat(dates)
+    if not eligible.any():
+        raise ValueError("no records are datable under the timestamp policy")
+    undated = len(pop) - int(greyware.sum()) - int(eligible.sum())
+    periods = period_indices(dates[eligible], granularity)
+    return periods, classes[eligible] == MALWARE, undated, int(greyware.sum())
 
 
 @dataclass(frozen=True)
@@ -201,46 +205,34 @@ def compare_plans(
     uniform sampling. Yearly/global strata spread their expectation over the
     months they cover in proportion to each month's pool.
     """
-    month_pool: dict[Period, int] = {}
-    month_mw: dict[Period, int] = {}
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            continue
-        month = period_of(ts, Granularity.MONTH)
-        month_pool[month] = month_pool.get(month, 0) + 1
-        if cls is ClassLabel.MALWARE:
-            month_mw[month] = month_mw.get(month, 0) + 1
-    if not month_pool:
-        raise ValueError("no records are datable under the timestamp policy")
-    months = period_range(min(month_pool), max(month_pool))
+    months, malware, _, _ = _eligible(pop, rule, policy, Granularity.MONTH)
+    first = int(months.min())
+    month_pool = np.bincount(months - first).tolist()
+    month_mw = np.bincount(months[malware] - first, minlength=len(month_pool)).tolist()
+    span = [Period(Granularity.MONTH, first + i) for i in range(len(month_pool))]
 
     summaries = []
     for plan, params in plans:
         sizing = plan_sizes(pop, rule, policy, plan, params)
-        expected = {m: 0.0 for m in months}
+        expected = [0.0] * len(span)
         for stratum in sizing.strata:
             if stratum.population == 0:
                 continue
             if stratum.period is None:
-                covered = months
+                covered = range(len(span))
             elif stratum.period.granularity is Granularity.YEAR:
-                covered = [m for m in months if m.year == stratum.period.year]
+                covered = [i for i, m in enumerate(span) if m.year == stratum.period.year]
             else:
-                covered = [stratum.period]
-            pool = sum(month_pool.get(m, 0) for m in covered)
-            mw_pool = sum(month_mw.get(m, 0) for m in covered)
-            for m in covered:
+                covered = [stratum.period.index - first]
+            pool = sum(month_pool[i] for i in covered)
+            mw_pool = sum(month_mw[i] for i in covered)
+            for i in covered:
                 if plan.spatial:
                     if mw_pool and stratum.malware:
-                        expected[m] += stratum.malware * month_mw.get(m, 0) / mw_pool
+                        expected[i] += stratum.malware * month_mw[i] / mw_pool
                 elif pool:
-                    expected[m] += stratum.n * month_mw.get(m, 0) / pool
-        values = [expected[m] for m in months]
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+                    expected[i] += stratum.n * month_mw[i] / pool
+        mean = sum(expected) / len(expected)
+        std = math.sqrt(sum((v - mean) ** 2 for v in expected) / len(expected))
         summaries.append(PlanSummary(plan.name(params), sizing.total, mean, std))
     return summaries

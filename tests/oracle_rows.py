@@ -1,0 +1,678 @@
+"""Row-at-a-time reference code: the differential oracle for the columnar core.
+
+These are the library's functions as they were before the population became
+numpy columns, kept verbatim: each walks ApkRecord rows (the population's row
+view) and calls label, timeline_date and period_of per record. Tests assert
+that the columnar functions return exactly what these return.
+"""
+from __future__ import annotations
+
+import csv
+import math
+import statistics
+from collections import Counter, defaultdict
+from typing import IO, Optional
+
+import numpy as np
+
+from maldrift.errors import FormatError
+from maldrift.ingest import CANONICAL_COLUMNS, REQUIRED_COLUMNS, ParseResult, ParseStats
+from maldrift.labeling import (
+    _FIELD_BY_KIND,
+    DEFAULT_MARKET_PRIORITY,
+    LabelRule,
+    LagStats,
+    MarketShare,
+    TimestampKind,
+    TimestampPolicy,
+    label,
+    market_consistency_from_pairs,
+    market_sort_key,
+    timeline_date,
+)
+from maldrift.model import (
+    ApkRecord,
+    ClassLabel,
+    Granularity,
+    Period,
+    Population,
+    format_timestamp,
+    parse_timestamp,
+    period_of,
+    period_range,
+)
+from maldrift.sampler import (
+    DEFAULT_GP_TAGS,
+    MARKET_SCENARIOS,
+    CheckResult,
+    DatasetManifest,
+    ManifestEntry,
+    StratumFill,
+    build_spec_echo,
+)
+from maldrift.sizing import (
+    PlanMode,
+    PlanSummary,
+    SizingParams,
+    SizingPlan,
+    SizingResult,
+    StratumSize,
+    _spatial_split,
+    required_sample_size,
+    round_half_up,
+)
+
+
+# from maldrift/ingest.py
+def _parse_row(row: dict[str, str]) -> ApkRecord:
+    sha = (row.get("sha256") or "").strip()
+    dex = parse_timestamp(row["dex_date"])
+    vt = int((row.get("vt_detection") or "").strip())
+    if vt < 0:
+        raise ValueError(f"negative vt_detection: {vt}")
+    crawl_raw = (row.get("added") or "").strip()
+    scan_raw = (row.get("vt_scan_date") or "").strip()
+    size_raw = (row.get("apk_size") or "").strip()
+    markets_raw = (row.get("markets") or "").strip()
+    return ApkRecord(
+        sha256=sha,
+        dex_date=dex,
+        vt_detection=vt,
+        crawl_date=parse_timestamp(crawl_raw) if crawl_raw else None,
+        vt_scan_date=parse_timestamp(scan_raw) if scan_raw else None,
+        markets=frozenset(markets_raw.split("|")) if markets_raw else frozenset({"unknown"}),
+        apk_size=int(size_raw) if size_raw else 0,
+        family=(row.get("family") or "").strip() or None,
+    )
+
+
+def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") -> ParseResult:
+    """Parse an AndroZoo-shaped metadata CSV into a population.
+
+    Duplicate hashes are last-wins (counted); malformed rows are counted and
+    skipped unless strict, in which case they raise FormatError.
+    """
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        raise FormatError("empty metadata input")
+    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
+    stats = ParseStats()
+    by_sha: dict[str, ApkRecord] = {}
+    order: list[str] = []
+    for lineno, row in enumerate(reader, start=2):
+        stats.rows += 1
+        try:
+            rec = _parse_row(row)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            if strict:
+                raise FormatError(f"malformed metadata row at line {lineno}: {exc}") from exc
+            stats.malformed += 1
+            continue
+        if rec.sha256 in by_sha:
+            stats.duplicates += 1
+        else:
+            order.append(rec.sha256)
+        by_sha[rec.sha256] = rec
+        stats.parsed += 1
+    population = Population(tuple(by_sha[s] for s in order), provenance=provenance)
+    return ParseResult(population, stats)
+
+
+def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
+    """Serialize a population in the same CSV schema parse_metadata consumes."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CANONICAL_COLUMNS)
+    for rec in pop:
+        writer.writerow(
+            (
+                rec.sha256,
+                format_timestamp(rec.dex_date),
+                rec.vt_detection,
+                "|".join(sorted(rec.markets)),
+                format_timestamp(rec.crawl_date) if rec.crawl_date else "",
+                format_timestamp(rec.vt_scan_date) if rec.vt_scan_date else "",
+                rec.apk_size,
+                rec.family or "",
+            )
+        )
+
+
+
+# from maldrift/labeling.py
+def timestamp_lag_stats(pop: Population, a: TimestampKind, b: TimestampKind) -> LagStats:
+    field_a, field_b = _FIELD_BY_KIND[a], _FIELD_BY_KIND[b]
+    lags: list[float] = []
+    excluded = 0
+    for rec in pop:
+        ts_a, ts_b = getattr(rec, field_a), getattr(rec, field_b)
+        if ts_a is None or ts_b is None:
+            excluded += 1
+            continue
+        lags.append((ts_b - ts_a).total_seconds() / 86400.0)
+    if not lags:
+        raise ValueError("no records carry both timestamps")
+    if len(lags) >= 2:
+        q1, _, q3 = statistics.quantiles(lags, n=4)
+    else:
+        q1 = q3 = lags[0]
+    histogram = Counter(int(x // 1) for x in lags)
+    return LagStats(
+        count=len(lags),
+        excluded=excluded,
+        median_days=statistics.median(lags),
+        q1_days=q1,
+        q3_days=q3,
+        histogram=dict(sorted(histogram.items())),
+    )
+
+
+def market_composition(
+    pop: Population,
+    rule: LabelRule,
+    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
+) -> list[MarketShare]:
+    """Per-market percentage of each class's records carrying the tag.
+
+    A record with k market tags contributes to all k rows, so a class's
+    column may sum past 100%. Greyware is excluded.
+    """
+    counts: dict[str, Counter] = defaultdict(Counter)
+    totals: Counter = Counter()
+    for rec in pop:
+        cls = label(rec, rule)
+        if cls is ClassLabel.GREYWARE:
+            continue
+        totals[cls] += 1
+        for tag in rec.markets:
+            counts[tag][cls] += 1
+    rows = []
+    for tag in sorted(counts, key=market_sort_key(priority)):
+        gw = 100.0 * counts[tag][ClassLabel.GOODWARE] / totals[ClassLabel.GOODWARE] if totals[ClassLabel.GOODWARE] else 0.0
+        mw = 100.0 * counts[tag][ClassLabel.MALWARE] / totals[ClassLabel.MALWARE] if totals[ClassLabel.MALWARE] else 0.0
+        rows.append(MarketShare(tag, gw, mw))
+    return rows
+
+
+def market_consistency(
+    pop: Population,
+    rule: LabelRule,
+    threshold: float = 0.10,
+    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
+) -> ConsistencyResult:
+    pairs = [(rec.markets, label(rec, rule)) for rec in pop]
+    return market_consistency_from_pairs(pairs, threshold, priority)
+
+
+def vtt_coverage(pop: Population, vtt: int) -> float:
+    """Fraction of detected samples (d >= 1) that a threshold of vtt retains."""
+    if vtt < 1:
+        raise ValueError(f"vtt must be >= 1, got {vtt}")
+    detected = sum(1 for rec in pop if rec.vt_detection >= 1)
+    if detected == 0:
+        raise ValueError("no detected samples (vt_detection >= 1) in population")
+    captured = sum(1 for rec in pop if rec.vt_detection >= vtt)
+    return captured / detected
+
+
+def vtt_market_heatmap(
+    pop: Population,
+    vtt_values: Iterable[int],
+    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
+) -> dict[int, Optional[dict[str, float]]]:
+    """Per-vtt market percentages over records with d >= vtt.
+
+    A vtt with no qualifying records maps to None (absent row, not zeros).
+    Multi-tag records count toward every tag they carry.
+    """
+    out: dict[int, Optional[dict[str, float]]] = {}
+    for vtt in vtt_values:
+        if vtt < 1:
+            raise ValueError(f"vtt must be >= 1, got {vtt}")
+        hits = [rec for rec in pop if rec.vt_detection >= vtt]
+        if not hits:
+            out[vtt] = None
+            continue
+        counts: Counter = Counter()
+        for rec in hits:
+            for tag in rec.markets:
+                counts[tag] += 1
+        out[vtt] = {
+            tag: 100.0 * counts[tag] / len(hits)
+            for tag in sorted(counts, key=market_sort_key(priority))
+        }
+    return out
+
+
+# from maldrift/sizing.py
+def plan_sizes(
+    pop: Population,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    plan: SizingPlan,
+    params: SizingParams,
+) -> SizingResult:
+    """Size each stratum of the plan against the eligible pool.
+
+    The eligible pool excludes greyware and records without a timeline date
+    (both counted). Spatial plans split each stratum round-half-up at the
+    configured malware ratio, capped by class availability.
+    """
+    if len(pop) == 0:
+        raise ValueError("population is empty")
+    dated: list[tuple[Period, ClassLabel]] = []
+    excluded_undated = excluded_greyware = 0
+    granularity = Granularity.MONTH if plan.mode is not PlanMode.YEARLY else Granularity.YEAR
+    for rec in pop:
+        cls = label(rec, rule)
+        if cls is ClassLabel.GREYWARE:
+            excluded_greyware += 1
+            continue
+        ts = timeline_date(rec, policy)
+        if ts is None:
+            excluded_undated += 1
+            continue
+        dated.append((period_of(ts, granularity), cls))
+    if not dated:
+        raise ValueError("no records are datable under the timestamp policy")
+
+    warnings: list[str] = []
+    strata: list[StratumSize] = []
+    if plan.mode is PlanMode.GLOBAL:
+        groups = {None: dated}
+    else:
+        periods = [p for p, _ in dated]
+        groups = {p: [] for p in period_range(min(periods), max(periods))}
+        for p, cls in dated:
+            groups[p].append((p, cls))
+
+    for period, members in groups.items():
+        mw_avail = sum(1 for _, cls in members if cls is ClassLabel.MALWARE)
+        gw_avail = len(members) - mw_avail
+        if not members:
+            warnings.append(f"stratum {period} has no eligible records")
+            strata.append(StratumSize(period, 0, 0, 0, 0))
+            continue
+        n = required_sample_size(len(members), params)
+        if plan.spatial:
+            mw, gw, mw_short, gw_short = _spatial_split(n, plan.ratio_malware, mw_avail, gw_avail)
+            strata.append(
+                StratumSize(period, len(members), mw + gw, mw_avail, gw_avail, mw, gw, mw_short, gw_short)
+            )
+            if mw_short or gw_short:
+                warnings.append(
+                    f"stratum {period}: shortfall malware={mw_short} goodware={gw_short}"
+                )
+        else:
+            strata.append(StratumSize(period, len(members), n, mw_avail, gw_avail))
+    return SizingResult(plan, params, tuple(strata), excluded_undated, excluded_greyware, tuple(warnings))
+
+
+def compare_plans(
+    pop: Population,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    plans: list[tuple[SizingPlan, SizingParams]],
+) -> list[PlanSummary]:
+    """Summarize plan totals and expected malware per month on one population.
+
+    For spatial strata the per-month malware expectation follows the enforced
+    counts; for pooled strata it follows the pool's malware share under
+    uniform sampling. Yearly/global strata spread their expectation over the
+    months they cover in proportion to each month's pool.
+    """
+    month_pool: dict[Period, int] = {}
+    month_mw: dict[Period, int] = {}
+    for rec in pop:
+        cls = label(rec, rule)
+        if cls is ClassLabel.GREYWARE:
+            continue
+        ts = timeline_date(rec, policy)
+        if ts is None:
+            continue
+        month = period_of(ts, Granularity.MONTH)
+        month_pool[month] = month_pool.get(month, 0) + 1
+        if cls is ClassLabel.MALWARE:
+            month_mw[month] = month_mw.get(month, 0) + 1
+    if not month_pool:
+        raise ValueError("no records are datable under the timestamp policy")
+    months = period_range(min(month_pool), max(month_pool))
+
+    summaries = []
+    for plan, params in plans:
+        sizing = plan_sizes(pop, rule, policy, plan, params)
+        expected = {m: 0.0 for m in months}
+        for stratum in sizing.strata:
+            if stratum.population == 0:
+                continue
+            if stratum.period is None:
+                covered = months
+            elif stratum.period.granularity is Granularity.YEAR:
+                covered = [m for m in months if m.year == stratum.period.year]
+            else:
+                covered = [stratum.period]
+            pool = sum(month_pool.get(m, 0) for m in covered)
+            mw_pool = sum(month_mw.get(m, 0) for m in covered)
+            for m in covered:
+                if plan.spatial:
+                    if mw_pool and stratum.malware:
+                        expected[m] += stratum.malware * month_mw.get(m, 0) / mw_pool
+                elif pool:
+                    expected[m] += stratum.n * month_mw.get(m, 0) / pool
+        values = [expected[m] for m in months]
+        mean = sum(values) / len(values)
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        summaries.append(PlanSummary(plan.name(params), sizing.total, mean, std))
+    return summaries
+
+
+# from maldrift/sampler.py
+_GRAN_CODE = {Granularity.MONTH: 0, Granularity.YEAR: 1}
+
+
+_CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}
+
+
+_GLOBAL_PERIOD_CODE = 10**6
+
+
+def _sort_entries(entries: list[ManifestEntry]) -> tuple[ManifestEntry, ...]:
+    return tuple(sorted(entries, key=lambda e: (e.period.index, e.label.value, e.sha256)))
+
+
+def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], cls: Optional[ClassLabel]) -> np.random.Generator:
+    period_code = period.index if period is not None else _GLOBAL_PERIOD_CODE
+    ss = np.random.SeedSequence([seed, _GRAN_CODE[granularity], period_code, _CLASS_CODE[cls]])
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _take(candidates: list[ManifestEntry], count: int, rng: np.random.Generator) -> list[ManifestEntry]:
+    ordered = sorted(candidates, key=lambda e: e.sha256)
+    if count >= len(ordered):
+        return ordered
+    picks = rng.permutation(len(ordered))[:count]
+    return [ordered[i] for i in picks]
+
+
+def _default_created(pop: Population) -> str:
+    """Deterministic data-horizon stamp: the latest timestamp seen in the source.
+
+    A wall-clock stamp would break byte-for-byte reproducibility of identical
+    runs, so the manifest is dated by its data instead.
+    """
+    stamps = [rec.crawl_date for rec in pop if rec.crawl_date is not None]
+    stamps.extend(rec.dex_date for rec in pop)
+    return format_timestamp(max(stamps)) if stamps else "1970-01-01 00:00:00"
+
+
+def stratified_sample(
+    pop: Population,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    sizing: SizingResult,
+    seed: int,
+    market_filter: Optional[frozenset[str]] = None,
+    created: Optional[str] = None,
+) -> DatasetManifest:
+    """Draw the per-stratum counts of a sizing result as a reproducible manifest.
+
+    Greyware and undatable records never enter the candidate pool; records
+    sharing no tag with market_filter are excluded. Stratum shortfalls take
+    all available candidates and are recorded, never backfilled from
+    neighboring periods.
+    """
+    plan = sizing.plan
+    stratum_gran = Granularity.YEAR if plan.mode is PlanMode.YEARLY else Granularity.MONTH
+    pools: dict[tuple[Optional[Period], Optional[ClassLabel]], list[ManifestEntry]] = {}
+    for rec in pop:
+        cls = label(rec, rule)
+        if cls is ClassLabel.GREYWARE:
+            continue
+        if market_filter and not (rec.markets & market_filter):
+            continue
+        ts = timeline_date(rec, policy)
+        if ts is None:
+            continue
+        entry_period = period_of(ts, stratum_gran)
+        stratum_period = None if plan.mode is PlanMode.GLOBAL else entry_period
+        if plan.mode is PlanMode.GLOBAL:
+            entry_period = period_of(ts, Granularity.MONTH)
+        entry = ManifestEntry(rec.sha256, cls, entry_period, rec.markets, rec.family)
+        key = (stratum_period, cls if plan.spatial else None)
+        pools.setdefault(key, []).append(entry)
+    if not pools:
+        raise ValueError("empty candidate pool: no labeled, datable records to sample")
+
+    fills: list[StratumFill] = []
+    entries: list[ManifestEntry] = []
+    for stratum in sizing.strata:
+        if plan.spatial:
+            # echo the uncapped plan request so shortfalls stay visible here
+            cells = [
+                (ClassLabel.MALWARE, (stratum.malware or 0) + stratum.malware_shortfall),
+                (ClassLabel.GOODWARE, (stratum.goodware or 0) + stratum.goodware_shortfall),
+            ]
+        else:
+            cells = [(None, stratum.n)]
+        for cls, requested in cells:
+            rng = _stratum_rng(seed, stratum_gran, stratum.period, cls)
+            chosen = _take(pools.get((stratum.period, cls), []), requested, rng)
+            fills.append(StratumFill(stratum.period, cls, requested, len(chosen)))
+            entries.extend(chosen)
+    spec = build_spec_echo(
+        rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter
+    )
+    return DatasetManifest(
+        entries=_sort_entries(entries),
+        spec=spec,
+        created=created if created is not None else _default_created(pop),
+        strata=tuple(fills),
+    )
+
+
+def verify_constraints(
+    manifest: DatasetManifest,
+    population: Optional[Population] = None,
+    c3_tolerance: int = 1,
+    market_threshold: float = 0.10,
+) -> list[CheckResult]:
+    """Check a manifest against the temporal/spatial/market constraints.
+
+    C2: any period holding one class must hold the other (unless the plan
+    requested zero). C3: per-period malware count within c3_tolerance of
+    round(n * ratio). Market consistency: TV distance between class market
+    distributions at most market_threshold. Timestamp policy: entries map
+    into their recorded periods (full check needs the source population).
+    """
+    by_period = manifest.by_period()
+    plan = manifest.spec.get("plan") or {}
+    spatial = bool(plan.get("spatial"))
+    ratio = float(plan.get("ratio_malware", 0.10))
+    requested: dict[tuple[Optional[str], Optional[str]], int] = {}
+    for fill in manifest.strata:
+        key = (str(fill.period) if fill.period else None, fill.label.value if fill.label else None)
+        requested[key] = fill.requested
+
+    c2_bad = []
+    for period in sorted(by_period, key=lambda p: p.index):
+        entries = by_period[period]
+        mw = sum(1 for e in entries if e.label is ClassLabel.MALWARE)
+        gw = len(entries) - mw
+        if spatial:
+            req_mw = requested.get((str(period), ClassLabel.MALWARE.value))
+            req_gw = requested.get((str(period), ClassLabel.GOODWARE.value))
+        else:
+            pooled = requested.get((str(period), None))
+            req_mw = req_gw = pooled
+        if mw == 0 and (req_mw is None or req_mw > 0):
+            c2_bad.append(f"{period}: no malware")
+        if gw == 0 and (req_gw is None or req_gw > 0):
+            c2_bad.append(f"{period}: no goodware")
+    checks = [
+        CheckResult(
+            "C2",
+            not c2_bad,
+            "all periods hold both classes" if not c2_bad else "; ".join(c2_bad[:5]),
+        )
+    ]
+
+    c3_bad = []
+    for period in sorted(by_period, key=lambda p: p.index):
+        entries = by_period[period]
+        mw = sum(1 for e in entries if e.label is ClassLabel.MALWARE)
+        expected = round_half_up(len(entries) * ratio)
+        if abs(mw - expected) > c3_tolerance:
+            c3_bad.append(f"{period}: {mw} malware, expected {expected}±{c3_tolerance}")
+    checks.append(
+        CheckResult(
+            "C3",
+            not c3_bad,
+            f"per-period malware within ±{c3_tolerance} of round(n·{ratio})"
+            if not c3_bad
+            else "; ".join(c3_bad[:5]),
+        )
+    )
+
+    try:
+        consistency = market_consistency_from_pairs(
+            ((e.markets, e.label) for e in manifest.entries), threshold=market_threshold
+        )
+        checks.append(
+            CheckResult(
+                "market_consistency",
+                consistency.passed,
+                f"tv_distance={consistency.tv_distance:.4f} (threshold {market_threshold})",
+            )
+        )
+    except ValueError as exc:
+        checks.append(CheckResult("market_consistency", False, str(exc)))
+
+    if population is None:
+        checks.append(
+            CheckResult(
+                "timestamp_policy",
+                True,
+                "structural check only (source population not provided)",
+            )
+        )
+    else:
+        policy = TimestampPolicy(
+            TimestampKind(manifest.spec["policy"]["kind"]),
+            TimestampKind(manifest.spec["policy"]["fallback"])
+            if manifest.spec["policy"].get("fallback")
+            else None,
+        )
+        bad = []
+        for entry in manifest.entries:
+            rec = population.by_sha.get(entry.sha256)
+            ts = timeline_date(rec, policy) if rec is not None else None
+            if ts is None or period_of(ts, entry.period.granularity) != entry.period:
+                bad.append(entry.sha256)
+        checks.append(
+            CheckResult(
+                "timestamp_policy",
+                not bad,
+                "all entries dated by the declared policy"
+                if not bad
+                else f"{len(bad)} entries mis-dated (e.g. {bad[0]})",
+            )
+        )
+    return checks
+
+
+def market_scenario(
+    pop: Population,
+    name: str,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    seed: int,
+    gp_tags: frozenset[str] = DEFAULT_GP_TAGS,
+) -> tuple[DatasetManifest, DatasetManifest]:
+    """Build one of the fixed train/test market-composition experiments.
+
+    Records carrying any gp_tag form the GP group; all others are third-party
+    (3PM). Train and test are drawn disjointly from one shuffle per cell.
+    """
+    if name not in MARKET_SCENARIOS:
+        raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
+    train_cells, test_cells = MARKET_SCENARIOS[name]
+    pools: dict[tuple[ClassLabel, str], list[ManifestEntry]] = {}
+    for rec in pop:
+        cls = label(rec, rule)
+        if cls is ClassLabel.GREYWARE:
+            continue
+        ts = timeline_date(rec, policy)
+        if ts is None:
+            continue
+        group = "GP" if rec.markets & gp_tags else "3PM"
+        entry = ManifestEntry(rec.sha256, cls, period_of(ts, Granularity.MONTH), rec.markets, rec.family)
+        pools.setdefault((cls, group), []).append(entry)
+
+    cell_order = [
+        (ClassLabel.GOODWARE, "GP", train_cells[0], test_cells[0]),
+        (ClassLabel.GOODWARE, "3PM", train_cells[1], test_cells[1]),
+        (ClassLabel.MALWARE, "GP", train_cells[2], test_cells[2]),
+        (ClassLabel.MALWARE, "3PM", train_cells[3], test_cells[3]),
+    ]
+    train_entries: list[ManifestEntry] = []
+    test_entries: list[ManifestEntry] = []
+    train_fills: list[StratumFill] = []
+    test_fills: list[StratumFill] = []
+    for cls, group, n_train, n_test in cell_order:
+        if n_train + n_test == 0:
+            continue
+        pool = pools.get((cls, group), [])
+        if len(pool) < n_train + n_test:
+            raise ValueError(
+                f"insufficient population for cell ({group}, {cls.value}): "
+                f"need {n_train + n_test}, have {len(pool)}"
+            )
+        # one shuffle per (class, group) cell keeps train/test disjoint
+        code = 1 if group == "GP" else 2
+        ordered = sorted(pool, key=lambda e: e.sha256)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, code, _CLASS_CODE[cls]])))
+        picks = rng.permutation(len(ordered))
+        train_entries.extend(ordered[i] for i in picks[:n_train])
+        test_entries.extend(ordered[i] for i in picks[n_train : n_train + n_test])
+        train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
+        test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
+
+    def build(entries: list[ManifestEntry], fills: list[StratumFill], split: str) -> DatasetManifest:
+        spec = build_spec_echo(
+            rule,
+            policy,
+            None,
+            None,
+            seed,
+            pop.snapshot_date,
+            None,
+            extra={"scenario": name, "split": split, "gp_tags": sorted(gp_tags)},
+        )
+        return DatasetManifest(
+            entries=_sort_entries(entries),
+            spec=spec,
+            created=_default_created(pop),
+            strata=tuple(fills),
+        )
+
+    return build(train_entries, train_fills, "train"), build(test_entries, test_fills, "test")
+
+
+# from maldrift/metrics.py
+def malware_families_by_period(
+    pop: Population,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    granularity: Granularity = Granularity.MONTH,
+) -> dict[Period, list[Optional[str]]]:
+    """Family labels of every datable malware record, grouped by period."""
+    out: dict[Period, list[Optional[str]]] = {}
+    for rec in pop:
+        if label(rec, rule) is not ClassLabel.MALWARE:
+            continue
+        ts = timeline_date(rec, policy)
+        if ts is None:
+            continue
+        out.setdefault(period_of(ts, granularity), []).append(rec.family)
+    return out

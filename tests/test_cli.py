@@ -317,14 +317,26 @@ def _short_sha(data):
     return data
 
 
+def _empty_spec(data):
+    data["spec"] = {}
+    return data
+
+
+def _ratio_not_a_number(data):
+    data["spec"]["plan"]["ratio_malware"] = "x"
+    return data
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_drop_created, "missing key(s): created"),
         (lambda data: [data], "must be a JSON object, not list"),
         (_short_sha, "entries[0]: sha256 'ab'"),
+        (_empty_spec, "spec missing key(s): policy"),
+        (_ratio_not_a_number, "spec.plan.ratio_malware 'x' is not a number in (0,1)"),
     ],
-    ids=["no-created", "top-level-list", "short-sha256"],
+    ids=["no-created", "top-level-list", "short-sha256", "empty-spec", "ratio-not-a-number"],
 )
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
 def test_malformed_manifest_exits_1(good_manifest, tmp_path, capsys, corrupt, message, command):

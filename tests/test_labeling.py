@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,3 +221,27 @@ def test_vtt_market_heatmap_single_market():
     heat = vtt_market_heatmap(pop, [1, 2])
     assert heat[1] == {"play.google.com": 100.0}
     assert heat[2] == {"play.google.com": 100.0}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_TV_PROBE = """
+from maldrift.labeling import tv_distance
+tags = ["play.google.com", "anzhi", "appchina", "VirusShare", "mi.com", "fdroid", "unknown", "hiapk", "slideme"]
+p = {t: (7 * i + 3) % 11 + 1 for i, t in enumerate(tags)}
+q = {t: (5 * i + 2) % 13 + 1 for i, t in enumerate(tags[2:])}
+p = {t: v / sum(p.values()) for t, v in p.items()}
+q = {t: v / sum(q.values()) for t, v in q.items()}
+print(repr(tv_distance(p, q)))
+"""
+
+
+def test_tv_distance_same_under_any_hash_seed():
+    """The sum does not follow the string hash seed's set order."""
+    outputs = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _TV_PROBE], capture_output=True, text=True, env=env, check=True)
+        outputs.add(done.stdout.strip())
+    assert len(outputs) == 1, outputs

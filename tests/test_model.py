@@ -1,5 +1,6 @@
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,12 +10,15 @@ from maldrift.model import (
     Granularity,
     Period,
     Population,
+    format_timestamp,
+    format_timestamps,
     parse_timestamp,
+    period_indices,
     period_of,
     period_range,
 )
 
-from helpers import make_population, make_record
+from helpers import make_population, make_record, sha_of
 
 
 def test_period_of_month_identity():
@@ -121,3 +125,67 @@ def test_timestamp_parsing_forms():
     assert parse_timestamp("2014-01-15T10:22:03Z") == datetime(2014, 1, 15, 10, 22, 3)
     with pytest.raises(ValueError):
         parse_timestamp("not a date")
+
+
+def test_population_columns_at_most_128_bytes_per_record():
+    from maldrift.synth import SynthConfig, generate
+
+    pop, _ = generate(SynthConfig(months=25, per_month=400, family_pool=10, seed=4))
+    assert len(pop) == 10_000
+    per_record = sum(a.nbytes for a in (*pop.columns().values(), pop.sha_order)) / len(pop)
+    assert per_record <= 128, per_record
+
+
+def test_population_row_view_round_trips_columns():
+    records = [
+        make_record(1, crawl="2014-02-01 10:00:00", family="dowgin", markets=("anzhi", "play.google.com")),
+        make_record(2, vt=7, scan="2014-03-01"),
+        make_record(3, markets=()),
+    ]
+    pop = make_population(records)
+    assert pop.records == tuple(records)
+    assert list(pop) == records
+    assert pop.by_sha[sha_of(2)].vt_detection == 7
+    assert pop.market_sets[pop.markets[2]] == frozenset({"unknown"})
+    assert pop.family.tolist() == [0, -1, -1]
+
+
+def test_population_select_keeps_tables_and_sha_order():
+    pop = make_population([make_record(t, family=f"f{t % 2}") for t in range(8)])
+    keep = [t % 3 != 0 for t in range(8)]
+    picked = pop.select(np.array(keep), provenance="picked")
+    assert picked.records == tuple(r for r, k in zip(pop.records, keep) if k)
+    assert picked.provenance == "picked"
+    assert picked.sha256[picked.sha_order].tolist() == sorted(picked.sha256.tolist())
+    assert picked.positions([sha_of(1), sha_of(3), "ab", "Z" * 64]).tolist() == [0, -1, -1, -1]
+
+
+def test_population_carrying_any_and_union_tables():
+    a = make_population([make_record(1, markets=("anzhi",), family="x"), make_record(2)])
+    b = make_population([make_record(3, markets=("anzhi", "mi.com"), family="y"), make_record(4, family="x")])
+    assert a.carrying_any(frozenset({"anzhi", "slideme"})).tolist() == [True, False]
+    joined = a.union(b)
+    assert joined.records == a.records + b.records
+    assert joined.families == ("x", "y")
+    assert len(joined.market_sets) == 3
+    assert joined.sha256[joined.sha_order].tolist() == sorted(joined.sha256.tolist())
+
+
+def test_population_columns_are_read_only():
+    pop = make_population([make_record(1)])
+    with pytest.raises(ValueError):
+        pop.vt_detection[0] = 5
+
+
+@given(st.lists(_ts, min_size=1, max_size=20), st.sampled_from(list(Granularity)))
+def test_period_indices_and_format_timestamps_match_row_functions(stamps, granularity):
+    values = np.array(stamps, dtype="datetime64[s]")
+    assert period_indices(values, granularity).tolist() == [period_of(t, granularity).index for t in stamps]
+    assert format_timestamps(values) == [format_timestamp(t) for t in stamps]
+    assert format_timestamps(np.array(["NaT"], dtype="datetime64[s]")) == [""]
+
+
+def test_period_indices_out_of_range_like_period_of():
+    values = np.array(["2014-01-01", "1969-12-31"], dtype="datetime64[s]")
+    with pytest.raises(ValueError, match="year 1969 outside supported range"):
+        period_indices(values, Granularity.MONTH)

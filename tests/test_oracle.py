@@ -1,0 +1,203 @@
+"""Differential tests: the columnar core against the row-at-a-time oracle.
+
+Hypothesis writes small AndroZoo-shaped CSVs that mix canonical rows with
+every form the fast path must hand to the row parser: offsets, fractional
+seconds, padded and out-of-range fields, short and long rows, blank lines,
+greyware, undated records, multi-tag and empty market fields, duplicate and
+malformed rows. Each columnar function must return exactly what
+tests/oracle_rows.py returns, or raise the same error with the same message.
+"""
+import csv
+import io
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracle_rows as oracle
+from maldrift import ingest, labeling, metrics, sampler, sizing
+from maldrift.errors import FormatError
+from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
+from maldrift.model import Granularity
+from maldrift.sizing import PlanMode, SizingParams, SizingPlan
+
+from helpers import sha_of
+
+_oracle_settings = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+SHAS = [sha_of(f"oracle-{i}") for i in range(40)]
+
+_canonical_stamp = st.one_of(
+    st.builds(
+        "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+        st.integers(2013, 2016), st.integers(1, 12), st.integers(1, 28),
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+    ),
+    st.builds("{:04d}-{:02d}-{:02d}".format, st.integers(2013, 2016), st.integers(1, 12), st.integers(1, 31)),
+)
+_odd_stamp = st.sampled_from(
+    [
+        "2014-03-05T10:00:00Z",
+        "2014-03-31 23:30:00+02:00",
+        "2015-01-01 00:30:00+02:00",
+        "2014-06-30T22:00:00-03:00",
+        "2014-07-01 12:00:00.750",
+        "2014-07-01T12:00:00",
+        " 2014-08-02 ",
+        "20140809",
+        "2014-02-29",
+        "2016-02-29 08:00:00",
+        "2014-01",
+        "NaT",
+        "2015-13-45",
+        "2014-05-01 24:00:00",
+        "1601-01-01",
+        "2101-03-01 10:00:00",
+        "2014-05-01 10:60:00",
+        "２０１４-01-01",
+        "not a date",
+    ]
+)
+
+
+def _mostly(good, odd):
+    """Seven draws in eight from good, the rest from odd."""
+    return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else good)
+
+
+_stamp = _mostly(_canonical_stamp, _odd_stamp)
+_optional_stamp = _mostly(st.one_of(st.just(""), _canonical_stamp), st.one_of(st.just("   "), _odd_stamp))
+_good_sha = st.sampled_from(SHAS)
+_sha = _mostly(
+    _good_sha,
+    st.one_of(
+        _good_sha.map(str.upper),
+        _good_sha.map(lambda s: f" {s} "),
+        st.sampled_from(["ab", "zz" * 32, SHAS[0][:63], ""]),
+    ),
+)
+_vt = _mostly(
+    st.sampled_from(["0", "0", "0", "1", "3", "4", "9", "25", "25"]),
+    st.sampled_from(["007", " 5", "+3", "-2", "n/a", "", "٣", "99999999999999999999"]),
+)
+_markets = st.one_of(
+    st.lists(st.sampled_from(["play.google.com", "anzhi", "appchina", "VirusShare", "zz,odd"]), max_size=3).map("|".join),
+    st.sampled_from(["", "|anzhi|", " anzhi | appchina ", "unknown", "   "]),
+)
+_size = _mostly(st.sampled_from(["", "1000", "0", "123456789"]), st.sampled_from(["-5", "1e3", "99999999999999999999", " 42"]))
+_family = st.sampled_from(["", "", "fam1", "fam2", " fam3 ", "   ", 'odd,"fam"'])
+
+
+_row = st.tuples(_sha, _stamp, _vt, _markets, _optional_stamp, _optional_stamp, _size, _family)
+
+
+@st.composite
+def _listing(draw):
+    """CSV text: a header (columns in any order, optional ones maybe absent) and rows,
+    some of them short, long or blank."""
+    dropped = draw(st.sets(st.sampled_from(ingest.OPTIONAL_COLUMNS), max_size=2))
+    order = draw(st.permutations([c for c in ingest.CANONICAL_COLUMNS if c not in dropped]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(order)
+    for _ in range(draw(st.integers(1, 60))):
+        record = dict(zip(ingest.CANONICAL_COLUMNS, draw(_row)))
+        fields = [record[c] for c in order]
+        shape = draw(st.sampled_from(["full"] * 12 + ["short", "long", "blank"]))
+        if shape == "short":
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        elif shape == "long":
+            fields.append("extra")
+        elif shape == "blank":
+            fields = []
+        writer.writerow(fields)
+    return buffer.getvalue()
+
+
+def same(new, old, *args):
+    """new(*args) returns what old(*args) returns, or raises the same error."""
+    try:
+        expected = old(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            new(*args)
+        assert str(raised.value) == str(exc)
+        return None
+    got = new(*args)
+    assert got == expected
+    return got
+
+
+@_oracle_settings
+@given(_listing())
+def test_parse_and_write_match_oracle(text):
+    got = ingest.parse_metadata(io.StringIO(text))
+    want = oracle.parse_metadata(io.StringIO(text))
+    assert got.stats == want.stats
+    assert got.population.records == want.population.records
+    try:
+        oracle.parse_metadata(io.StringIO(text), strict=True)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as raised:
+            ingest.parse_metadata(io.StringIO(text), strict=True)
+        assert str(raised.value) == str(exc)  # same line number, same message
+    else:
+        ingest.parse_metadata(io.StringIO(text), strict=True)
+    written, expected = io.StringIO(), io.StringIO()
+    ingest.write_metadata_csv(got.population, written)
+    oracle.write_metadata_csv(want.population, expected)
+    assert written.getvalue() == expected.getvalue()
+
+
+_kinds = st.sampled_from(list(TimestampKind))
+_policy = st.builds(TimestampPolicy, _kinds, st.one_of(st.none(), _kinds))
+_plan = st.builds(SizingPlan, st.sampled_from(list(PlanMode)), st.booleans(), st.sampled_from([0.1, 0.3, 0.5]))
+_params = st.builds(SizingParams, st.sampled_from([0.9, 0.99]), st.sampled_from([0.05, 0.2]))
+_filter = st.one_of(st.none(), st.sets(st.sampled_from(["anzhi", "play.google.com", "unknown"]), min_size=1).map(frozenset))
+
+# small market-scenario cells, so a 60-row population can fill them
+_TINY = {"TINY": ((1, 1, 1, 0), (1, 0, 0, 1)), "TINY_GP": ((1, 0, 1, 0), (1, 0, 0, 0))}
+
+
+@_oracle_settings
+@given(
+    _listing(),
+    st.integers(1, 8),
+    _policy,
+    _plan,
+    _params,
+    st.integers(0, 3),
+    _filter,
+    _kinds,
+    _kinds,
+    st.sampled_from(list(Granularity)),
+)
+def test_population_functions_match_oracle(text, vtt, policy, plan, params, seed, market_filter, a, b, granularity):
+    pop = ingest.parse_metadata(io.StringIO(text)).population
+    rule = LabelRule(vtt)
+    sizing_result = same(sizing.plan_sizes, oracle.plan_sizes, pop, rule, policy, plan, params)
+    plans = [(plan, params), (SizingPlan(PlanMode.YEARLY, spatial=True), params), (SizingPlan(PlanMode.GLOBAL), params)]
+    same(sizing.compare_plans, oracle.compare_plans, pop, rule, policy, plans)
+    if sizing_result is not None:
+        manifest = same(
+            sampler.stratified_sample, oracle.stratified_sample, pop, rule, policy, sizing_result, seed, market_filter
+        )
+        if manifest is not None:
+            same(sampler.verify_constraints, oracle.verify_constraints, manifest, pop)
+    with mock.patch.dict(sampler.MARKET_SCENARIOS, _TINY):
+        for name in _TINY:
+            same(sampler.market_scenario, oracle.market_scenario, pop, name, rule, policy, seed)
+    same(labeling.timestamp_lag_stats, oracle.timestamp_lag_stats, pop, a, b)
+    same(labeling.market_composition, oracle.market_composition, pop, rule)
+    same(labeling.market_consistency, oracle.market_consistency, pop, rule)
+    same(labeling.vtt_coverage, oracle.vtt_coverage, pop, vtt)
+    same(labeling.vtt_market_heatmap, oracle.vtt_market_heatmap, pop, [1, vtt, 9])
+    families = same(metrics.malware_families_by_period, oracle.malware_families_by_period, pop, rule, policy, granularity)
+    if families is not None:
+        assert list(families) == list(oracle.malware_families_by_period(pop, rule, policy, granularity))
