@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FetchError, FormatError
 from .model import COLUMNS, MAX_YEAR, MIN_YEAR, ApkRecord, Population, format_timestamps, parse_timestamp
@@ -71,92 +72,213 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
     )
 
 
-# Rows per vectorised parse or write step: peak memory follows this, not the row count.
+# Rows per chunk of the csv.reader path and of write_metadata_csv.
 _CHUNK_ROWS = 1 << 13
+# Characters per parse block: what a parse holds at once follows this, not the file size.
+_BLOCK_CHARS = 1 << 20
+# Market and family texts longer than this go through _parse_row.
+_TEXT_BYTES = 256
+# Zero bytes after each buffer, so a window of up to _TEXT_BYTES at any span start fits.
+_PAD = bytes(_TEXT_BYTES)
+# Text that csv.reader reads otherwise than a split on "\n" and ",".
+_SPECIAL = ('"', "\r", "\0")
+
+_HEX_BYTE = np.zeros(256, dtype=bool)
+_HEX_BYTE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = True
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+_CLOCK_DIGITS = [11, 12, 14, 15, 17, 18]
+_FIRST_SECOND = np.datetime64(f"{MIN_YEAR}-01-01", "s").astype(np.int64)
+_END_SECOND = np.datetime64(f"{MAX_YEAR + 1}-01-01", "s").astype(np.int64)
+
+# The field kernels read spans (start, end) of a uint8 buffer that ends in _PAD;
+# each returns the values and a mask of the spans in canonical form. Values
+# outside the mask are junk: _parse_row judges those rows.
 
 
-def _characters(texts: tuple[str, ...], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each text's length, and its first `width` code points (NUL-padded) as an (n, width) array."""
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
-    return lengths, chars
+def _windows(buf: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes from each start, as an (n, width) uint8 array."""
+    return sliding_window_view(buf, width)[start]
 
 
-def _digits(chars: np.ndarray, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the code points at positions are all ASCII digits, and their decimal value (0 if not)."""
-    picked = chars[:, positions].astype(np.int64) - ord("0")
-    ok = ((picked >= 0) & (picked <= 9)).all(axis=1)
-    value = np.zeros(len(chars), dtype=np.int64)
-    for column in picked.T:
-        value = value * 10 + column
-    return ok, np.where(ok, value, 0)
+def _number(digits: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The decimal value of the digit values at positions, as int64."""
+    value = digits[:, positions[0]].astype(np.int64)
+    for position in positions[1:]:
+        value = value * 10 + digits[:, position]
+    return value
 
 
-def _canonical_stamps(texts: tuple[str, ...], required: bool) -> tuple[np.ndarray, np.ndarray]:
-    """datetime64[s] of "YYYY-MM-DD" and "YYYY-MM-DD HH:MM:SS" texts naming a real
-    time in the supported years, and a mask of those texts; an optional "" is NaT
-    and in the mask. Other texts are _parse_row's to judge."""
-    lengths, chars = _characters(texts, 19)
-    fields = [_digits(chars, positions) for positions in ([0, 1, 2, 3], [5, 6], [8, 9], [11, 12], [14, 15], [17, 18])]
-    (year_ok, year), (month_ok, month), (day_ok, day), (hour_ok, hour), (minute_ok, minute), (second_ok, second) = fields
-    clock = (chars[:, 10] == ord(" ")) & (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":"))
-    clock &= hour_ok & minute_ok & second_ok & (hour <= 23) & (minute <= 59) & (second <= 59)
-    ok = ((lengths == 10) | ((lengths == 19) & clock)) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
-    ok &= year_ok & month_ok & day_ok & (year >= MIN_YEAR) & (year <= MAX_YEAR)
-    ok &= (month >= 1) & (month <= 12) & (day >= 1)
-    months = np.where(ok, (year - MIN_YEAR) * 12 + month - 1, 0).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
-    ok &= days.astype("datetime64[M]") == months  # no 30 February
-    stamps = days.astype("datetime64[s]") + (hour * 3600 + minute * 60 + second)
-    stamps[~ok] = np.datetime64("NaT")
-    return stamps, ok if required else ok | (lengths == 0)
+def _hashes(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S64 of spans of 64 lowercase hex digits, and a mask of those spans."""
+    chars = _windows(buf, start, 64)
+    return chars.view("S64").ravel(), (end - start == 64) & _HEX_BYTE[chars].all(axis=1)
 
 
-def _canonical_naturals(texts: tuple[str, ...], required: bool) -> tuple[np.ndarray, np.ndarray]:
-    """int64 of texts of 1-18 ASCII digits, and a mask of those texts; an optional "" is 0."""
-    lengths, chars = _characters(texts, 18)
-    digits = chars.astype(np.int64) - ord("0")
-    is_digit = (digits >= 0) & (digits <= 9)
-    # NUL padding is no digit, so a text is all digits when its digit count is its length
-    ok = (lengths >= 1) & (is_digit.sum(axis=1) == lengths)
-    value = np.zeros(len(texts), dtype=np.int64)
-    for position, column in enumerate(digits.T):
-        value = np.where(ok & (position < lengths), value * 10 + column, value)
+def _naturals(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool) -> tuple[np.ndarray, np.ndarray]:
+    """int64 of spans of 1-18 ASCII digits, and a mask of those spans; an optional empty span is 0."""
+    lengths = end - start
+    width = int(np.clip(lengths.max(initial=1), 1, 18))  # a longer span is not read
+    digits = _windows(buf, start, width) - np.uint8(ord("0"))  # a non-digit wraps to 10 or more
+    inside = np.arange(width) < lengths[:, None]
+    ok = (lengths >= 1) & (lengths <= width) & ((digits < 10) | ~inside).all(axis=1)
+    # read the digits zero-filled to `width` places, then drop the places past the span
+    value = np.where(inside, digits, 0).astype(np.int64) @ _POW10[width - 1 :: -1]
+    value //= _POW10[np.clip(width - lengths, 0, width)]
     return value, ok if required else ok | (lengths == 0)
 
 
-def _canonical_hashes(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """S64 of 64-character lowercase hex texts, and a mask of those texts."""
-    lengths, chars = _characters(texts, 64)
-    hexdigit = ((chars >= ord("0")) & (chars <= ord("9"))) | ((chars >= ord("a")) & (chars <= ord("f")))
-    ok = (lengths == 64) & hexdigit.all(axis=1)
-    return chars.astype(np.uint8).view("S64").ravel(), ok
+def _stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool) -> tuple[np.ndarray, np.ndarray]:
+    """datetime64[s] of spans that parse_timestamp reads, in the forms read in bulk,
+    and a mask of those spans; an optional empty span is NaT.
+
+    The forms: "YYYY-MM-DD", or "YYYY-MM-DD", " " or "T" and "HH:MM:SS", then
+    maybe a 3- or 6-digit fraction (dropped), then maybe "Z" or "+HH:MM"/"-HH:MM"
+    (HH <= 23, MM <= 59), converted to UTC; the UTC time must fall in the years
+    MIN_YEAR..MAX_YEAR. fromisoformat reads these forms alike from Python 3.10
+    on; other forms (a date with an offset, other fraction widths) are
+    parse_timestamp's to judge.
+    """
+    lengths = end - start
+    chars = _windows(buf, start, 32)
+    digits = chars - np.uint8(ord("0"))
+    is_digit = digits < 10
+    tail = _windows(buf, np.maximum(end - 6, 0), 6)  # "+HH:MM", or ending in "Z"
+    tail_digits = tail - np.uint8(ord("0"))
+    zulu = tail[:, 5] == ord("Z")
+    offset = ((tail[:, 0] == ord("+")) | (tail[:, 0] == ord("-"))) & (tail[:, 3] == ord(":"))
+    offset &= (tail_digits[:, [1, 2, 4, 5]] < 10).all(axis=1)
+    fraction = lengths - 19 - np.where(zulu, 1, np.where(offset, 6, 0))  # "." and its digits
+    hour, minute, second = (_number(digits, [at, at + 1]) for at in (11, 14, 17))
+    zone_hour, zone_minute = _number(tail_digits, [1, 2]), _number(tail_digits, [4, 5])
+    clock = (lengths >= 19) & ((chars[:, 10] == ord(" ")) | (chars[:, 10] == ord("T")))
+    clock &= (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":")) & is_digit[:, _CLOCK_DIGITS].all(axis=1)
+    clock &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    clock &= (fraction == 0) | (((fraction == 4) | (fraction == 7)) & (chars[:, 19] == ord(".")))
+    clock &= (is_digit[:, 20:26] | (np.arange(20, 26) >= 19 + fraction[:, None])).all(axis=1)
+    clock &= ~offset | ((zone_hour <= 23) & (zone_minute <= 59))
+    zone = np.where(offset, (zone_hour * 3600 + zone_minute * 60) * np.where(tail[:, 0] == ord("-"), -1, 1), 0)
+    ok = ((lengths == 10) | clock) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
+    ok &= is_digit[:, _DATE_DIGITS].all(axis=1)
+    year, month, day = _number(digits, [0, 1, 2, 3]), _number(digits, [5, 6]), _number(digits, [8, 9])
+    ok &= (month >= 1) & (month <= 12) & (day >= 1)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
+    ok &= days.astype("datetime64[M]") == months  # no 30 February
+    seconds = days.astype("datetime64[s]").astype(np.int64)
+    seconds += np.where(clock, hour * 3600 + minute * 60 + second - zone, 0)
+    ok &= (seconds >= _FIRST_SECOND) & (seconds < _END_SECOND)
+    stamps = seconds.view("datetime64[s]")
+    stamps[lengths == 0] = np.datetime64("NaT")
+    return stamps, ok if required else ok | (lengths == 0)
 
 
-class _ChunkedColumns:
-    """The well-formed rows of a metadata CSV as column chunks, plus the value tables."""
+def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray, code_of) -> np.ndarray:
+    """code_of(text) of the spans under ok, called once per distinct text in
+    first-seen order. A span longer than _TEXT_BYTES or holding a NUL is not
+    read: it leaves ok."""
+    rows = np.flatnonzero(ok)
+    lengths = end[rows] - start[rows]
+    width = -(-int(np.clip(lengths.max(initial=1), 1, _TEXT_BYTES)) // 8) * 8
+    chars = _windows(buf, start[rows], width)
+    chars *= np.arange(width) < lengths[:, None]  # zero past the span
+    read = (lengths <= _TEXT_BYTES) & (np.count_nonzero(chars, axis=1) == lengths)
+    ok[rows[~read]] = False
+    words = chars[read].view(np.uint64)  # equal texts, equal rows of words
+    order = np.lexsort(words.T)  # stable: each text's first row leads its run
+    ordered = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    text_of = np.empty(len(order), dtype=np.int64)
+    text_of[order] = np.cumsum(new) - 1
+    firsts = order[new]
+    seen = np.argsort(firsts)
+    table = np.empty(len(firsts), dtype=np.int32)
+    table[seen] = [code_of(text) for text in words[firsts[seen]].view(f"S{width}").ravel().tolist()]
+    codes = np.zeros(len(ok), dtype=np.int32)
+    codes[rows[read]] = table[text_of]
+    return codes
+
+
+def _spans(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts as one UTF-8 buffer ending in _PAD, and each text's (start, end) in it."""
+    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    end = np.cumsum(lengths)
+    return np.frombuffer(b"".join(encoded) + _PAD, dtype=np.uint8), end - lengths, end
+
+
+def _csv_rows(reader: Iterator) -> Iterator:
+    """The reader's rows; a row it cannot read (say, a field longer than
+    csv.field_size_limit()) comes as its csv.Error, and reading goes on."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            row = exc
+        yield row
+
+
+def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError) -> FormatError:
+    """The error for input that is not UTF-8, naming the file and the rows read before it."""
+    name = getattr(stream, "name", None) or default
+    byte = exc.object[exc.start : exc.start + 1].hex()
+    return FormatError(f"{name}: invalid UTF-8 after row {rows} (byte 0x{byte}: {exc.reason})")
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """The parts end to end; each part leaves the list once copied, so the
+    parts and the result never both hold all of the data."""
+    column = np.empty(sum(map(len, parts)), dtype=dtype)
+    at = len(column)
+    while parts:
+        part = parts.pop()
+        column[at - len(part) : at] = part
+        at -= len(part)
+    return column
+
+
+def _compact(column: np.ndarray, kept: np.ndarray) -> None:
+    """Make column column[kept] in place, for ascending positions kept: kept[i] >= i,
+    so each chunk reads only rows that no earlier chunk wrote."""
+    for at in range(0, len(kept), _CHUNK_ROWS):
+        rows = kept[at : at + _CHUNK_ROWS]
+        column[at : at + len(rows)] = column[rows]
+    column.resize(len(kept), refcheck=False)
+
+
+class _Columns:
+    """The well-formed rows of a metadata CSV as column parts, plus the value
+    tables. A value's code follows where it first shows up: block by block,
+    the rows read in bulk first, then the rows _parse_row reads."""
 
     def __init__(self, header: list[str]):
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
         self.header = header
         position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         self.position = {name: position.get(name) for name in CANONICAL_COLUMNS}
-        self.parts: list[dict[str, np.ndarray]] = []
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
         self.market_sets: dict[frozenset[str], int] = {}
         self.families: dict[str, int] = {}
-        self._market_text: dict[str, int] = {}
-        self._family_text: dict[str, int] = {}
+        self._market_text: dict[bytes, int] = {}
+        self._family_text: dict[bytes, int] = {}
 
-    def _market_codes(self, texts: tuple[str, ...]) -> np.ndarray:
-        for text in set(texts).difference(self._market_text):
+    def _market_code(self, raw: bytes) -> int:
+        if raw not in self._market_text:
+            text = raw.decode("utf-8", "surrogatepass")
             tags = frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"})
-            self._market_text[text] = self.market_sets.setdefault(tags, len(self.market_sets))
-        return np.fromiter(map(self._market_text.__getitem__, texts), dtype=np.int32, count=len(texts))
+            self._market_text[raw] = self.market_sets.setdefault(tags, len(self.market_sets))
+        return self._market_text[raw]
 
-    def _family_codes(self, texts: tuple[str, ...]) -> np.ndarray:
-        for text in set(texts).difference(self._family_text):
-            name = text.strip()
-            self._family_text[text] = self.families.setdefault(name, len(self.families)) if name else -1
-        return np.fromiter(map(self._family_text.__getitem__, texts), dtype=np.int32, count=len(texts))
+    def _family_code(self, raw: bytes) -> int:
+        if raw not in self._family_text:
+            name = raw.decode("utf-8", "surrogatepass").strip()
+            self._family_text[raw] = self.families.setdefault(name, len(self.families)) if name else -1
+        return self._family_text[raw]
 
     def _as_dict(self, row: list[str]) -> dict:
         """The row as csv.DictReader gives it: short rows padded with None, extra fields under None."""
@@ -167,35 +289,80 @@ class _ChunkedColumns:
             record[name] = None
         return record
 
-    def add(self, rows: list[list[str]], stats: ParseStats, strict: bool) -> None:
-        """Parse one chunk: canonical rows with numpy, every other row with _parse_row."""
+    def add_block(self, text: str, stats: ParseStats, strict: bool) -> None:
+        """Parse whole lines of text free of quotes, CR and NUL: numpy finds the
+        line ends and commas, and the rows of the header's width are read as spans."""
+        data = text.encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(data + _PAD, dtype=np.uint8)
+        body = buf[: len(data)]
+        ends = np.flatnonzero(body == ord("\n"))
+        if not data.endswith(b"\n"):
+            ends = np.append(ends, len(data))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        filled = ends > starts  # blank lines are skipped and not counted, as csv.DictReader does
+        starts, ends = starts[filled], ends[filled]
+        commas = np.append(np.flatnonzero(body == ord(",")), len(data))  # the end stops a short row
+        first = np.searchsorted(commas, starts)
+        width, limit, last = len(self.header), csv.field_size_limit(), len(commas) - 1
+        regular = (np.searchsorted(commas, ends) - first == width - 1) & (ends - starts <= limit)
+        nothing = np.zeros(len(starts), dtype=np.int64)
+
+        def span(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            at = self.position[name]
+            if at is None:
+                return buf, nothing, nothing
+            start = starts if at == 0 else commas[np.minimum(first + at - 1, last)] + 1
+            end = ends if at == width - 1 else commas[np.minimum(first + at, last)]
+            return buf, np.where(regular, start, 0), np.where(regular, end, 0)
+
+        def row(k: int) -> list[str]:
+            line = data[starts[k] : ends[k]].decode("utf-8", "surrogatepass")
+            fields = line.split(",")
+            if len(line) > limit and max(map(len, fields)) > limit:
+                raise csv.Error(f"field larger than field limit ({limit})")  # as csv.reader says it
+            return fields
+
+        self._add(len(starts), span, regular, row, stats, strict)
+
+    def add_rows(self, rows: list, stats: ParseStats, strict: bool) -> None:
+        """Parse rows from csv.reader; a csv.Error stands for a row it could not read."""
         if not rows:
             return
-        n, width = len(rows), len(self.header)
-        regular = np.fromiter(map(len, rows), dtype=np.int64, count=n) == width
-        padded = rows
-        if not regular.all():  # pad or cut odd rows to the header's width; _parse_row judges them
-            padded = [row if len(row) == width else (row + [""] * width)[:width] for row in rows]
-        table = list(zip(*padded))
+        width = len(self.header)
+        regular = np.array([isinstance(r, list) and len(r) == width for r in rows], dtype=bool)
+        blank = ("",) * width  # stands in for the fields of an odd row
+        table = list(zip(*(r if fits else blank for r, fits in zip(rows, regular.tolist()))))
 
-        def texts(name: str) -> tuple[str, ...]:
+        def span(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             at = self.position[name]
-            return ("",) * n if at is None else table[at]
+            return _spans(("",) * len(rows) if at is None else table[at])
 
-        sha, ok = _canonical_hashes(texts("sha256"))
-        dex, dex_ok = _canonical_stamps(texts("dex_date"), required=True)
-        vt, vt_ok = _canonical_naturals(texts("vt_detection"), required=True)
-        crawl, crawl_ok = _canonical_stamps(texts("added"), required=False)
-        scan, scan_ok = _canonical_stamps(texts("vt_scan_date"), required=False)
-        size, size_ok = _canonical_naturals(texts("apk_size"), required=False)
-        markets = self._market_codes(texts("markets"))
-        family = self._family_codes(texts("family"))
+        def row(k: int) -> list[str]:
+            if isinstance(rows[k], csv.Error):
+                raise rows[k]
+            return rows[k]
+
+        self._add(len(rows), span, regular, row, stats, strict)
+
+    def _add(self, n: int, span, regular: np.ndarray, row, stats: ParseStats, strict: bool) -> None:
+        """Parse n rows: the regular rows' spans with the field kernels, and every
+        other row, row(k), with _parse_row."""
+        if not n:
+            return
+        sha, ok = _hashes(*span("sha256"))
+        dex, dex_ok = _stamps(*span("dex_date"), required=True)
+        vt, vt_ok = _naturals(*span("vt_detection"), required=True)
+        crawl, crawl_ok = _stamps(*span("added"), required=False)
+        scan, scan_ok = _stamps(*span("vt_scan_date"), required=False)
+        size, size_ok = _naturals(*span("apk_size"), required=False)
         ok &= regular & dex_ok & vt_ok & crawl_ok & scan_ok & size_ok
+        markets = _text_codes(*span("markets"), ok, self._market_code)
+        family = _text_codes(*span("family"), ok, self._family_code)
         valid = ok.copy()
         for k in np.flatnonzero(~ok).tolist():
             try:
-                rec = _parse_row(self._as_dict(rows[k]))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                rec = _parse_row(self._as_dict(row(k)))
+            except (ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
                 if strict:
                     raise FormatError(f"malformed metadata row at line {stats.rows + k + 2}: {exc}") from exc
                 stats.malformed += 1
@@ -210,28 +377,36 @@ class _ChunkedColumns:
         stats.parsed += int(valid.sum())
         chunk = dict(sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
                      apk_size=size, markets=markets, family=family)
-        self.parts.append({name: column[valid] for name, column in chunk.items()})
+        for name, column in chunk.items():
+            self.parts[name].append(column[valid])
 
     def population(self, stats: ParseStats, provenance: str) -> Population:
-        """Unique hashes in first-seen order, each with its last row's values."""
-        columns = {
-            name: np.concatenate([np.empty(0, dtype), *(part[name] for part in self.parts)])
-            for name, dtype in COLUMNS.items()
-        }
+        """Unique hashes in first-seen order, each with its last row's values.
+
+        Columns are joined part by part and duplicates dropped in place, so the
+        step holds, besides the columns, index arrays only.
+        """
+        columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in COLUMNS.items()}
         sha = columns["sha256"]
         order = np.argsort(sha, kind="stable")
-        ordered = sha[order]
-        change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        starts = np.concatenate(([0], change))[: len(sha)]
-        ends = np.concatenate((change, [len(sha)]))[: len(sha)]
-        first, last = order[starts], order[ends - 1]
-        appearance = np.argsort(first)
-        rows = last[appearance]
-        sha_order = np.empty_like(appearance)
-        sha_order[appearance] = np.arange(len(appearance))
-        stats.duplicates = len(sha) - len(rows)
+        new = np.ones(len(sha), dtype=bool)  # order[i] holds another hash than order[i - 1]
+        for at in range(1, len(sha), _CHUNK_ROWS):  # a chunk at a time: no sorted copy of the hashes
+            here = order[at - 1 : at + _CHUNK_ROWS]
+            new[at : at - 1 + len(here)] = sha[here[1:]] != sha[here[:-1]]
+        starts = np.flatnonzero(new)
+        first = order[starts]  # the stable sort puts a hash's first row first
+        last = order[np.append(starts[1:], len(sha))[: len(starts)] - 1]
+        del order, new, starts
+        kept = np.sort(first)
+        sha_order = np.searchsorted(kept, first)
+        stats.duplicates = len(sha) - len(kept)
+        if stats.duplicates:
+            moved = first != last
+            for column in columns.values():
+                column[first[moved]] = column[last[moved]]
+                _compact(column, kept)
         return Population.from_columns(
-            {name: column[rows] for name, column in columns.items()},
+            columns,
             tuple(self.market_sets),
             tuple(self.families),
             provenance,
@@ -243,23 +418,60 @@ def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") 
     """Parse an AndroZoo-shaped metadata CSV into a population.
 
     Duplicate hashes are last-wins (counted); malformed rows are counted and
-    skipped unless strict, in which case they raise FormatError. Rows are read
-    in chunks: canonical fields are parsed with numpy, and any other row goes
-    through _parse_row, the one definition of a well-formed row.
+    skipped unless strict, in which case they raise FormatError. Text is read
+    in blocks of _BLOCK_CHARS cut at a line end; numpy splits a block into rows
+    and fields and parses canonical fields, and any other row goes through
+    _parse_row, the one definition of a well-formed row. The first block that
+    holds a quote, CR or NUL hands itself and the rest of the stream to
+    csv.reader, whose rows go through the same field kernels.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty metadata input")
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
     stats = ParseStats()
-    parsed = _ChunkedColumns(header)
-    while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+    try:
+        columns = _read_metadata(stream, stats, strict)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, provenance or "metadata input", stats.rows, exc) from None
+    return ParseResult(columns.population(stats, provenance), stats)
+
+
+def _read_metadata(stream: IO[str], stats: ParseStats, strict: bool) -> _Columns:
+    columns: Optional[_Columns] = None
+    pending = ""  # text after the last line end read
+    while True:
+        text = stream.read(_BLOCK_CHARS)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            pending += text
+            continue
+        block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
+        if any(special in block for special in _SPECIAL):
+            lines = io.StringIO(block + pending + stream.readline(), newline="")
+            return _read_rows(csv.reader(itertools.chain(lines, stream)), columns, stats, strict)
+        if columns is None and block:
+            header, _, block = block.partition("\n")
+            columns = _Columns(header.split(","))
+        if columns is not None:
+            columns.add_block(block, stats, strict)
+        if not text:
+            break
+    if columns is None:
+        raise FormatError("empty metadata input")
+    return columns
+
+
+def _read_rows(reader: Iterator, columns: Optional[_Columns], stats: ParseStats, strict: bool) -> _Columns:
+    """The csv.reader path: rows in chunks of _CHUNK_ROWS."""
+    rows = _csv_rows(reader)
+    if columns is None:
+        header = next(rows, None)
+        if header is None:
+            raise FormatError("empty metadata input")
+        if isinstance(header, csv.Error):
+            raise FormatError(f"unreadable metadata header: {header}")
+        columns = _Columns(header)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
         # blank lines are skipped and not counted, as csv.DictReader does
-        parsed.add([row for row in chunk if row], stats, strict)
-    return ParseResult(parsed.population(stats, provenance), stats)
+        columns.add_rows([row for row in chunk if row], stats, strict)
+    return columns
 
 
 def _csv_fields(texts: list[str], end: str = "") -> np.ndarray:
@@ -305,24 +517,28 @@ class FamilyJoinStats:
 
 
 def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
-    """Parse a two-column sha256,family file; returns (mapping, malformed count)."""
-    reader = csv.reader(stream)
+    """Parse a two-column sha256,family file; returns (mapping, malformed count).
+
+    A row csv cannot read (say, a field over csv.field_size_limit()) is malformed.
+    """
     mapping: dict[str, str] = {}
-    malformed = 0
-    for row in reader:
-        if not row:
-            continue
-        if row == ["sha256", "family"]:
-            continue
-        if len(row) < 2:
-            malformed += 1
-            continue
-        sha, family = row[0].strip().lower(), row[1].strip()
-        if len(sha) != 64:
-            malformed += 1
-            continue
-        if family:
-            mapping[sha] = family
+    malformed = rows = 0
+    try:
+        for row in _csv_rows(csv.reader(stream)):
+            if not row or row == ["sha256", "family"]:
+                continue
+            rows += 1
+            if isinstance(row, csv.Error) or len(row) < 2:
+                malformed += 1
+                continue
+            sha, family = row[0].strip().lower(), row[1].strip()
+            if len(sha) != 64:
+                malformed += 1
+                continue
+            if family:
+                mapping[sha] = family
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, "family input", rows, exc) from None
     return mapping, malformed
 
 
@@ -375,18 +591,34 @@ class PredictionSet:
 def parse_predictions(
     stream: IO[str], name: str = "predictions", threshold: float = 0.5, strict: bool = False
 ) -> tuple[PredictionSet, ParseStats]:
-    """Parse a prediction CSV with header sha256,score[,label]."""
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise FormatError("empty prediction input")
-    if "sha256" not in reader.fieldnames or "score" not in reader.fieldnames:
-        raise FormatError("prediction input must have columns sha256,score[,label]")
-    has_label = "label" in reader.fieldnames
+    """Parse a prediction CSV with header sha256,score[,label].
+
+    A row csv cannot read (say, a field over csv.field_size_limit()) is malformed.
+    """
     stats = ParseStats()
+    try:
+        rows = _read_predictions(csv.DictReader(stream), stats, strict)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, name, stats.rows, exc) from None
+    return PredictionSet(name, rows, threshold), stats
+
+
+def _read_predictions(reader: csv.DictReader, stats: ParseStats, strict: bool) -> dict[str, PredictionRow]:
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise FormatError(f"unreadable prediction header: {exc}") from None
+    if header is None:
+        raise FormatError("empty prediction input")
+    if "sha256" not in header or "score" not in header:
+        raise FormatError("prediction input must have columns sha256,score[,label]")
+    has_label = "label" in header
     rows: dict[str, PredictionRow] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(_csv_rows(reader), start=2):
         stats.rows += 1
         try:
+            if isinstance(row, csv.Error):
+                raise row
             sha = (row.get("sha256") or "").strip().lower()
             if len(sha) != 64:
                 raise ValueError(f"bad sha256 {sha!r}")
@@ -399,7 +631,7 @@ def parse_predictions(
                     raise ValueError(f"label must be 0 or 1, got {predicted}")
             elif not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0,1] without a label column")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, csv.Error) as exc:
             if strict:
                 raise FormatError(f"malformed prediction row at line {lineno}: {exc}") from exc
             stats.malformed += 1
@@ -408,7 +640,7 @@ def parse_predictions(
             stats.duplicates += 1
         rows[sha] = PredictionRow(sha, score, predicted)
         stats.parsed += 1
-    return PredictionSet(name, rows, threshold), stats
+    return rows
 
 
 @dataclass(frozen=True)

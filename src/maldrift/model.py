@@ -44,10 +44,10 @@ def parse_timestamp(text: str) -> datetime:
         s = s[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(s)
-    except ValueError:
+        if dt.tzinfo is not None:  # converting 9999-12-31T23:00:00-02:00 overflows
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):
         raise ValueError(f"unparseable timestamp: {text!r}") from None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     _check_year(dt.year)
     return dt.replace(microsecond=0)
 

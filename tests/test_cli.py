@@ -363,3 +363,63 @@ def test_import_cli_loads_no_http_client():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+LONG = "x" * 200_000  # longer than csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "markets, note", [(LONG, ""), (f'"{LONG}"', ""), ("", LONG)], ids=["bare", "quoted", "unread-column"]
+)
+def test_ingest_long_field_is_a_malformed_row(tmp_path, capsys, markets, note):
+    src = tmp_path / "meta.csv"
+    rows = [f"{sha_of(i)},2014-01-15,0,,,,100,," for i in range(5)]
+    rows[3] = f"{sha_of(3)},2014-01-15,0,{markets},,,100,,{note}"
+    src.write_text("sha256,dex_date,vt_detection,markets,added,vt_scan_date,apk_size,family,note\n" + "\n".join(rows))
+    out = tmp_path / "cache"
+    assert run(["ingest", "--input", src, "--out", out]) == 0
+    stats = json.loads((out / "ingest_stats.json").read_text())
+    assert (stats["rows"], stats["malformed_skipped"], stats["records"]) == (5, 1, 4)
+    assert run(["ingest", "--input", src, "--out", tmp_path / "strict", "--strict"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "malformed metadata row at line 5: field larger than field limit (131072)" in err
+
+
+def test_ingest_long_family_field_is_malformed(tmp_path):
+    src, families = tmp_path / "meta.csv", tmp_path / "families.csv"
+    src.write_text(CSV)
+    families.write_text(f"sha256,family\n{sha_of(1)},\"{LONG}\"\n{sha_of(2)},adware\n")
+    out = tmp_path / "cache"
+    assert run(["ingest", "--input", src, "--families", families, "--out", out]) == 0
+    stats = json.loads((out / "ingest_stats.json").read_text())
+    assert stats["families"] == {"mapped": 1, "matched": 1, "unmatched": 0, "malformed": 1}
+
+
+def test_evaluate_skips_long_prediction_field(good_manifest, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    preds = tmp_path / "preds.csv"
+    rows = "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"])
+    preds.write_text(f"sha256,score\n{sha_of('x')},\"{LONG}\"\n" + rows)
+    argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", tmp_path / "eval"]
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("broken", ["metadata", "families", "predictions"])
+def test_invalid_utf8_names_the_file(good_manifest, tmp_path, capsys, broken):
+    src, families, preds = tmp_path / "meta.csv", tmp_path / "families.csv", tmp_path / "preds.csv"
+    src.write_text(CSV)
+    families.write_text(f"sha256,family\n{sha_of(1)},adware\n")
+    preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"]))
+    bad = {"metadata": src, "families": families, "predictions": preds}[broken]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    if broken == "predictions":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(good_manifest))
+        argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", tmp_path / "eval"]
+    else:
+        argv = ["ingest", "--input", src, "--families", families, "--out", tmp_path / "cache"]
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid UTF-8 after row ")
+    assert "byte 0xff" in err

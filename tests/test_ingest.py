@@ -1,9 +1,16 @@
 import gzip
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +28,8 @@ from maldrift.ingest import (
 from maldrift.model import parse_timestamp
 
 from helpers import make_population, make_record, sha_of
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEADER = "sha256,dex_date,vt_detection,markets,added,vt_scan_date,apk_size,family\n"
 
@@ -126,6 +135,13 @@ def test_parse_predictions_raw_scores_need_label():
     assert preds.predicted(sha_of(1)) == 1
 
 
+@pytest.mark.parametrize("parse", [parse_metadata, parse_predictions], ids=["metadata", "predictions"])
+def test_long_header_field_is_format_error(parse):
+    header = "sha256,dex_date,vt_detection,score," + "x" * 200_000
+    with pytest.raises(FormatError, match="unreadable .* header: field larger than field limit"):
+        parse(io.StringIO(f'"{header}"\n'))
+
+
 def test_snapshot_filter_basic():
     pop = make_population(
         [make_record(1, crawl="2016-05-01"), make_record(2, crawl="2017-09-01")]
@@ -201,6 +217,86 @@ def test_round_trip_property(tags):
     write_metadata_csv(pop, buf)
     buf.seek(0)
     assert set(parse_metadata(buf).population.records) == set(pop.records)
+
+
+_TAGS = ["play.google.com", "anzhi", "appchina", "mi.com", "VirusShare", "1mobile"]
+
+# prints a parse's value tables and codes; market sets as sorted lists, since a
+# frozenset's repr follows the hash seed
+_TABLES = """
+import io, json, sys
+from maldrift.ingest import parse_metadata
+pop = parse_metadata(io.StringIO(sys.stdin.read())).population
+tables = [[sorted(tags) for tags in pop.market_sets], list(pop.families), pop.markets.tolist(), pop.family.tolist()]
+print(json.dumps(tables))
+"""
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv-reader"])
+def test_value_tables_same_under_any_hash_seed(quoted):
+    rows = [
+        _row(
+            i,
+            dex="2014-01-15T10:00:00+02:00" if i % 9 == 0 else "2014-01-15",  # some rows go through _parse_row
+            markets="|".join(tag for j, tag in enumerate(_TAGS) if (i * 7 % 13 >> j) % 2),
+            family=f"fam{i * 5 % 11}" if i % 4 else "",
+        )
+        for i in range(60)
+    ]
+    if quoted:  # csv.reader reads a listing with a quoted field
+        rows.insert(1, _row("q", family='"fam,q"'))
+    text = HEADER + "".join(rows)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", _TABLES], input=text, capture_output=True, text=True, check=True,
+            env=env | {"PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(printed) == 1
+    market_sets, families, _, _ = json.loads(printed.pop())
+    assert len(market_sets) >= 10 and len(families) >= 10  # enough for a set's order to show
+
+
+def _write_listing(path, rows):
+    """A seeded listing: multi-tag markets, families, 1% "Z" stamps and about 0.5% duplicate hashes."""
+    rng = np.random.default_rng(rows)
+    stamps = np.datetime64("2014-01-01T00:00:00") + rng.integers(0, 5 * 365 * 86400, rows).astype("timedelta64[s]")
+    iso = np.datetime_as_string(stamps, unit="s").tolist()
+    ids = np.where(rng.random(rows) < 0.005, 0, np.arange(rows)).tolist()
+    vt = rng.integers(0, 30, rows).tolist()
+    size = rng.integers(10_000, 50_000_000, rows).tolist()
+    tags = rng.integers(1, 64, rows).tolist()
+    lines = [
+        f"{sha_of(i)},{t.replace('T', ' ')},{v},{'|'.join(m for j, m in enumerate(_TAGS) if k >> j & 1)},"
+        f"{t + 'Z' if n % 100 == 0 else t},,{s},fam{v % 9}\n"
+        for n, (i, t, v, k, s) in enumerate(zip(ids, iso, vt, tags, size))
+    ]
+    path.write_text(HEADER + "".join(lines))
+
+
+def _bytes_beyond_columns(path):
+    """Peak traced memory of a parse, numpy buffers included, less what the population keeps."""
+    with open(path, newline="") as stream:
+        tracemalloc.start()
+        try:
+            pop = parse_metadata(stream).population
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak - sum(column.nbytes for column in pop.columns().values()) - pop.sha_order.nbytes
+
+
+def test_parse_memory_follows_block_size(tmp_path):
+    """From 40k to 160k rows, what a parse holds beyond its result grows by under
+    4 MB: a block's text and arrays are gone before the next block is read, and
+    only the dedupe's index arrays (about 20 B a row) grow with the rows. Holding
+    the text, or a Python object per row, would add more than 20 MB."""
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    _write_listing(small, 40_000)
+    _write_listing(large, 160_000)
+    assert abs(_bytes_beyond_columns(large) - _bytes_beyond_columns(small)) < 4_000_000
 
 
 PAYLOAD = bytes(range(256)) * 4096  # 1 MiB

@@ -4,11 +4,14 @@ Hypothesis writes small AndroZoo-shaped CSVs that mix canonical rows with
 every form the fast path must hand to the row parser: offsets, fractional
 seconds, padded and out-of-range fields, short and long rows, blank lines,
 greyware, undated records, multi-tag and empty market fields, duplicate and
-malformed rows. Each columnar function must return exactly what
-tests/oracle_rows.py returns, or raise the same error with the same message.
+malformed rows, and the text csv.reader must take over: quoted fields, line
+breaks inside quotes, CRLF rows and NUL. Each columnar function must return
+exactly what tests/oracle_rows.py returns, or raise the same error with the
+same message.
 """
 import csv
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -62,6 +65,19 @@ _odd_stamp = st.sampled_from(
         "2014-05-01 10:60:00",
         "２０１４-01-01",
         "not a date",
+        "2014-03-05 10:00:00.123456",
+        "2014-03-05T10:00:00.5Z",
+        "2014-03-05T10:00:00-00:00",
+        "2014-03-05 10:00:00+23:59",
+        "2014-03-05 10:00:00+24:00",
+        "2014-03-05T10:00:00+0200",
+        "2014-03-05t10:00:00",
+        "2014-03-05T10:00:00z",
+        "2014-03-05+02:00",
+        "2100-12-31T23:30:00-02:00",
+        "1970-01-01 01:00:00+02:00",
+        "1969-12-31T23:30:00-02:00",
+        "9999-12-31T23:30:00-02:00",
     ]
 )
 
@@ -91,7 +107,11 @@ _markets = st.one_of(
     st.sampled_from(["", "|anzhi|", " anzhi | appchina ", "unknown", "   "]),
 )
 _size = _mostly(st.sampled_from(["", "1000", "0", "123456789"]), st.sampled_from(["-5", "1e3", "99999999999999999999", " 42"]))
-_family = st.sampled_from(["", "", "fam1", "fam2", " fam3 ", "   ", 'odd,"fam"'])
+# a quoted family, one with a line break inside its quotes, and (csv.reader
+# reads NUL from Python 3.11 on) one with a NUL
+_family = st.sampled_from(
+    ["", "", "fam1", "fam2", " fam3 ", "   ", 'odd,"fam"', "two\nlines"] + ["nul\0fam"] * (sys.version_info >= (3, 11))
+)
 
 
 _row = st.tuples(_sha, _stamp, _vt, _markets, _optional_stamp, _optional_stamp, _size, _family)
@@ -100,11 +120,12 @@ _row = st.tuples(_sha, _stamp, _vt, _markets, _optional_stamp, _optional_stamp, 
 @st.composite
 def _listing(draw):
     """CSV text: a header (columns in any order, optional ones maybe absent) and rows,
-    some of them short, long or blank."""
+    some of them short, long, blank or ending in CRLF."""
     dropped = draw(st.sets(st.sampled_from(ingest.OPTIONAL_COLUMNS), max_size=2))
     order = draw(st.permutations([c for c in ingest.CANONICAL_COLUMNS if c not in dropped]))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    crlf = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(order)
     for _ in range(draw(st.integers(1, 60))):
         record = dict(zip(ingest.CANONICAL_COLUMNS, draw(_row)))
@@ -116,7 +137,7 @@ def _listing(draw):
             fields.append("extra")
         elif shape == "blank":
             fields = []
-        writer.writerow(fields)
+        draw(st.sampled_from([writer] * 7 + [crlf])).writerow(fields)
     return buffer.getvalue()
 
 
@@ -137,6 +158,19 @@ def same(new, old, *args):
 @_oracle_settings
 @given(_listing())
 def test_parse_and_write_match_oracle(text):
+    _check_parse_and_write(text)
+
+
+@_oracle_settings
+@given(_listing())
+def test_parse_and_write_match_oracle_in_small_blocks(text):
+    """Blocks of a few dozen characters: most reads end mid-line, quoted fields
+    span block cuts, and csv.reader takes over mid-file."""
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 37):
+        _check_parse_and_write(text)
+
+
+def _check_parse_and_write(text):
     got = ingest.parse_metadata(io.StringIO(text))
     want = oracle.parse_metadata(io.StringIO(text))
     assert got.stats == want.stats
