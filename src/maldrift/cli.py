@@ -43,42 +43,73 @@ _TIMESTAMP_KINDS = {
 
 
 class Settings:
-    """Per-subcommand setting resolution: flag, then config file, then default."""
+    """Per-subcommand setting resolution: flag, then config file, then default.
+
+    A config file that configparser cannot read, or a value its cast refuses,
+    is a FormatError naming the file and the line, or the section and the key.
+    """
 
     def __init__(self, args: argparse.Namespace, section: str):
         self.args = vars(args)
+        self.name = section
         self.section: dict[str, str] = {}
-        config_path = self.args.get("config")
-        if config_path:
+        self.config_path = self.args.get("config")
+        if self.config_path:
             parser = configparser.ConfigParser()
-            with open(config_path) as fh:
-                parser.read_file(fh)
-            if parser.has_section(section):
-                self.section = dict(parser.items(section))
+            try:
+                with open(self.config_path) as fh:
+                    parser.read_file(fh)
+                if parser.has_section(section):
+                    self.section = dict(parser.items(section))
+            except configparser.Error as exc:
+                # a ParsingError lists its bad lines; the other errors name one line, or none
+                lineno = getattr(exc, "lineno", None) or (exc.errors[0][0] if getattr(exc, "errors", None) else None)
+                where = f"{self.config_path}:{lineno}" if lineno else self.config_path
+                raise FormatError(f"{where}: {exc.message.splitlines()[0]}") from None
 
     def get(self, key: str, default=None, cast=None):
         value = self.args.get(key)
         if value is None and key in self.section:
             raw = self.section[key]
-            if cast is bool:
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif cast is not None:
-                value = cast(raw)
-            else:
-                value = raw
+            try:
+                if cast is bool:
+                    value = raw.strip().lower() in ("1", "true", "yes", "on")
+                elif cast is not None:
+                    value = cast(raw)
+                else:
+                    value = raw
+            except (ValueError, KeyError) as exc:
+                raise FormatError(f"{self.config_path}: [{self.name}] {key} = {raw!r}: {exc}") from None
         if value is None:
             return default
         return value
 
 
+def _timestamp_name(text: str) -> str:
+    """A --timestamp value read from a config file."""
+    if text not in _TIMESTAMP_KINDS:
+        raise ValueError(f"not one of {', '.join(sorted(_TIMESTAMP_KINDS))}")
+    return text
+
+
 def _policy_from(settings: Settings) -> labeling.TimestampPolicy:
-    kind = _TIMESTAMP_KINDS[settings.get("timestamp", "crawl")]
-    fallback_name = settings.get("timestamp_fallback")
+    kind = _TIMESTAMP_KINDS[settings.get("timestamp", "crawl", _timestamp_name)]
+    fallback_name = settings.get("timestamp_fallback", None, _timestamp_name)
     fallback = _TIMESTAMP_KINDS[fallback_name] if fallback_name else None
     return labeling.TimestampPolicy(kind, fallback)
 
 
 def _load_population(path: str) -> Population:
+    """The population of a .npz sidecar, or of a metadata CSV: read from the
+    population.npz beside it when that records the digest of the CSV's bytes,
+    and parsed otherwise (a stale sidecar is ignored)."""
+    if path.endswith(".npz"):
+        return ingest_mod._read_sidecar(path, provenance=path)
+    sidecar = Path(path).with_name(ingest_mod.SIDECAR)
+    if sidecar.is_file():
+        pop = ingest_mod._read_sidecar(sidecar, ingest_mod._file_sha256(path), provenance=path)
+        if pop is not None:
+            return pop
     with ingest_mod.open_text(path) as fh:
         result = ingest_mod.parse_metadata(fh, provenance=path)
     return result.population
@@ -124,6 +155,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     else:
         family_info = None
     _write_population_gz(pop, out / "population.csv.gz")
+    ingest_mod._write_sidecar(pop, out / ingest_mod.SIDECAR, out / "population.csv.gz")
     years, counts = np.unique(pop.dex_date.astype("datetime64[Y]").astype(np.int64) + MIN_YEAR, return_counts=True)
     per_year = {str(year): n for year, n in zip(years.tolist(), counts.tolist())}
     stats_payload = {
@@ -185,8 +217,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         wrote += ["market_composition.csv", "market_consistency.json"]
     if args.timestamps:
-        a = _TIMESTAMP_KINDS[settings.get("lag_from", "dex")]
-        b = _TIMESTAMP_KINDS[settings.get("lag_to", "crawl")]
+        a = _TIMESTAMP_KINDS[settings.get("lag_from", "dex", _timestamp_name)]
+        b = _TIMESTAMP_KINDS[settings.get("lag_to", "crawl", _timestamp_name)]
         lag = labeling.timestamp_lag_stats(pop, a, b)
         report.write_csv(
             out / "timestamp_lag.csv",
@@ -207,7 +239,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         wrote += ["timestamp_lag.csv", "timestamp_lag_histogram.csv"]
     if args.overlap:
         policy = _policy_from(settings)
-        gran = Granularity(settings.get("granularity", "year"))
+        gran = Granularity(settings.get("granularity", "year", Granularity))
         slices = metrics.malware_families_by_period(pop, rule, policy, gran)
         if not slices:
             raise ValueError("no datable malware records for overlap statistics")
@@ -247,7 +279,7 @@ def _sizing_inputs(settings: Settings):
     rule = labeling.LabelRule(settings.get("vtt", 4, int))
     policy = _policy_from(settings)
     plan = sizing.SizingPlan(
-        mode=sizing.PlanMode(settings.get("mode", "monthly")),
+        mode=sizing.PlanMode(settings.get("mode", "monthly", sizing.PlanMode)),
         spatial=settings.get("spatial", False, bool),
         ratio_malware=settings.get("ratio", 0.10, float),
     )
@@ -313,8 +345,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONSTRAINT
-    manifest = dataclasses.replace(
-        manifest,
+    manifest = manifest._replace(
         checks=tuple(
             {"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks
         ),
@@ -340,7 +371,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ],
     )
     report.write_run_config(out, "sample", config_echo)
-    print(f"manifest with {len(manifest.entries)} entries -> {out / 'manifest.json'}")
+    print(f"manifest with {len(manifest)} entries -> {out / 'manifest.json'}")
     return EXIT_OK
 
 
@@ -413,10 +444,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.aut_table:
         rows = []
         with open(args.aut_table, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "classifier":
-                    continue
-                rows.append((row[0], [float(v) for v in row[1:]]))
+            reader = csv.reader(fh)
+            for row in ingest_mod._csv_rows(reader):
+                try:
+                    if isinstance(row, csv.Error):
+                        raise row
+                    if not row or row[0] == "classifier":
+                        continue
+                    rows.append((row[0], [float(v) for v in row[1:]]))
+                except (ValueError, csv.Error) as exc:
+                    raise FormatError(f"{args.aut_table}:{reader.line_num}: {exc}") from None
         result = report.report_from_aut_table(rows, window)
         config_echo = {"aut_table": args.aut_table, "window": window}
     else:

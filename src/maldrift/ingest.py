@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import io
 import itertools
 import shutil
 import time
+import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
@@ -21,7 +24,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FetchError, FormatError
-from .model import COLUMNS, MAX_YEAR, MIN_YEAR, ApkRecord, Population, format_timestamps, parse_timestamp
+from .model import (
+    COLUMNS,
+    MAX_YEAR,
+    MIN_YEAR,
+    ApkRecord,
+    Population,
+    _sorted_positions,
+    format_timestamps,
+    parse_timestamp,
+)
 
 REQUIRED_COLUMNS = ("sha256", "dex_date", "vt_detection")
 OPTIONAL_COLUMNS = ("markets", "added", "vt_scan_date", "apk_size", "family")
@@ -202,10 +214,14 @@ def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndar
 
 def _spans(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts as one UTF-8 buffer ending in _PAD, and each text's (start, end) in it."""
-    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    joined = "".join(texts)
+    if joined.isascii():  # one byte per character: encode once
+        data, lengths = joined.encode("ascii"), np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    else:
+        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+        data, lengths = b"".join(encoded), np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     end = np.cumsum(lengths)
-    return np.frombuffer(b"".join(encoded) + _PAD, dtype=np.uint8), end - lengths, end
+    return np.frombuffer(data + _PAD, dtype=np.uint8), end - lengths, end
 
 
 def _csv_rows(reader: Iterator) -> Iterator:
@@ -219,6 +235,16 @@ def _csv_rows(reader: Iterator) -> Iterator:
         except csv.Error as exc:
             row = exc
         yield row
+
+
+def _as_dict(header: list[str], row: list[str]) -> dict:
+    """The row as csv.DictReader gives it: short rows padded with None, extra fields under None."""
+    record: dict = dict(zip(header, row))
+    if len(row) > len(header):
+        record[None] = row[len(header):]
+    for name in header[len(row):]:
+        record[name] = None
+    return record
 
 
 def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError) -> FormatError:
@@ -279,15 +305,6 @@ class _Columns:
             name = raw.decode("utf-8", "surrogatepass").strip()
             self._family_text[raw] = self.families.setdefault(name, len(self.families)) if name else -1
         return self._family_text[raw]
-
-    def _as_dict(self, row: list[str]) -> dict:
-        """The row as csv.DictReader gives it: short rows padded with None, extra fields under None."""
-        record: dict = dict(zip(self.header, row))
-        if len(row) > len(self.header):
-            record[None] = row[len(self.header):]
-        for name in self.header[len(row):]:
-            record[name] = None
-        return record
 
     def add_block(self, text: str, stats: ParseStats, strict: bool) -> None:
         """Parse whole lines of text free of quotes, CR and NUL: numpy finds the
@@ -361,7 +378,7 @@ class _Columns:
         valid = ok.copy()
         for k in np.flatnonzero(~ok).tolist():
             try:
-                rec = _parse_row(self._as_dict(row(k)))
+                rec = _parse_row(_as_dict(self.header, row(k)))
             except (ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
                 if strict:
                     raise FormatError(f"malformed metadata row at line {stats.rows + k + 2}: {exc}") from exc
@@ -421,9 +438,10 @@ def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") 
     skipped unless strict, in which case they raise FormatError. Text is read
     in blocks of _BLOCK_CHARS cut at a line end; numpy splits a block into rows
     and fields and parses canonical fields, and any other row goes through
-    _parse_row, the one definition of a well-formed row. The first block that
-    holds a quote, CR or NUL hands itself and the rest of the stream to
-    csv.reader, whose rows go through the same field kernels.
+    _parse_row, the one definition of a well-formed row. CRLF line ends are
+    read as LF. The first block that holds a quote, NUL or a CR outside a CRLF
+    hands itself and the rest of the stream to csv.reader, whose rows go
+    through the same field kernels.
     """
     stats = ParseStats()
     try:
@@ -443,6 +461,8 @@ def _read_metadata(stream: IO[str], stats: ParseStats, strict: bool) -> _Columns
             pending += text
             continue
         block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
+        if "\r" in block and block.count("\r") == block.count("\r\n"):
+            block = block.replace("\r\n", "\n")  # csv.reader reads CRLF line ends as LF
         if any(special in block for special in _SPECIAL):
             lines = io.StringIO(block + pending + stream.readline(), newline="")
             return _read_rows(csv.reader(itertools.chain(lines, stream)), columns, stats, strict)
@@ -506,6 +526,127 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
             families[pop.family[rows]].tolist(),
         )
         stream.write("".join(map(",".join, fields)))
+
+
+# population.npz beside population.csv.gz holds what ingest parsed, so later
+# commands load columns instead of parsing the CSV again. The CSV stays the
+# interchange format; the sidecar is used only while it records the digest of
+# the CSV's bytes.
+SIDECAR = "population.npz"
+_SIDECAR_SCHEMA = 1
+# the arrays the content digest covers, in its order
+_SIDECAR_CONTENT = (*COLUMNS, "sha_order", "market_sets", "families")
+
+
+def _file_sha256(path: Union[str, Path]) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _content_digest(arrays: dict) -> str:
+    """SHA-256 over the name, dtype, shape and bytes of each content array, in order."""
+    digest = hashlib.sha256()
+    for name in _SIDECAR_CONTENT:
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(array.view(np.uint8))
+    return digest.hexdigest()
+
+
+def _write_sidecar(pop: Population, path: Path, csv_path: Path) -> None:
+    """Write the population sidecar of pop, which csv_path holds as CSV.
+
+    A population whose market or family texts would read back from the CSV
+    otherwise (a family with edge spaces, say) or would not survive a
+    fixed-width unicode array gets no sidecar, so loading never differs from
+    parsing the CSV.
+    """
+    markets = ["|".join(sorted(tags)) for tags in pop.market_sets]
+    tables = {"market_sets": np.array(markets, dtype=str), "families": np.array(pop.families, dtype=str)}
+    reread = [frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"}) for text in markets]
+    if (
+        reread != list(pop.market_sets)
+        or any(not name or name.strip() != name for name in pop.families)
+        or tables["market_sets"].tolist() != markets
+        or tables["families"].tolist() != list(pop.families)
+    ):
+        return
+    arrays = {**pop.columns(), "sha_order": pop.sha_order, **tables}
+    arrays["content_sha256"] = np.array(_content_digest(arrays))
+    arrays["csv_sha256"] = np.array(_file_sha256(csv_path))
+    arrays["schema"] = np.array(_SIDECAR_SCHEMA, dtype=np.int64)
+    part = path.with_name(path.name + ".part")
+    with open(part, "wb") as fh:
+        np.savez(fh, **arrays)
+    part.replace(path)
+
+
+def _read_sidecar(
+    path: Union[str, Path], csv_sha256: Optional[str] = None, provenance: str = ""
+) -> Optional[Population]:
+    """The population a sidecar holds. When csv_sha256 is given and the sidecar
+    records another CSV digest, it is stale: None. Any other fault is a
+    FormatError naming the file and the array."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            return _sidecar_population(npz, str(path), csv_sha256, provenance)
+    except FormatError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a readable population sidecar: {exc}") from None
+
+
+def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: str) -> Optional[Population]:
+    def read(name: str, dtype, shape: Optional[tuple] = None) -> np.ndarray:
+        if name not in npz.files:
+            raise FormatError(f"{path}: array {name!r} is missing")
+        try:
+            array = npz[name]
+        except ValueError as exc:  # a pickled array, or a broken header
+            raise FormatError(f"{path}: array {name!r}: {exc}") from None
+        got = array.dtype.kind if isinstance(dtype, str) else array.dtype
+        if got != dtype:
+            raise FormatError(f"{path}: array {name!r} has dtype {array.dtype}, expected {dtype}")
+        if shape is not None and array.shape != shape:
+            raise FormatError(f"{path}: array {name!r} has shape {array.shape}, expected {shape}")
+        return array
+
+    schema = int(read("schema", np.dtype(np.int64), ()))
+    if schema != _SIDECAR_SCHEMA:
+        raise FormatError(f"{path}: array 'schema' is {schema}, expected {_SIDECAR_SCHEMA}")
+    if csv_sha256 is not None and str(read("csv_sha256", np.dtype("U64"), ())) != csv_sha256:
+        return None
+    n = len(read("sha256", np.dtype("S64")))
+    arrays = {name: read(name, np.dtype(dtype), (n,)) for name, dtype in COLUMNS.items()}
+    arrays["sha_order"] = read("sha_order", np.dtype(np.int64), (n,))
+    for name in ("market_sets", "families"):
+        arrays[name] = read(name, "U")
+        if arrays[name].ndim != 1:
+            raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected one dimension")
+    if str(read("content_sha256", np.dtype("U64"), ())) != _content_digest(arrays):
+        raise FormatError(f"{path}: array 'content_sha256' does not match the content digest")
+    order = arrays["sha_order"]
+    in_range = {
+        "markets": (0, len(arrays["market_sets"])),
+        "family": (-1, len(arrays["families"])),
+        "sha_order": (0, n),
+    }
+    for name, (low, high) in in_range.items():
+        if n and not low <= arrays[name].min() <= arrays[name].max() < high:
+            raise FormatError(f"{path}: array {name!r} holds a value outside {low}..{high - 1}")
+    ordered = arrays["sha256"][order]
+    if (ordered[1:] <= ordered[:-1]).any():
+        raise FormatError(f"{path}: array 'sha_order' does not sort 'sha256' into unique ascending hashes")
+    return Population.from_columns(
+        {name: arrays[name] for name in COLUMNS},
+        tuple(frozenset(text.split("|")) for text in arrays["market_sets"].tolist()),
+        tuple(arrays["families"].tolist()),
+        provenance,
+        sha_order=order,
+    )
 
 
 @dataclass
@@ -575,17 +716,58 @@ class PredictionRow:
         return 1 if self.score >= threshold else 0
 
 
-@dataclass(frozen=True)
 class PredictionSet:
-    name: str
-    rows: dict[str, PredictionRow]
-    threshold: float = 0.5
+    """One classifier's predictions, held as columns in ascending sha256 order:
+    ``sha256`` (S64), ``score``, the explicit ``label`` (-1 where absent) and
+    the ``predicted_class`` they give at threshold. ``PredictionSet(name,
+    rows)`` and ``rows`` are a row view of PredictionRow objects.
+    """
+
+    def __init__(self, name: str, rows: dict[str, PredictionRow], threshold: float = 0.5):
+        labels = (-1 if row.predicted_label is None else row.predicted_label for row in rows.values())
+        self._init(
+            name,
+            np.array(list(rows), dtype="S64"),
+            np.fromiter((row.score for row in rows.values()), dtype=np.float64, count=len(rows)),
+            np.fromiter(labels, dtype=np.int64, count=len(rows)),
+            threshold,
+        )
+
+    @classmethod
+    def _from_columns(cls, name: str, sha256, score, label, threshold: float) -> "PredictionSet":
+        preds = cls.__new__(cls)
+        preds._init(name, sha256, score, label, threshold)
+        return preds
+
+    def _init(self, name, sha256, score, label, threshold) -> None:
+        order = np.argsort(sha256, kind="stable")
+        self.name, self.threshold = name, threshold
+        self.sha256, self.score, self.label = sha256[order], score[order], label[order]
+        self.predicted_class = np.where(self.label >= 0, self.label, self.score >= threshold)
+        self._given = np.argsort(order)  # where each row of the given order went
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.sha256)
+
+    @cached_property
+    def rows(self) -> dict[str, PredictionRow]:
+        """The predictions by hash, in the order given (parsed ones in hash order)."""
+        columns = (self.sha256.astype("U64"), self.score, self.label)
+        return {
+            sha: PredictionRow(sha, score, None if label < 0 else label)
+            for sha, score, label in zip(*(column[self._given].tolist() for column in columns))
+        }
 
     def predicted(self, sha: str) -> int:
-        return self.rows[sha].resolve(self.threshold)
+        at = int(_sorted_positions(self.sha256, np.array([sha], dtype="S64"))[0])
+        if at < 0:
+            raise KeyError(sha)
+        return int(self.predicted_class[at])
+
+    def _classes_of(self, hashes: np.ndarray) -> np.ndarray:
+        """The predicted class of each S64 hash, -1 where the set has no prediction."""
+        at = _sorted_positions(self.sha256, hashes)
+        return np.where(at >= 0, self.predicted_class[np.maximum(at, 0)], -1) if len(self) else at
 
 
 def parse_predictions(
@@ -593,54 +775,88 @@ def parse_predictions(
 ) -> tuple[PredictionSet, ParseStats]:
     """Parse a prediction CSV with header sha256,score[,label].
 
-    A row csv cannot read (say, a field over csv.field_size_limit()) is malformed.
+    Rows are read in chunks: the hash, score and label kernels read the rows
+    of the header's width, and every row they reject goes through
+    _prediction_row. A row csv cannot read (say, a field over
+    csv.field_size_limit()) is malformed. A repeated hash keeps its last row.
     """
     stats = ParseStats()
     try:
-        rows = _read_predictions(csv.DictReader(stream), stats, strict)
+        columns = _read_predictions(csv.reader(stream), stats, strict)
     except UnicodeDecodeError as exc:
         raise _not_utf8(stream, name, stats.rows, exc) from None
-    return PredictionSet(name, rows, threshold), stats
+    return PredictionSet._from_columns(name, *columns, threshold), stats
 
 
-def _read_predictions(reader: csv.DictReader, stats: ParseStats, strict: bool) -> dict[str, PredictionRow]:
-    try:
-        header = reader.fieldnames
-    except csv.Error as exc:
-        raise FormatError(f"unreadable prediction header: {exc}") from None
+_LABEL_CODES = {"": -1, "0": 0, "1": 1}
+
+
+def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:
+    """The hash, score and explicit label of one row as csv.DictReader gives it."""
+    sha = (row.get("sha256") or "").strip().lower()
+    if len(sha) != 64 or not sha.isascii() or "\0" in sha:
+        raise ValueError(f"bad sha256 {sha!r}")
+    score = float(row["score"])
+    raw_label = (row.get("label") or "").strip()
+    predicted = None
+    if raw_label:
+        predicted = int(raw_label)
+        if predicted not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {predicted}")
+    elif not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score} outside [0,1] without a label column")
+    return sha, score, predicted
+
+
+def _read_predictions(reader: Iterator, stats: ParseStats, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashes (S64), scores and labels (-1 where absent) of the well-formed rows, one row per hash."""
+    rows = _csv_rows(reader)
+    header = next(rows, None)
     if header is None:
         raise FormatError("empty prediction input")
+    if isinstance(header, csv.Error):
+        raise FormatError(f"unreadable prediction header: {header}")
     if "sha256" not in header or "score" not in header:
         raise FormatError("prediction input must have columns sha256,score[,label]")
-    has_label = "label" in header
-    rows: dict[str, PredictionRow] = {}
-    for lineno, row in enumerate(_csv_rows(reader), start=2):
-        stats.rows += 1
+    position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    parts: tuple[list, list, list] = ([np.zeros(0, dtype="S64")], [np.zeros(0)], [np.zeros(0, dtype=np.int64)])
+    filler = ["0"] * len(header)  # stands in for the fields of an odd row
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        chunk = [row for row in chunk if row]  # blank lines are skipped and not counted, as csv.DictReader does
+        regular = [isinstance(row, list) and len(row) == len(header) for row in chunk]
+        fitted = [row if fits else filler for row, fits in zip(chunk, regular)]
+        sha, ok = _hashes(*_spans(tuple(row[position["sha256"]] for row in fitted)))
+        scores = [row[position["score"]] for row in fitted]
         try:
-            if isinstance(row, csv.Error):
-                raise row
-            sha = (row.get("sha256") or "").strip().lower()
-            if len(sha) != 64:
-                raise ValueError(f"bad sha256 {sha!r}")
-            score = float(row["score"])
-            raw_label = (row.get("label") or "").strip() if has_label else ""
-            predicted = None
-            if raw_label:
-                predicted = int(raw_label)
-                if predicted not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {predicted}")
-            elif not 0.0 <= score <= 1.0:
-                raise ValueError(f"score {score} outside [0,1] without a label column")
-        except (ValueError, KeyError, TypeError, csv.Error) as exc:
-            if strict:
-                raise FormatError(f"malformed prediction row at line {lineno}: {exc}") from exc
-            stats.malformed += 1
-            continue
-        if sha in rows:
-            stats.duplicates += 1
-        rows[sha] = PredictionRow(sha, score, predicted)
-        stats.parsed += 1
-    return rows
+            score = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
+        except ValueError:  # a score float() cannot read: the chunk goes row by row
+            score, ok[:] = np.zeros(len(chunk)), False
+        texts = [row[position["label"]] for row in fitted] if "label" in position else [""] * len(chunk)
+        label = np.fromiter(map(_LABEL_CODES.get, texts, itertools.repeat(-2)), dtype=np.int64, count=len(texts))
+        ok &= np.array(regular, dtype=bool) & (label > -2)
+        ok &= (label >= 0) | ((score >= 0.0) & (score <= 1.0))
+        for k in np.flatnonzero(~ok).tolist():
+            try:
+                if isinstance(chunk[k], csv.Error):
+                    raise chunk[k]
+                sha[k], score[k], predicted = _prediction_row(_as_dict(header, chunk[k]))
+            except (ValueError, KeyError, TypeError, csv.Error) as exc:
+                if strict:
+                    raise FormatError(f"malformed prediction row at line {stats.rows + k + 2}: {exc}") from exc
+                stats.malformed += 1
+                continue
+            ok[k], label[k] = True, -1 if predicted is None else predicted
+        stats.rows += len(chunk)
+        stats.parsed += int(ok.sum())
+        for part, column in zip(parts, (sha, score, label)):
+            part.append(column[ok])
+    sha, score, label = (np.concatenate(part) for part in parts)
+    order = np.argsort(sha, kind="stable")
+    last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
+    last[:-1] = sha[order[1:]] != sha[order[:-1]]
+    kept = order[last]
+    stats.duplicates = len(sha) - len(kept)
+    return sha[kept], score[kept], label[kept]
 
 
 @dataclass(frozen=True)

@@ -200,13 +200,6 @@ class ConsistencyResult:
     malware_dist: dict[str, float]
 
 
-def _normalized_market_dist(items: Iterable[frozenset[str]], priority: tuple[str, ...]) -> dict[str, float]:
-    key = market_sort_key(priority)  # attribute_market's key, built once per call
-    counts = Counter(min(markets, key=key) for markets in items)
-    total = sum(counts.values())
-    return {tag: c / total for tag, c in counts.items()}
-
-
 def tv_distance(p: dict[str, float], q: dict[str, float]) -> float:
     # fsum rounds once, so the result does not depend on the set's iteration
     # order, which follows the per-process string hash seed
@@ -219,32 +212,38 @@ def _consistency(p: dict[str, float], q: dict[str, float], threshold: float) -> 
     return ConsistencyResult(tv, tv <= threshold, threshold, p, q)
 
 
-def market_consistency_from_pairs(
-    pairs: Iterable[tuple[frozenset[str], ClassLabel]],
-    threshold: float = 0.10,
-    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
-) -> ConsistencyResult:
-    """Total-variation distance between goodware and malware market distributions.
-
-    Uses single-market attribution so each class forms a probability vector.
-    """
-    materialized = list(pairs)
-    gw = [m for m, cls in materialized if cls is ClassLabel.GOODWARE]
-    mw = [m for m, cls in materialized if cls is ClassLabel.MALWARE]
-    if not gw or not mw:
-        raise ValueError("market consistency undefined: a class is empty")
-    return _consistency(_normalized_market_dist(gw, priority), _normalized_market_dist(mw, priority), threshold)
-
-
-def _attributed_dist(pop: Population, mask: np.ndarray, attributed: list[str]) -> dict[str, float]:
-    """_normalized_market_dist of the records under mask, tags in first-seen order."""
-    codes = pop.markets[mask]
-    per_set = np.bincount(codes, minlength=len(attributed)).tolist()
+def _attributed_dist(codes: np.ndarray, attributed: dict[int, str]) -> dict[str, float]:
+    """The share of each attributed tag among the market-set codes, tags in first-seen order."""
+    per_set = np.bincount(codes).tolist()
     seen, first = np.unique(codes, return_index=True)
     counts: dict[str, int] = {}
     for code in seen[np.argsort(first)].tolist():
         counts[attributed[code]] = counts.get(attributed[code], 0) + per_set[code]
     return {tag: c / len(codes) for tag, c in counts.items()}
+
+
+def _coded_market_consistency(
+    markets: np.ndarray,
+    classes: np.ndarray,
+    market_sets: tuple[frozenset[str], ...],
+    threshold: float,
+    priority: tuple[str, ...],
+) -> ConsistencyResult:
+    """Total-variation distance between the goodware and malware market
+    distributions of market-set codes into market_sets and class codes.
+
+    Single-market attribution makes each class a probability vector; each
+    market set in use is attributed once.
+    """
+    goodware, malware = classes == GOODWARE, classes == MALWARE
+    if not goodware.any() or not malware.any():
+        raise ValueError("market consistency undefined: a class is empty")
+    key = market_sort_key(priority)
+    used = np.flatnonzero(np.bincount(markets[goodware | malware])).tolist()
+    attributed = {code: min(market_sets[code], key=key) for code in used}
+    p = _attributed_dist(markets[goodware], attributed)
+    q = _attributed_dist(markets[malware], attributed)
+    return _consistency(p, q, threshold)
 
 
 def market_consistency(
@@ -253,15 +252,7 @@ def market_consistency(
     threshold: float = 0.10,
     priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
 ) -> ConsistencyResult:
-    classes = class_codes(pop, rule)
-    goodware, malware = classes == GOODWARE, classes == MALWARE
-    if not goodware.any() or not malware.any():
-        raise ValueError("market consistency undefined: a class is empty")
-    key = market_sort_key(priority)
-    attributed = [min(tags, key=key) for tags in pop.market_sets]
-    p = _attributed_dist(pop, goodware, attributed)
-    q = _attributed_dist(pop, malware, attributed)
-    return _consistency(p, q, threshold)
+    return _coded_market_consistency(pop.markets, class_codes(pop, rule), pop.market_sets, threshold, priority)
 
 
 def vtt_coverage(pop: Population, vtt: int) -> float:

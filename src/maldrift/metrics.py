@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import MissingPredictionsError
 from .ingest import PredictionSet
-from .labeling import MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
+from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
 from .model import ClassLabel, Granularity, Period, Population, period_indices
+from .sampler import DatasetManifest
 
 METRIC_NAMES = ("f1", "fpr", "tpr", "precision", "recall")
 
@@ -79,47 +80,53 @@ TruthEntry = tuple[str, ClassLabel, Period]
 
 
 def confusion_metrics(
-    truth: Iterable[TruthEntry],
+    truth: Union[DatasetManifest, Iterable[TruthEntry]],
     preds: PredictionSet,
     granularity: Optional[Granularity] = None,
     lenient: bool = False,
 ) -> ConfusionReport:
     """Per-period confusion counts and derived metrics; positives are malware.
 
-    Every truth hash needs a prediction: missing ones raise (with the hash
-    list) unless lenient, in which case they are dropped and counted.
+    truth is a manifest's entries, or (sha256, label, period) triples. Every
+    truth hash needs a prediction: missing ones raise (with the hash list, in
+    truth order) unless lenient, in which case they are dropped and counted.
     Empty-denominator metrics are explicit absent values, never silent zeros.
     """
-    raw: dict[Period, list[int]] = {}
-    missing: list[str] = []
-    for sha, cls, period in truth:
-        if cls is ClassLabel.GREYWARE:
-            raise ValueError(f"greyware entry {sha} cannot be scored")
-        if granularity is Granularity.YEAR:
-            period = period.year_period()
-        if sha not in preds.rows:
-            missing.append(sha)
-            continue
-        predicted = preds.predicted(sha)
-        actual = 1 if cls is ClassLabel.MALWARE else 0
-        cell = raw.setdefault(period, [0, 0, 0, 0])  # tp fp tn fn
-        if actual and predicted:
-            cell[0] += 1
-        elif not actual and predicted:
-            cell[1] += 1
-        elif not actual and not predicted:
-            cell[2] += 1
-        else:
-            cell[3] += 1
+    if isinstance(truth, DatasetManifest):
+        hashes, classes = truth.sha256, truth.label
+        periods, period_of = truth._periods()
+    else:
+        rows = list(truth)
+        hashes = np.array([sha for sha, _, _ in rows], dtype="S64")
+        classes = np.array([CLASSES.index(cls) for _, cls, _ in rows], dtype=np.int8)
+        periods = list(dict.fromkeys(period for _, _, period in rows))
+        position = {period: k for k, period in enumerate(periods)}
+        period_of = np.array([position[period] for _, _, period in rows], dtype=np.int64)
+    greyware = classes == GREYWARE
+    if greyware.any():
+        raise ValueError(f"greyware entry {hashes[greyware.argmax()].decode()} cannot be scored")
+    if granularity is Granularity.YEAR:
+        periods = [p.year_period() for p in periods]
+    ordered = sorted(dict.fromkeys(periods), key=lambda p: p.index)
+    rank = {p: k for k, p in enumerate(ordered)}
+    period_of = np.array([rank[p] for p in periods], dtype=np.int64)[period_of]
+
+    predicted = preds._classes_of(hashes)
+    scored = predicted >= 0
+    missing = hashes[~scored].astype("U64").tolist()
     if missing and not lenient:
         shown = ", ".join(missing[:10])
         raise MissingPredictionsError(
             f"{len(missing)} truth hashes lack predictions (e.g. {shown})", tuple(missing)
         )
-    ordered = sorted(raw, key=lambda p: p.index)
-    counts = {p: ConfusionCounts(*raw[p]) for p in ordered}
+    actual, positive = classes[scored] == MALWARE, predicted[scored] != 0
+    cells = np.where(positive, np.where(actual, 0, 1), np.where(actual, 3, 2))  # tp fp tn fn
+    at = period_of[scored]
+    table = np.bincount(at * 4 + cells, minlength=4 * len(ordered)).reshape(-1, 4).tolist()
+    present = np.bincount(at, minlength=len(ordered)).tolist()
+    counts = {p: ConfusionCounts(*table[k]) for k, p in enumerate(ordered) if present[k]}
     series = {
-        name: MetricSeries(name, tuple((p, counts[p].metric(name)) for p in ordered))
+        name: MetricSeries(name, tuple((p, c.metric(name)) for p, c in counts.items()))
         for name in METRIC_NAMES
     }
     return ConfusionReport(counts, series, tuple(missing))

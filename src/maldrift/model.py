@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,6 +212,14 @@ def period_range(start: Period, end: Period) -> list[Period]:
     return [Period(start.granularity, i) for i in range(start.index, end.index + 1)]
 
 
+def _sorted_positions(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the ascending array ordered, -1 where it is absent."""
+    if not len(ordered):
+        return np.full(len(keys), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
+    return np.where(ordered[at] == keys, at, -1)
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -391,15 +399,17 @@ class Population:
     def by_sha(self) -> dict[str, ApkRecord]:
         return {rec.sha256: rec for rec in self.records}
 
-    def positions(self, hashes: Sequence[str]) -> np.ndarray:
-        """Row position of each hash, -1 where the population lacks it."""
-        valid = np.array([len(h) == 64 and h.isascii() for h in hashes], dtype=bool)
-        keys = np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype="S64")
+    def positions(self, hashes: Union[Sequence[str], np.ndarray]) -> np.ndarray:
+        """Row position of each hash (strings, or an S64 array), -1 where the population lacks it."""
+        if isinstance(hashes, np.ndarray):
+            keys, valid = hashes, True
+        else:
+            valid = np.array([len(h) == 64 and h.isascii() for h in hashes], dtype=bool)
+            keys = np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype="S64")
         if not len(self):
             return np.full(len(keys), -1, dtype=np.int64)
-        ordered = self.sha256[self.sha_order]
-        at = np.minimum(np.searchsorted(ordered, keys), len(self) - 1)
-        return np.where(valid & (ordered[at] == keys), self.sha_order[at], -1)
+        at = _sorted_positions(self.sha256[self.sha_order], keys)
+        return np.where(valid & (at >= 0), self.sha_order[at], -1)
 
     def carrying_any(self, tags: frozenset[str]) -> np.ndarray:
         """Mask of the records sharing at least one market tag with tags."""

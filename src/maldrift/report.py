@@ -14,17 +14,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import MissingPredictionsError
 from .ingest import PredictionSet
+from .labeling import MALWARE
 from .metrics import (
     MetricSeries,
     a_aut,
     aut,
     confusion_metrics,
-    family_overlap,
     rolling_splits,
 )
-from .model import ClassLabel, Granularity
+from .model import Granularity, Period, _sorted_positions
 from .sampler import DatasetManifest
 from .version import __version__
 
@@ -78,58 +80,52 @@ def evaluate_manifest(
     value; the all-months variant is reported alongside when it differs
     (it is refused, not interpolated, when a month is absent).
     """
-    periods = {e.period for e in manifest.entries}
-    if not periods:
+    if not len(manifest):
         raise ValueError("manifest has no entries to evaluate")
+    periods, _ = manifest._periods()
     if any(p.granularity is not Granularity.MONTH for p in periods):
         raise ValueError("temporal evaluation requires a monthly manifest")
-    plan = rolling_splits(
-        min(periods, key=lambda p: p.index),
-        max(periods, key=lambda p: p.index),
-        window_months,
-        allow_partial_last,
-    )
-    manifest_hashes = manifest.hashes()
-    by_period = manifest.by_period()
+    plan = rolling_splits(periods[0], periods[-1], window_months, allow_partial_last)
+    by_month = np.argsort(manifest.period, kind="stable")  # entry order within a month
+    months = manifest.period[by_month]
 
+    def rows_in(span: tuple[Period, ...]) -> np.ndarray:
+        """The entries of a run of consecutive months, month by month."""
+        lo, hi = np.searchsorted(months, [span[0].index, span[-1].index + 1])
+        return by_month[lo:hi]
+
+    malware = manifest.label == MALWARE
     overlap: dict[int, MetricSeries] = {}
     for idx, split in enumerate(plan.splits):
-        train_families = [
-            e.family
-            for month in split.train
-            for e in by_period.get(month, [])
-            if e.label is ClassLabel.MALWARE
-        ]
-        points = []
-        for month in split.test:
-            month_families = [
-                e.family for e in by_period.get(month, []) if e.label is ClassLabel.MALWARE
-            ]
-            value = family_overlap(month_families, train_families) if month_families else None
-            points.append((month, value))
+        train = rows_in(split.train)
+        known_names = {manifest.families[code] for code in set(manifest.family[train[malware[train]]].tolist()) - {-1}}
+        known = np.array([name in known_names for name in manifest.families] + [False])  # code -1 picks the False
+        test = rows_in(split.test)
+        test = test[malware[test]]
+        month = manifest.period[test] - split.test[0].index
+        totals = np.bincount(month, minlength=len(split.test)).tolist()
+        matched = np.bincount(month[known[manifest.family[test]]], minlength=len(split.test)).tolist()
+        points = [(m, matched[k] / totals[k] if totals[k] else None) for k, m in enumerate(split.test)]
         overlap[idx] = MetricSeries("family_overlap", tuple(points))
 
+    ordered_hashes = manifest.sha256[manifest._sha_order]
     results = []
     window_series: dict[tuple[str, int], dict[str, MetricSeries]] = {}
     for preds in predsets:
-        extras = set(preds.rows) - manifest_hashes
+        extras = preds.sha256[_sorted_positions(ordered_hashes, preds.sha256) < 0].astype("U64").tolist()
         if extras and not lenient:
-            shown = ", ".join(sorted(extras)[:10])
+            shown = ", ".join(extras[:10])
             raise MissingPredictionsError(
                 f"{len(extras)} prediction hashes do not resolve against the manifest (e.g. {shown})",
-                tuple(sorted(extras)),
+                tuple(extras),
             )
         auts: list[float] = []
         stricts: list[Optional[float]] = []
         for idx, split in enumerate(plan.splits):
-            truth = [
-                (e.sha256, e.label, e.period)
-                for month in split.test
-                for e in by_period.get(month, [])
-            ]
-            if not truth:
+            truth = rows_in(split.test)
+            if not len(truth):
                 raise ValueError(f"split {split.label()} has no test entries")
-            report = confusion_metrics(truth, preds, lenient=lenient)
+            report = confusion_metrics(manifest._replace(rows=truth), preds, lenient=lenient)
             window_series[(preds.name, idx)] = report.series
             series = report.series[metric]
             strict_points = dict(series.points)

@@ -7,25 +7,28 @@ byte-identical manifest.
 """
 from __future__ import annotations
 
-import csv
 import json
-import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import FormatError
+from .ingest import _hashes, _spans
 from .labeling import (
     CLASSES,
+    DEFAULT_MARKET_PRIORITY,
     GREYWARE,
+    MALWARE,
     LabelRule,
     TimestampKind,
     TimestampPolicy,
+    _coded_market_consistency,
     class_codes,
-    market_consistency_from_pairs,
     timeline_dates,
 )
 from .model import ClassLabel, Granularity, Period, Population, format_timestamp, period_indices
@@ -35,7 +38,6 @@ from .version import __version__
 _GRAN_CODE = {Granularity.MONTH: 0, Granularity.YEAR: 1}
 _CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}
 _GLOBAL_PERIOD_CODE = 10**6
-_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -60,32 +62,140 @@ class StratumFill:
         return self.requested - self.sampled
 
 
-@dataclass(frozen=True)
+# a manifest's granularity codes
+_GRANULARITIES = (Granularity.MONTH, Granularity.YEAR)
+# entry column -> dtype; the names follow ManifestEntry's fields
+_ENTRY_COLUMNS = {
+    "sha256": "S64",
+    "label": np.int8,  # code into CLASSES
+    "period": np.int64,  # Period.index
+    "granularity": np.int8,  # code into _GRANULARITIES
+    "markets": np.int32,  # code into DatasetManifest.market_sets
+    "family": np.int32,  # code into DatasetManifest.families; -1 = no family
+}
+
+
 class DatasetManifest:
-    """The reproducible output of a sampling run: entries plus full parameter echo."""
+    """The reproducible output of a sampling run: entries plus full parameter echo.
 
-    entries: tuple[ManifestEntry, ...]
-    spec: dict
-    created: str
-    strata: tuple[StratumFill, ...] = ()
-    checks: tuple[dict, ...] = ()
-    violations: tuple[dict, ...] = ()
+    The entries are numpy columns in manifest order (see _ENTRY_COLUMNS);
+    markets and family are codes into the market_sets and families tables.
+    ``DatasetManifest(entries, ...)``, ``entries``, ``by_period()`` and
+    ``hashes()`` are a row view of ManifestEntry objects.
+    """
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for entry in self.entries:
-            if entry.sha256 in seen:
-                raise ValueError(f"duplicate sha256 in manifest: {entry.sha256}")
-            seen.add(entry.sha256)
+    def __init__(
+        self,
+        entries: Iterable[ManifestEntry],
+        spec: dict,
+        created: str,
+        strata: tuple[StratumFill, ...] = (),
+        checks: tuple[dict, ...] = (),
+        violations: tuple[dict, ...] = (),
+    ):
+        entries = tuple(entries)
+        market_sets: dict[frozenset[str], int] = {}
+        families: dict[str, int] = {}
+        columns = {
+            "sha256": [e.sha256 for e in entries],
+            "label": [CLASSES.index(e.label) for e in entries],
+            "period": [e.period.index for e in entries],
+            "granularity": [_GRANULARITIES.index(e.period.granularity) for e in entries],
+            "markets": [market_sets.setdefault(frozenset(e.markets), len(market_sets)) for e in entries],
+            "family": [-1 if e.family is None else families.setdefault(e.family, len(families)) for e in entries],
+        }
+        self._init(columns, tuple(market_sets), tuple(families), spec, created, strata, checks, violations)
+
+    @classmethod
+    def _from_columns(
+        cls, columns: dict, market_sets: tuple, families: tuple, spec: dict, created: str,
+        strata=(), checks=(), violations=(),
+    ) -> "DatasetManifest":
+        manifest = cls.__new__(cls)
+        manifest._init(columns, market_sets, families, spec, created, strata, checks, violations)
+        return manifest
+
+    def _init(self, columns, market_sets, families, spec, created, strata, checks, violations) -> None:
+        for name, dtype in _ENTRY_COLUMNS.items():
+            array = np.asarray(columns[name], dtype=dtype)
+            array.flags.writeable = False
+            setattr(self, name, array)
+        self.market_sets: tuple[frozenset[str], ...] = market_sets
+        self.families: tuple[str, ...] = families
+        self.spec, self.created = spec, created
+        self.strata, self.checks, self.violations = tuple(strata), tuple(checks), tuple(violations)
+        self._sha_order = np.argsort(self.sha256, kind="stable")
+        ordered = self.sha256[self._sha_order]
+        repeats = self._sha_order[1:][ordered[1:] == ordered[:-1]]  # every occurrence after a hash's first
+        if repeats.size:
+            raise ValueError(f"duplicate sha256 in manifest: {self.sha256[repeats.min()].decode()}")
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _ENTRY_COLUMNS}
+
+    def _replace(self, rows: Optional[np.ndarray] = None, **fields) -> "DatasetManifest":
+        """This manifest with the given fields changed, and only the entries at rows when given."""
+        fields = {
+            "spec": self.spec, "created": self.created, "strata": self.strata,
+            "checks": self.checks, "violations": self.violations, **fields,
+        }
+        columns = self._columns() if rows is None else {k: v[rows] for k, v in self._columns().items()}
+        return DatasetManifest._from_columns(columns, self.market_sets, self.families, **fields)
+
+    def __len__(self) -> int:
+        return len(self.sha256)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DatasetManifest):
+            return NotImplemented
+        fields = ("entries", "spec", "created", "strata", "checks", "violations")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DatasetManifest({len(self)} entries, created={self.created!r})"
+
+    @cached_property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        families = (*self.families, None)  # code -1 picks the None
+        periods, period_of_entry = self._periods()
+        return tuple(
+            ManifestEntry(sha.decode(), CLASSES[label], periods[p], self.market_sets[m], families[f])
+            for sha, label, p, m, f in zip(
+                self.sha256.tolist(),
+                self.label.tolist(),
+                period_of_entry.tolist(),
+                self.markets.tolist(),
+                self.family.tolist(),
+            )
+        )
 
     def hashes(self) -> set[str]:
-        return {e.sha256 for e in self.entries}
+        return set(self.sha256.astype("U64").tolist())
 
     def by_period(self) -> dict[Period, list[ManifestEntry]]:
         out: dict[Period, list[ManifestEntry]] = {}
         for entry in self.entries:
             out.setdefault(entry.period, []).append(entry)
         return out
+
+    def _period_keys(self) -> np.ndarray:
+        """Each entry's period as one integer: see _period_of."""
+        return self.period * len(_GRANULARITIES) + self.granularity
+
+    def _periods(self) -> tuple[list[Period], np.ndarray]:
+        """The distinct periods ordered by index (then first seen), and each entry's position in that list."""
+        keys, first, inverse = np.unique(self._period_keys(), return_index=True, return_inverse=True)
+        order = np.lexsort((first, keys // len(_GRANULARITIES)))
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[order] = np.arange(len(keys))
+        return [_period_of(key) for key in keys[order].tolist()], rank[inverse]
+
+
+def _period_of(key: int) -> Period:
+    """The period whose index times the granularity count plus its granularity code is key."""
+    return Period(_GRANULARITIES[key % len(_GRANULARITIES)], key // len(_GRANULARITIES))
 
 
 def build_spec_echo(
@@ -152,22 +262,19 @@ def _take(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(size)[:count]
 
 
-def _entries(
+def _entry_columns(
     pop: Population, rows: np.ndarray, classes: np.ndarray, periods: np.ndarray, granularity: Granularity
-) -> list[ManifestEntry]:
-    """Manifest entries for the given rows, their class codes and period indices."""
-    families = (*pop.families, None)  # code -1 picks the None
-    period_of_index = {i: Period(granularity, i) for i in set(periods.tolist())}
-    return [
-        ManifestEntry(sha, CLASSES[cls], period_of_index[period], pop.market_sets[markets], families[family])
-        for sha, cls, period, markets, family in zip(
-            pop.sha256[rows].astype("U64").tolist(),
-            classes.tolist(),
-            periods.tolist(),
-            pop.markets[rows].tolist(),
-            pop.family[rows].tolist(),
-        )
-    ]
+) -> dict[str, np.ndarray]:
+    """Manifest entry columns for the given rows, their class codes and period indices;
+    markets and family stay codes into the population's tables."""
+    return {
+        "sha256": pop.sha256[rows],
+        "label": classes,
+        "period": periods,
+        "granularity": np.full(len(rows), _GRANULARITIES.index(granularity)),
+        "markets": pop.markets[rows],
+        "family": pop.family[rows],
+    }
 
 
 def _default_created(pop: Population) -> str:
@@ -237,12 +344,14 @@ def stratified_sample(
     picked = np.concatenate(chosen)
     # manifest order: period, label name (goodware < malware), sha256 (candidates are sha-sorted)
     picked = picked[np.lexsort((picked, classes[picked], periods[picked]))]
-    entries = _entries(pop, rows[picked], classes[picked], periods[picked], stratum_gran)
+    columns = _entry_columns(pop, rows[picked], classes[picked], periods[picked], stratum_gran)
     spec = build_spec_echo(
         rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter
     )
-    return DatasetManifest(
-        entries=tuple(entries),
+    return DatasetManifest._from_columns(
+        columns,
+        pop.market_sets,
+        pop.families,
         spec=spec,
         created=created if created is not None else _default_created(pop),
         strata=tuple(fills),
@@ -270,7 +379,6 @@ def verify_constraints(
     distributions at most market_threshold. Timestamp policy: entries map
     into their recorded periods (full check needs the source population).
     """
-    by_period = manifest.by_period()
     plan = manifest.spec.get("plan") or {}
     spatial = bool(plan.get("spatial"))
     ratio = float(plan.get("ratio_malware", 0.10))
@@ -278,12 +386,13 @@ def verify_constraints(
     for fill in manifest.strata:
         key = (str(fill.period) if fill.period else None, fill.label.value if fill.label else None)
         requested[key] = fill.requested
+    periods, period_of_entry = manifest._periods()
+    totals = np.bincount(period_of_entry, minlength=len(periods)).tolist()
+    malware = np.bincount(period_of_entry[manifest.label == MALWARE], minlength=len(periods)).tolist()
 
     c2_bad = []
-    for period in sorted(by_period, key=lambda p: p.index):
-        entries = by_period[period]
-        mw = sum(1 for e in entries if e.label is ClassLabel.MALWARE)
-        gw = len(entries) - mw
+    for period, n, mw in zip(periods, totals, malware):
+        gw = n - mw
         if spatial:
             req_mw = requested.get((str(period), ClassLabel.MALWARE.value))
             req_gw = requested.get((str(period), ClassLabel.GOODWARE.value))
@@ -303,10 +412,8 @@ def verify_constraints(
     ]
 
     c3_bad = []
-    for period in sorted(by_period, key=lambda p: p.index):
-        entries = by_period[period]
-        mw = sum(1 for e in entries if e.label is ClassLabel.MALWARE)
-        expected = round_half_up(len(entries) * ratio)
+    for period, n, mw in zip(periods, totals, malware):
+        expected = round_half_up(n * ratio)
         if abs(mw - expected) > c3_tolerance:
             c3_bad.append(f"{period}: {mw} malware, expected {expected}±{c3_tolerance}")
     checks.append(
@@ -320,8 +427,8 @@ def verify_constraints(
     )
 
     try:
-        consistency = market_consistency_from_pairs(
-            ((e.markets, e.label) for e in manifest.entries), threshold=market_threshold
+        consistency = _coded_market_consistency(
+            manifest.markets, manifest.label, manifest.market_sets, market_threshold, DEFAULT_MARKET_PRIORITY
         )
         checks.append(
             CheckResult(
@@ -348,32 +455,31 @@ def verify_constraints(
             if manifest.spec["policy"].get("fallback")
             else None,
         )
-        bad = _misdated(manifest.entries, population, policy)
+        bad = _misdated(manifest, population, policy)
         checks.append(
             CheckResult(
                 "timestamp_policy",
-                not bad,
+                not len(bad),
                 "all entries dated by the declared policy"
-                if not bad
-                else f"{len(bad)} entries mis-dated (e.g. {bad[0]})",
+                if not len(bad)
+                else f"{len(bad)} entries mis-dated (e.g. {bad[0].decode()})",
             )
         )
     return checks
 
 
-def _misdated(entries: tuple[ManifestEntry, ...], population: Population, policy: TimestampPolicy) -> list[str]:
+def _misdated(manifest: DatasetManifest, population: Population, policy: TimestampPolicy) -> np.ndarray:
     """Hashes of the entries the policy does not place in their recorded period
     (absent from the population, undated, or dated elsewhere), in entry order."""
     if not len(population):
-        return [e.sha256 for e in entries]
-    rows = population.positions([e.sha256 for e in entries])
+        return manifest.sha256
+    rows = population.positions(manifest.sha256)
     dates = timeline_dates(population, policy)[rows]
     ok = (rows >= 0) & ~np.isnat(dates)
-    for granularity in Granularity:
-        mine = ok & np.array([e.period.granularity is granularity for e in entries], dtype=bool)
-        recorded = np.array([e.period.index for e in entries], dtype=np.int64)[mine]
-        ok[mine] = period_indices(dates[mine], granularity) == recorded
-    return [e.sha256 for e, good in zip(entries, ok.tolist()) if not good]
+    for code, granularity in enumerate(_GRANULARITIES):
+        mine = ok & (manifest.granularity == code)
+        ok[mine] = period_indices(dates[mine], granularity) == manifest.period[mine]
+    return manifest.sha256[~ok]
 
 
 # (goodware GP, goodware 3PM, malware GP, malware 3PM) per train/test split.
@@ -439,12 +545,12 @@ def market_scenario(
         train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
         test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
 
-    def entries_of(chosen: list[np.ndarray]) -> list[ManifestEntry]:
+    def entries_of(chosen: list[np.ndarray]) -> dict[str, np.ndarray]:
         picked = np.concatenate(chosen)
         picked = picked[np.lexsort((picked, classes[picked], months[picked]))]
-        return _entries(pop, rows[picked], classes[picked], months[picked], Granularity.MONTH)
+        return _entry_columns(pop, rows[picked], classes[picked], months[picked], Granularity.MONTH)
 
-    def build(entries: list[ManifestEntry], fills: list[StratumFill], split: str) -> DatasetManifest:
+    def build(columns: dict[str, np.ndarray], fills: list[StratumFill], split: str) -> DatasetManifest:
         spec = build_spec_echo(
             rule,
             policy,
@@ -455,17 +561,15 @@ def market_scenario(
             None,
             extra={"scenario": name, "split": split, "gp_tags": sorted(gp_tags)},
         )
-        return DatasetManifest(
-            entries=tuple(entries),
-            spec=spec,
-            created=_default_created(pop),
-            strata=tuple(fills),
+        return DatasetManifest._from_columns(
+            columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills)
         )
 
     return build(entries_of(train_picks), train_fills, "train"), build(entries_of(test_picks), test_fills, "test")
 
 
-def manifest_to_dict(manifest: DatasetManifest) -> dict:
+def _manifest_head(manifest: DatasetManifest) -> dict:
+    """manifest_to_dict without the entries."""
     return {
         "spec": manifest.spec,
         "created": manifest.created,
@@ -482,6 +586,12 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
         ],
         "checks": list(manifest.checks),
         "violations": list(manifest.violations),
+    }
+
+
+def manifest_to_dict(manifest: DatasetManifest) -> dict:
+    return {
+        **_manifest_head(manifest),
         "entries": [
             {
                 "sha256": e.sha256,
@@ -495,39 +605,47 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
     }
 
 
-def manifest_from_dict(data: dict) -> DatasetManifest:
-    entries = tuple(
-        ManifestEntry(
-            sha256=e["sha256"],
-            label=ClassLabel(e["label"]),
-            period=Period.parse(e["period"]),
-            markets=frozenset(e["markets"]),
-            family=e.get("family"),
-        )
-        for e in data["entries"]
-    )
-    strata = tuple(
-        StratumFill(
-            period=Period.parse(f["period"]) if f.get("period") else None,
-            label=ClassLabel(f["label"]) if f.get("label") else None,
-            requested=f["requested"],
-            sampled=f["sampled"],
-            note=f.get("note", ""),
-        )
-        for f in data.get("strata", ())
-    )
-    return DatasetManifest(
-        entries=entries,
-        spec=data["spec"],
-        created=data["created"],
-        strata=strata,
-        checks=tuple(data.get("checks", ())),
-        violations=tuple(data.get("violations", ())),
-    )
+def _pair_texts(manifest: DatasetManifest, render) -> np.ndarray:
+    """render(label, period) of each entry's (label, period) pair, rendered once per distinct pair."""
+    pairs, inverse = np.unique(manifest._period_keys() * len(CLASSES) + manifest.label, return_inverse=True)
+    texts = [
+        render(CLASSES[pair % len(CLASSES)].value, str(_period_of(pair // len(CLASSES)))) for pair in pairs.tolist()
+    ]
+    return np.array(texts, dtype=object)[inverse]
 
 
 def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(manifest_to_dict(manifest), indent=2) + "\n")
+    """Write json.dumps(manifest_to_dict(manifest), indent=2) and a newline.
+
+    Each table value and each (label, period) pair is rendered with json.dumps
+    once; the entries join their renderings.
+    """
+    text = json.dumps({**_manifest_head(manifest), "entries": []}, indent=2)
+    if len(manifest):
+        pairs = _pair_texts(
+            manifest,
+            lambda label, period: f'",\n      "label": {json.dumps(label)},\n      "period": {json.dumps(period)},'
+            '\n      "markets": ',
+        )
+        markets = [json.dumps(sorted(tags), indent=2).replace("\n", "\n      ") for tags in manifest.market_sets]
+        markets = np.array([f'{text},\n      "family": ' for text in markets], dtype=object)
+        families = np.array([f"{json.dumps(name)}\n    }}" for name in (*manifest.families, None)], dtype=object)
+        entries = zip(
+            repeat('    {\n      "sha256": "'),
+            manifest.sha256.astype("U64").tolist(),
+            pairs.tolist(),
+            markets[manifest.markets].tolist(),
+            families[manifest.family].tolist(),  # code -1 picks the null
+        )
+        text = text[: -len("[]\n}")] + "[\n" + ",\n".join(map("".join, entries)) + "\n  ]\n}"
+    Path(path).write_text(text + "\n")
+
+
+def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
+    """The sha256,label,period CSV of the entries, as csv.writer writes it."""
+    stream.write("sha256,label,period\n")
+    pairs = _pair_texts(manifest, lambda label, period: f",{label},{period}\n")
+    stream.write("".join(map("".join, zip(manifest.sha256.astype("U64").tolist(), pairs.tolist()))))
 
 
 def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
@@ -536,24 +654,160 @@ def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    return manifest_from_dict(data, str(path))
+
+
+def manifest_from_dict(data: dict, where: str = "manifest") -> DatasetManifest:
+    """The manifest of a manifest_to_dict() dict, such as decoded manifest JSON.
+
+    Every value it reads is checked; a fault is a FormatError naming where
+    (the file), the entry or stratum, and the key.
+    """
     if not isinstance(data, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object, not {type(data).__name__}")
-    _require_keys(data, ("spec", "created", "entries"), f"{path}: manifest")
+        raise FormatError(f"{where}: manifest must be a JSON object, not {type(data).__name__}")
+    _require_keys(data, ("spec", "created", "entries"), f"{where}: manifest")
     if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
-        raise FormatError(f"{path}: manifest 'spec' must be an object and 'entries' a list")
-    for i, entry in enumerate(data["entries"]):
-        where = f"{path}: entries[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        _require_keys(entry, ("sha256", "label", "period", "markets"), where)
-        sha = entry["sha256"]
-        if not isinstance(sha, str) or not _SHA256.fullmatch(sha):
-            raise FormatError(f"{where}: sha256 {sha!r} is not 64 lowercase hex characters")
-    _check_spec(data["spec"], f"{path}: spec")
+        raise FormatError(f"{where}: manifest 'spec' must be an object and 'entries' a list")
+    columns, market_sets, families = _entry_columns_of(data["entries"], f"{where}: entries")
+    _check_spec(data["spec"], f"{where}: spec")
+    strata = _strata_of(data.get("strata", []), f"{where}: strata")
     try:
-        return manifest_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+        return DatasetManifest._from_columns(
+            columns,
+            market_sets,
+            families,
+            spec=data["spec"],
+            created=data["created"],
+            strata=strata,
+            checks=tuple(data.get("checks", ())),
+            violations=tuple(data.get("violations", ())),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+_MISSING = object()
+_ENTRY_KEYS = ("sha256", "label", "period", "markets")
+_LABEL_CODES = {label.value: code for code, label in enumerate(CLASSES)}
+
+
+def _entry_columns_of(entries: list, where: str) -> tuple[dict, tuple, tuple]:
+    """Entry columns and value tables of decoded JSON entries. Each value check
+    runs over all entries, and the first entry failing any is named in the
+    FormatError. A missing key or a non-object entry fails a value check too."""
+    try:
+        rows = entries
+        values = [[row[key] for row in rows] for key in _ENTRY_KEYS]
+    except (KeyError, TypeError):  # a missing key or an entry that is not an object
+        rows = [e if isinstance(e, dict) else {} for e in entries]
+        values = [[row.get(key, _MISSING) for row in rows] for key in _ENTRY_KEYS]
+    shas, labels, periods, markets = values
+    try:
+        spans = _spans(tuple(shas))
+    except TypeError:  # a hash that is not a string
+        spans = _spans(tuple(v if isinstance(v, str) else "" for v in shas))
+    sha256, sha_ok = _hashes(*spans)
+    label = _codes(labels, lambda v: _LABEL_CODES.get(v, -1) if isinstance(v, str) else -1)
+    keys = _codes(periods, lambda v: _period_key(v) if isinstance(v, str) else -1)
+    market_sets: dict[frozenset[str], int] = {}
+
+    def market_code(tags) -> int:
+        if not isinstance(tags, tuple) or not all(isinstance(t, str) for t in tags):
+            return -1
+        return market_sets.setdefault(frozenset(tags), len(market_sets))
+
+    # a list of tags reads as a tuple, anything else as itself
+    if set(map(type, markets)) <= {list}:
+        tag_lists = list(map(tuple, markets))
+    else:
+        tag_lists = [tuple(v) if isinstance(v, list) else v for v in markets]
+    market = _codes(tag_lists, market_code)
+    families: dict[str, int] = {}
+    family = _codes(
+        [row.get("family") for row in rows],
+        lambda v: -1 if v is None else families.setdefault(v, len(families)) if isinstance(v, str) else -2,
+    )
+    faults = (
+        (~sha_ok, lambda e: f": sha256 {e['sha256']!r} is not 64 lowercase hex characters"),
+        (label < 0, lambda e: f": label {e['label']!r} is not one of {', '.join(_LABEL_CODES)}"),
+        (keys < 0, lambda e: f": period {e['period']!r} is not a YYYY or YYYY-MM period"),
+        (market < 0, lambda e: f": markets {e['markets']!r} is not a list of strings"),
+        (family < -1, lambda e: f": family {e['family']!r} is not null or a string"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        i = int(bad.argmax())
+        entry, at = entries[i], f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{at} must be an object")
+        _require_keys(entry, _ENTRY_KEYS, at)
+        describe = next(describe for mask, describe in faults if mask[i])
+        raise FormatError(f"{at}{describe(entry)}")
+    columns = {
+        "sha256": sha256,
+        "label": label,
+        "period": keys // len(_GRANULARITIES),
+        "granularity": keys % len(_GRANULARITIES),
+        "markets": market,
+        "family": family,
+    }
+    return columns, tuple(market_sets), tuple(families)
+
+
+def _codes(values: list, code_of) -> np.ndarray:
+    """code_of(value) of each value, called once per distinct value in first-seen
+    order; an unhashable value (a list or an object, say) gets code_of(_MISSING)."""
+    try:
+        table = {value: code_of(value) for value in dict.fromkeys(values)}
+    except TypeError:
+        return np.array([code_of(_MISSING if _unhashable(v) else v) for v in values], dtype=np.int64)
+    return np.fromiter(map(table.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _unhashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return True
+    return False
+
+
+def _period_key(text: str) -> int:
+    """The key (see _period_of) of a YYYY or YYYY-MM text; -1 for any other text."""
+    try:
+        period = Period.parse(text)
+    except ValueError:
+        return -1
+    return period.index * len(_GRANULARITIES) + _GRANULARITIES.index(period.granularity)
+
+
+def _strata_of(strata, where: str) -> tuple[StratumFill, ...]:
+    if not isinstance(strata, list):
+        raise FormatError(f"{where} must be a list")
+    fills = []
+    for i, fill in enumerate(strata):
+        at = f"{where}[{i}]"
+        if not isinstance(fill, dict):
+            raise FormatError(f"{at} must be an object")
+        _require_keys(fill, ("requested", "sampled"), at)
+        for key in ("requested", "sampled"):
+            if isinstance(fill[key], bool) or not isinstance(fill[key], int):
+                raise FormatError(f"{at}: {key} {fill[key]!r} is not an integer")
+        period = label = None
+        try:
+            if fill.get("period"):
+                period = Period.parse(fill["period"])
+        except (AttributeError, ValueError):
+            raise FormatError(f"{at}: period {fill['period']!r} is not null, a YYYY or a YYYY-MM period") from None
+        if fill.get("label"):
+            if fill["label"] not in _LABEL_CODES:
+                raise FormatError(f"{at}: label {fill['label']!r} is not null or one of {', '.join(_LABEL_CODES)}")
+            label = ClassLabel(fill["label"])
+        note = fill.get("note", "")
+        if not isinstance(note, str):
+            raise FormatError(f"{at}: note {note!r} is not a string")
+        fills.append(StratumFill(period, label, fill["requested"], fill["sampled"], note))
+    return tuple(fills)
 
 
 def _check_spec(spec: dict, where: str) -> None:
@@ -581,10 +835,3 @@ def _require_keys(data: dict, keys: tuple[str, ...], where: str) -> None:
     missing = [k for k in keys if k not in data]
     if missing:
         raise FormatError(f"{where} missing key(s): {', '.join(missing)}")
-
-
-def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("sha256", "label", "period"))
-    for entry in manifest.entries:
-        writer.writerow((entry.sha256, entry.label.value, str(entry.period)))

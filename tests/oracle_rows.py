@@ -8,15 +8,27 @@ that the columnar functions return exactly what these return.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import re
 import statistics
 from collections import Counter, defaultdict
-from typing import IO, Optional
+from pathlib import Path
+from typing import IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from maldrift.errors import FormatError
-from maldrift.ingest import CANONICAL_COLUMNS, REQUIRED_COLUMNS, ParseResult, ParseStats
+from maldrift.errors import FormatError, MissingPredictionsError
+from maldrift.ingest import (
+    CANONICAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    ParseResult,
+    ParseStats,
+    PredictionRow,
+    PredictionSet,
+    _csv_rows,
+    _not_utf8,
+)
 from maldrift.labeling import (
     _FIELD_BY_KIND,
     DEFAULT_MARKET_PRIORITY,
@@ -25,8 +37,8 @@ from maldrift.labeling import (
     MarketShare,
     TimestampKind,
     TimestampPolicy,
+    _consistency,
     label,
-    market_consistency_from_pairs,
     market_sort_key,
     timeline_date,
 )
@@ -41,6 +53,17 @@ from maldrift.model import (
     period_of,
     period_range,
 )
+from maldrift.metrics import (
+    METRIC_NAMES,
+    ConfusionCounts,
+    ConfusionReport,
+    MetricSeries,
+    a_aut,
+    aut,
+    family_overlap,
+    rolling_splits,
+)
+from maldrift.report import EvaluationReport, PredsetResult, _rank
 from maldrift.sampler import (
     DEFAULT_GP_TAGS,
     MARKET_SCENARIOS,
@@ -48,6 +71,8 @@ from maldrift.sampler import (
     DatasetManifest,
     ManifestEntry,
     StratumFill,
+    _check_spec,
+    _require_keys,
     build_spec_echo,
 )
 from maldrift.sizing import (
@@ -676,3 +701,331 @@ def malware_families_by_period(
             continue
         out.setdefault(period_of(ts, granularity), []).append(rec.family)
     return out
+
+
+# The manifest, prediction and evaluation code as it was before manifests and
+# prediction sets became numpy columns: one ManifestEntry, PredictionRow or
+# dict per entry or row, through the row views.
+
+
+# from maldrift/sampler.py
+def manifest_to_dict(manifest: DatasetManifest) -> dict:
+    return {
+        "spec": manifest.spec,
+        "created": manifest.created,
+        "strata": [
+            {
+                "period": str(f.period) if f.period else None,
+                "label": f.label.value if f.label else None,
+                "requested": f.requested,
+                "sampled": f.sampled,
+                "shortfall": f.shortfall,
+                "note": f.note,
+            }
+            for f in manifest.strata
+        ],
+        "checks": list(manifest.checks),
+        "violations": list(manifest.violations),
+        "entries": [
+            {
+                "sha256": e.sha256,
+                "label": e.label.value,
+                "period": str(e.period),
+                "markets": sorted(e.markets),
+                "family": e.family,
+            }
+            for e in manifest.entries
+        ],
+    }
+
+
+def manifest_from_dict(data: dict) -> DatasetManifest:
+    entries = tuple(
+        ManifestEntry(
+            sha256=e["sha256"],
+            label=ClassLabel(e["label"]),
+            period=Period.parse(e["period"]),
+            markets=frozenset(e["markets"]),
+            family=e.get("family"),
+        )
+        for e in data["entries"]
+    )
+    strata = tuple(
+        StratumFill(
+            period=Period.parse(f["period"]) if f.get("period") else None,
+            label=ClassLabel(f["label"]) if f.get("label") else None,
+            requested=f["requested"],
+            sampled=f["sampled"],
+            note=f.get("note", ""),
+        )
+        for f in data.get("strata", ())
+    )
+    return DatasetManifest(
+        entries=entries,
+        spec=data["spec"],
+        created=data["created"],
+        strata=strata,
+        checks=tuple(data.get("checks", ())),
+        violations=tuple(data.get("violations", ())),
+    )
+
+
+def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> None:
+    Path(path).write_text(json.dumps(manifest_to_dict(manifest), indent=2) + "\n")
+
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
+    """Load a manifest; a malformed file raises FormatError naming the bad key or value."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object, not {type(data).__name__}")
+    _require_keys(data, ("spec", "created", "entries"), f"{path}: manifest")
+    if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
+        raise FormatError(f"{path}: manifest 'spec' must be an object and 'entries' a list")
+    for i, entry in enumerate(data["entries"]):
+        where = f"{path}: entries[{i}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where} must be an object")
+        _require_keys(entry, ("sha256", "label", "period", "markets"), where)
+        sha = entry["sha256"]
+        if not isinstance(sha, str) or not _SHA256.fullmatch(sha):
+            raise FormatError(f"{where}: sha256 {sha!r} is not 64 lowercase hex characters")
+    _check_spec(data["spec"], f"{path}: spec")
+    try:
+        return manifest_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("sha256", "label", "period"))
+    for entry in manifest.entries:
+        writer.writerow((entry.sha256, entry.label.value, str(entry.period)))
+
+
+# from maldrift/ingest.py
+def parse_predictions(
+    stream: IO[str], name: str = "predictions", threshold: float = 0.5, strict: bool = False
+) -> tuple[PredictionSet, ParseStats]:
+    """Parse a prediction CSV with header sha256,score[,label].
+
+    A row csv cannot read (say, a field over csv.field_size_limit()) is malformed.
+    """
+    stats = ParseStats()
+    try:
+        rows = _read_predictions(csv.DictReader(stream), stats, strict)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, name, stats.rows, exc) from None
+    return PredictionSet(name, rows, threshold), stats
+
+
+def _read_predictions(reader: csv.DictReader, stats: ParseStats, strict: bool) -> dict[str, PredictionRow]:
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise FormatError(f"unreadable prediction header: {exc}") from None
+    if header is None:
+        raise FormatError("empty prediction input")
+    if "sha256" not in header or "score" not in header:
+        raise FormatError("prediction input must have columns sha256,score[,label]")
+    has_label = "label" in header
+    rows: dict[str, PredictionRow] = {}
+    for lineno, row in enumerate(_csv_rows(reader), start=2):
+        stats.rows += 1
+        try:
+            if isinstance(row, csv.Error):
+                raise row
+            sha = (row.get("sha256") or "").strip().lower()
+            if len(sha) != 64:
+                raise ValueError(f"bad sha256 {sha!r}")
+            score = float(row["score"])
+            raw_label = (row.get("label") or "").strip() if has_label else ""
+            predicted = None
+            if raw_label:
+                predicted = int(raw_label)
+                if predicted not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {predicted}")
+            elif not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} outside [0,1] without a label column")
+        except (ValueError, KeyError, TypeError, csv.Error) as exc:
+            if strict:
+                raise FormatError(f"malformed prediction row at line {lineno}: {exc}") from exc
+            stats.malformed += 1
+            continue
+        if sha in rows:
+            stats.duplicates += 1
+        rows[sha] = PredictionRow(sha, score, predicted)
+        stats.parsed += 1
+    return rows
+
+
+# from maldrift/metrics.py
+TruthEntry = tuple[str, ClassLabel, Period]
+
+
+def confusion_metrics(
+    truth: Iterable[TruthEntry],
+    preds: PredictionSet,
+    granularity: Optional[Granularity] = None,
+    lenient: bool = False,
+) -> ConfusionReport:
+    """Per-period confusion counts and derived metrics; positives are malware.
+
+    Every truth hash needs a prediction: missing ones raise (with the hash
+    list) unless lenient, in which case they are dropped and counted.
+    Empty-denominator metrics are explicit absent values, never silent zeros.
+    """
+    raw: dict[Period, list[int]] = {}
+    missing: list[str] = []
+    for sha, cls, period in truth:
+        if cls is ClassLabel.GREYWARE:
+            raise ValueError(f"greyware entry {sha} cannot be scored")
+        if granularity is Granularity.YEAR:
+            period = period.year_period()
+        if sha not in preds.rows:
+            missing.append(sha)
+            continue
+        predicted = preds.predicted(sha)
+        actual = 1 if cls is ClassLabel.MALWARE else 0
+        cell = raw.setdefault(period, [0, 0, 0, 0])  # tp fp tn fn
+        if actual and predicted:
+            cell[0] += 1
+        elif not actual and predicted:
+            cell[1] += 1
+        elif not actual and not predicted:
+            cell[2] += 1
+        else:
+            cell[3] += 1
+    if missing and not lenient:
+        shown = ", ".join(missing[:10])
+        raise MissingPredictionsError(
+            f"{len(missing)} truth hashes lack predictions (e.g. {shown})", tuple(missing)
+        )
+    ordered = sorted(raw, key=lambda p: p.index)
+    counts = {p: ConfusionCounts(*raw[p]) for p in ordered}
+    series = {
+        name: MetricSeries(name, tuple((p, counts[p].metric(name)) for p in ordered))
+        for name in METRIC_NAMES
+    }
+    return ConfusionReport(counts, series, tuple(missing))
+
+
+# from maldrift/report.py
+def evaluate_manifest(
+    manifest: DatasetManifest,
+    predsets: Sequence[PredictionSet],
+    window_months: int,
+    metric: str = "f1",
+    lenient: bool = False,
+    allow_partial_last: bool = False,
+) -> EvaluationReport:
+    """Rolling-window evaluation of prediction sets against a manifest.
+
+    Each split's AUT is computed over the test months with a defined metric
+    value; the all-months variant is reported alongside when it differs
+    (it is refused, not interpolated, when a month is absent).
+    """
+    periods = {e.period for e in manifest.entries}
+    if not periods:
+        raise ValueError("manifest has no entries to evaluate")
+    if any(p.granularity is not Granularity.MONTH for p in periods):
+        raise ValueError("temporal evaluation requires a monthly manifest")
+    plan = rolling_splits(
+        min(periods, key=lambda p: p.index),
+        max(periods, key=lambda p: p.index),
+        window_months,
+        allow_partial_last,
+    )
+    manifest_hashes = manifest.hashes()
+    by_period = manifest.by_period()
+
+    overlap: dict[int, MetricSeries] = {}
+    for idx, split in enumerate(plan.splits):
+        train_families = [
+            e.family
+            for month in split.train
+            for e in by_period.get(month, [])
+            if e.label is ClassLabel.MALWARE
+        ]
+        points = []
+        for month in split.test:
+            month_families = [
+                e.family for e in by_period.get(month, []) if e.label is ClassLabel.MALWARE
+            ]
+            value = family_overlap(month_families, train_families) if month_families else None
+            points.append((month, value))
+        overlap[idx] = MetricSeries("family_overlap", tuple(points))
+
+    results = []
+    window_series: dict[tuple[str, int], dict[str, MetricSeries]] = {}
+    for preds in predsets:
+        extras = set(preds.rows) - manifest_hashes
+        if extras and not lenient:
+            shown = ", ".join(sorted(extras)[:10])
+            raise MissingPredictionsError(
+                f"{len(extras)} prediction hashes do not resolve against the manifest (e.g. {shown})",
+                tuple(sorted(extras)),
+            )
+        auts: list[float] = []
+        stricts: list[Optional[float]] = []
+        for idx, split in enumerate(plan.splits):
+            truth = [
+                (e.sha256, e.label, e.period)
+                for month in split.test
+                for e in by_period.get(month, [])
+            ]
+            if not truth:
+                raise ValueError(f"split {split.label()} has no test entries")
+            report = confusion_metrics(truth, preds, lenient=lenient)
+            window_series[(preds.name, idx)] = report.series
+            series = report.series[metric]
+            strict_points = dict(series.points)
+            strict_values = [strict_points.get(month) for month in split.test]
+            defined = [v for v in strict_values if v is not None]
+            if not defined:
+                raise ValueError(
+                    f"split {split.label()} has no defined {metric} value for {preds.name}"
+                )
+            auts.append(aut(defined))
+            stricts.append(aut(strict_values) if all(v is not None for v in strict_values) else None)
+        mu, sigma = a_aut(auts)
+        strict_differs = any(
+            s is None or abs(s - a) > 1e-12 for s, a in zip(stricts, auts)
+        )
+        results.append(
+            PredsetResult(preds.name, tuple(auts), mu, sigma, tuple(stricts), strict_differs)
+        )
+    labels = tuple(split.label() for split in plan.splits)
+    return EvaluationReport(window_months, labels, _rank(results), window_series, overlap)
+
+
+# from maldrift/labeling.py
+def _normalized_market_dist(items: Iterable[frozenset[str]], priority: tuple[str, ...]) -> dict[str, float]:
+    key = market_sort_key(priority)  # attribute_market's key, built once per call
+    counts = Counter(min(markets, key=key) for markets in items)
+    total = sum(counts.values())
+    return {tag: c / total for tag, c in counts.items()}
+
+
+def market_consistency_from_pairs(
+    pairs: Iterable[tuple[frozenset[str], ClassLabel]],
+    threshold: float = 0.10,
+    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
+) -> ConsistencyResult:
+    """Total-variation distance between goodware and malware market distributions.
+
+    Uses single-market attribution so each class forms a probability vector.
+    """
+    materialized = list(pairs)
+    gw = [m for m, cls in materialized if cls is ClassLabel.GOODWARE]
+    mw = [m for m, cls in materialized if cls is ClassLabel.MALWARE]
+    if not gw or not mw:
+        raise ValueError("market consistency undefined: a class is empty")
+    return _consistency(_normalized_market_dist(gw, priority), _normalized_market_dist(mw, priority), threshold)

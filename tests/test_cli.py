@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from maldrift import cli
+from maldrift import cli, ingest
 from maldrift.sampler import read_manifest_json
 
 from helpers import sha_of
@@ -327,6 +328,19 @@ def _ratio_not_a_number(data):
     return data
 
 
+def _set_entry(key, value, at=1):
+    def corrupt(data):
+        data["entries"][at][key] = value
+        return data
+
+    return corrupt
+
+
+def _requested_not_a_number(data):
+    data["strata"][2]["requested"] = "x"
+    return data
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -335,8 +349,16 @@ def _ratio_not_a_number(data):
         (_short_sha, "entries[0]: sha256 'ab'"),
         (_empty_spec, "spec missing key(s): policy"),
         (_ratio_not_a_number, "spec.plan.ratio_malware 'x' is not a number in (0,1)"),
+        (_set_entry("markets", "play.google.com"), "entries[1]: markets 'play.google.com' is not a list of strings"),
+        (_requested_not_a_number, "strata[2]: requested 'x' is not an integer"),
+        (_set_entry("label", "benign"), "entries[1]: label 'benign' is not one of goodware, greyware, malware"),
+        (_set_entry("period", "2014-13"), "entries[1]: period '2014-13' is not a YYYY or YYYY-MM period"),
+        (_set_entry("family", 7), "entries[1]: family 7 is not null or a string"),
     ],
-    ids=["no-created", "top-level-list", "short-sha256", "empty-spec", "ratio-not-a-number"],
+    ids=[
+        "no-created", "top-level-list", "short-sha256", "empty-spec", "ratio-not-a-number",
+        "markets-a-string", "requested-not-a-number", "bad-label", "bad-period", "family-not-a-string",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
 def test_malformed_manifest_exits_1(good_manifest, tmp_path, capsys, corrupt, message, command):
@@ -423,3 +445,133 @@ def test_invalid_utf8_names_the_file(good_manifest, tmp_path, capsys, broken):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: invalid UTF-8 after row ")
     assert "byte 0xff" in err
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """A cache written by ingest: population.csv.gz and its population.npz sidecar."""
+    base = tmp_path_factory.mktemp("ingested")
+    assert cli.main(["synth", "--preset", "stable", "--out", str(base / "synth")]) == 0
+    assert cli.main(["ingest", "--input", str(base / "synth" / "population.csv.gz"), "--out", str(base / "cache")]) == 0
+    return base / "cache"
+
+
+def _sample_and_verify(cache, out, monkeypatch):
+    """The bytes sample and verify write in out for the cache's population.csv.gz."""
+    out.mkdir()
+    monkeypatch.chdir(out)  # run_config.json echoes the paths given
+    population = str(cache / "population.csv.gz")
+    argv = ["sample", "--population", population, "--timestamp", "dex", "--mode", "monthly", "--spatial",
+            "--seed", "3", "--out", "sample"]
+    assert cli.main(argv) == 0
+    argv = ["verify", "--manifest", "sample/manifest.json", "--population", population, "--out", "verify"]
+    assert cli.main(argv) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_sidecar_gives_the_bytes_of_the_csv(ingested, tmp_path, monkeypatch):
+    """sample and verify write the same bytes from the sidecar, without it, and
+    beside a stale one; only the first of these reads no CSV."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in ("population.csv.gz", ingest.SIDECAR):
+        (cache / name).write_bytes((ingested / name).read_bytes())
+    parses = []
+    real_parse = ingest.parse_metadata
+    monkeypatch.setattr(ingest, "parse_metadata", lambda *a, **k: parses.append(1) or real_parse(*a, **k))
+    with_sidecar = _sample_and_verify(cache, tmp_path / "with", monkeypatch)
+    assert not parses
+    # the same CSV compressed again, so its bytes and digest change: the sidecar is stale
+    text = gzip.decompress((cache / "population.csv.gz").read_bytes())
+    (cache / "population.csv.gz").write_bytes(gzip.compress(text, compresslevel=1, mtime=0))
+    stale = _sample_and_verify(cache, tmp_path / "stale", monkeypatch)
+    assert len(parses) == 2
+    (cache / ingest.SIDECAR).unlink()
+    without = _sample_and_verify(cache, tmp_path / "without", monkeypatch)
+    assert with_sidecar == stale == without
+    assert set(with_sidecar) >= {"sample/manifest.json", "sample/manifest.csv", "sample/plan.csv", "verify/verify.json"}
+
+
+def test_sample_reads_a_sidecar_path(ingested, tmp_path):
+    argv = ["sample", "--timestamp", "dex", "--mode", "monthly", "--spatial", "--seed", "3"]
+    assert cli.main([*argv, "--population", str(ingested / ingest.SIDECAR), "--out", str(tmp_path / "npz")]) == 0
+    assert cli.main([*argv, "--population", str(ingested / "population.csv.gz"), "--out", str(tmp_path / "csv")]) == 0
+    for name in ("manifest.json", "plan.csv"):
+        assert (tmp_path / "npz" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+
+def _rewrite_sidecar(path, change, digest=True):
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    change(arrays)
+    if digest:
+        arrays["content_sha256"] = np.array(ingest._content_digest(arrays))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p: _rewrite_sidecar(p, lambda a: a.update(vt_detection=a["vt_detection"].astype(np.int32))),
+         "array 'vt_detection' has dtype int32, expected int64"),
+        (lambda p: _rewrite_sidecar(p, lambda a: a["markets"].__setitem__(0, len(a["market_sets"]))),
+         "array 'markets' holds a value outside"),
+        (lambda p: _rewrite_sidecar(p, lambda a: a["apk_size"].__setitem__(0, 7), digest=False),
+         "array 'content_sha256' does not match the content digest"),
+        (lambda p: _rewrite_sidecar(p, lambda a: a.update(families=a["families"].astype(object)), digest=False),
+         "array 'families': Object arrays cannot be loaded when allow_pickle=False"),
+        (_truncate, "not a readable population sidecar"),
+    ],
+    ids=["wrong-dtype", "out-of-range-code", "digest-mismatch", "pickled-array", "truncated-zip"],
+)
+@pytest.mark.parametrize("given", ["npz", "csv"])
+def test_corrupt_sidecar_exits_1(ingested, tmp_path, capsys, corrupt, message, given):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in ("population.csv.gz", ingest.SIDECAR):
+        (cache / name).write_bytes((ingested / name).read_bytes())
+    sidecar = cache / ingest.SIDECAR
+    corrupt(sidecar)
+    population = sidecar if given == "npz" else cache / "population.csv.gz"
+    assert run(["stats", "--population", population, "--vtt-curve", "--out", tmp_path / "stats"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vtt = 4\n", ":1: File contains no section headers."),
+        ("[sample]\nvtt = x\n", ": [sample] vtt = 'x': invalid literal for int() with base 10: 'x'"),
+        ("[sample]\nmode = weekly\n", ": [sample] mode = 'weekly': 'weekly' is not a valid PlanMode"),
+        ("[sample]\ntimestamp = added\n", ": [sample] timestamp = 'added': not one of crawl, dex, vt"),
+    ],
+    ids=["no-section-header", "cast", "enum", "timestamp-name"],
+)
+def test_config_errors_name_the_file(ingested, tmp_path, capsys, text, message):
+    config = tmp_path / "maldrift.ini"
+    config.write_text(text)
+    argv = ["sample", "--population", ingested / "population.csv.gz", "--config", config, "--out", tmp_path / "s"]
+    assert run(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {config}{message}\n"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("drebin,0.573,0.488\nhcc,0.62,zz\n", ":2: could not convert string to float: 'zz'"),
+        (f"drebin,0.573,0.488\nhcc,0.62,{LONG}\n", ":2: field larger than field limit (131072)"),
+    ],
+    ids=["not-a-number", "long-field"],
+)
+def test_aut_table_errors_name_the_line(tmp_path, capsys, table, message):
+    path = tmp_path / "auts.csv"
+    path.write_text(table)
+    assert run(["evaluate", "--aut-table", path, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}{message}\n"

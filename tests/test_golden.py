@@ -5,7 +5,9 @@ canonical and date-only timestamps, ``Z`` and ``+02:00`` offsets, fractional
 seconds, blank optional dates, empty and multi-tag markets, greyware,
 duplicate hashes and malformed rows. It is ingested once (with a family
 file) and sampled under three configurations; each sample is verified and,
-when monthly, evaluated. None of the digested files holds a path.
+when monthly, evaluated. Sample and verify load the population.npz sidecar
+that ingest writes, and its bytes are pinned too. None of the digested files
+holds a path.
 """
 import csv
 import hashlib
@@ -114,6 +116,7 @@ GOLDEN = {
     ("global-vt/sample", "plan.csv"): "919b379a117358555a344c1bb1f395c9ac2925e9a69917f6c2fa3c4394e32dc7",
     ("global-vt/verify", "verify.json"): "e931524ef6655977be3589d8cc69ec7647fd2635cb8676d58ec058acfb1faabd",
     ("global-vt/evaluate", "report.json"): "2557be8e206307c12db6aed6a6de99ed32f501a64b2b4df4922d793df1260e1a",
+    ("ingest", "population.npz"): "510f345c32bb1aaca7278538f1c2c7dca61da6000917f149e43e392f99cd74a5",
 }
 
 # every configuration's manifest fails a check on this small listing, so
@@ -158,6 +161,7 @@ def chain(tmp_path_factory):
 
     digest("ingest", cache / "population.csv.gz")
     digest("ingest", cache / "ingest_stats.json")
+    digest("ingest", cache / "population.npz")
     population = str(cache / "population.csv.gz")
     for name, args in CONFIGS.items():
         out = base / name

@@ -11,15 +11,18 @@ same message.
 """
 import csv
 import io
+import json
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_rows as oracle
-from maldrift import ingest, labeling, metrics, sampler, sizing
+from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing
 from maldrift.errors import FormatError
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
 from maldrift.model import Granularity
@@ -161,8 +164,23 @@ def test_parse_and_write_match_oracle(text):
     _check_parse_and_write(text)
 
 
+# every line ends in CRLF: a blank line, an offset date, a short row, a bad date
+_CRLF_LISTING = "\r\n".join(
+    [
+        ",".join(ingest.CANONICAL_COLUMNS),
+        f"{SHAS[0]},2014-01-05,0,play.google.com|anzhi,2014-02-01 10:00:00,,100,",
+        f"{SHAS[1]},2014-03-05T10:00:00+02:00,7,anzhi,,2014-04-01,,fam1",
+        "",
+        f"{SHAS[2]},2014-05-01,3",
+        f"{SHAS[3]},2014-13-01,0,,,,,",
+        f"{SHAS[0]},2015-01-05,9,appchina,2015-02-01,,200,fam2",
+    ]
+) + "\r\n"
+
+
 @_oracle_settings
 @given(_listing())
+@example(_CRLF_LISTING)
 def test_parse_and_write_match_oracle_in_small_blocks(text):
     """Blocks of a few dozen characters: most reads end mid-line, quoted fields
     span block cuts, and csv.reader takes over mid-file."""
@@ -187,6 +205,29 @@ def _check_parse_and_write(text):
     ingest.write_metadata_csv(got.population, written)
     oracle.write_metadata_csv(want.population, expected)
     assert written.getvalue() == expected.getvalue()
+
+
+@_oracle_settings
+@given(_listing())
+def test_sidecar_holds_what_parsing_the_cache_gives(text):
+    """ingest's population.npz loads to the records that parsing its
+    population.csv.gz gives, columns, tables and sort order alike."""
+    # tags padded inside the field (" anzhi | appchina ") read back from the
+    # CSV without their spaces, so such a population gets no sidecar
+    pop = ingest.parse_metadata(io.StringIO(text.replace(" anzhi | appchina ", "anzhi|appchina"))).population
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_gz, sidecar = Path(tmp, "population.csv.gz"), Path(tmp, ingest.SIDECAR)
+        cli._write_population_gz(pop, csv_gz)
+        ingest._write_sidecar(pop, sidecar, csv_gz)
+        loaded = ingest._read_sidecar(sidecar, ingest._file_sha256(csv_gz))
+        with ingest.open_text(csv_gz) as fh:
+            parsed = ingest.parse_metadata(fh).population
+    assert loaded.records == parsed.records == pop.records
+    for name, column in loaded.columns().items():
+        assert column.dtype == getattr(pop, name).dtype
+        assert column.tobytes() == getattr(pop, name).tobytes()  # NaT equals NaT here
+    assert loaded.sha_order.tobytes() == pop.sha_order.tobytes()
+    assert (loaded.market_sets, loaded.families) == (pop.market_sets, pop.families)
 
 
 _kinds = st.sampled_from(list(TimestampKind))
@@ -235,3 +276,108 @@ def test_population_functions_match_oracle(text, vtt, policy, plan, params, seed
     families = same(metrics.malware_families_by_period, oracle.malware_families_by_period, pop, rule, policy, granularity)
     if families is not None:
         assert list(families) == list(oracle.malware_families_by_period(pop, rule, policy, granularity))
+
+
+_score = st.sampled_from(["0.9", "0.1", "0.5", "0", "1", "0.25", "0.9", "0.1"]) | st.sampled_from(
+    ["", " 0.7", "1e-1", "nan", "inf", "1.5", "-0.1", "x", "1_0", "0.5\0"]
+)
+_label_text = st.sampled_from(["", "", "", "0", "1"]) | st.sampled_from([" 1", "01", "2", "x", "+1", "-0"])
+
+
+@st.composite
+def _predictions(draw, hashes):
+    """Prediction CSV text over the given hashes: a header with or without a
+    label column, in any column order, and rows that are short, long, blank,
+    repeated, uppercase, padded, quoted, ending in CRLF, or hold a bad hash."""
+    columns = draw(st.permutations(draw(st.sampled_from([["sha256", "score"], ["sha256", "score", "label"]]))))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    crlf = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(columns)
+    pool = list(hashes) + SHAS[:3]
+    for _ in range(draw(st.integers(0, 40))):
+        sha = draw(
+            _mostly(
+                st.sampled_from(pool),
+                st.sampled_from(pool).map(str.upper)
+                | st.sampled_from(pool).map(lambda h: f" {h} ")
+                | st.sampled_from(["ab", "zz" * 32, "g" * 64, ""]),
+            )
+        )
+        fields = dict(sha256=sha, score=draw(_score), label=draw(_label_text))
+        row = [fields[c] for c in columns]
+        shape = draw(st.sampled_from(["full"] * 10 + ["short", "long", "blank", "quoted"]))
+        if shape == "short":
+            row = row[:1]
+        elif shape == "long":
+            row.append("extra")
+        elif shape == "blank":
+            row = []
+        elif shape == "quoted":
+            row[0] = f'{row[0]},'
+        draw(st.sampled_from([writer] * 7 + [crlf])).writerow(row)
+    return buffer.getvalue()
+
+
+def _parse_predictions_both(text, strict=False):
+    """The columnar and the row parser on the same text: same stats, same rows, or the same error."""
+    try:
+        want, want_stats = oracle.parse_predictions(io.StringIO(text), strict=strict)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as raised:
+            ingest.parse_predictions(io.StringIO(text), strict=strict)
+        assert str(raised.value) == str(exc)
+        return None
+    got, got_stats = ingest.parse_predictions(io.StringIO(text), strict=strict)
+    assert got_stats == want_stats
+    assert {k: repr(v) for k, v in got.rows.items()} == {k: repr(v) for k, v in want.rows.items()}  # nan != nan
+    return got
+
+
+@settings(_oracle_settings, max_examples=100)
+@given(_listing(), st.integers(1, 8), _policy, _plan, _params, st.integers(0, 3), _filter, st.data())
+def test_manifest_and_evaluation_match_oracle(text, vtt, policy, plan, params, seed, market_filter, data):
+    """Manifest JSON and CSV writing, reading, verify, prediction parsing,
+    confusion metrics and evaluation against the row-at-a-time oracle, on a
+    sampled manifest and on the same entries shuffled into a hand-made order."""
+    pop = ingest.parse_metadata(io.StringIO(text)).population
+    rule = LabelRule(vtt)
+    try:
+        sized = sizing.plan_sizes(pop, rule, policy, plan, params)
+        manifest = sampler.stratified_sample(pop, rule, policy, sized, seed, market_filter)
+    except ValueError:
+        assume(False)
+    written, expected = io.StringIO(), io.StringIO()
+    sampler.write_manifest_csv(manifest, written)
+    oracle.write_manifest_csv(manifest, expected)
+    assert written.getvalue() == expected.getvalue()
+
+    shuffled = oracle.manifest_to_dict(manifest)
+    order = data.draw(st.permutations(range(len(shuffled["entries"]))))
+    shuffled["entries"] = [shuffled["entries"][i] for i in order]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old, hand = Path(tmp, "new.json"), Path(tmp, "old.json"), Path(tmp, "hand.json")
+        sampler.write_manifest_json(manifest, new)
+        oracle.write_manifest_json(manifest, old)
+        assert new.read_bytes() == old.read_bytes()
+        hand.write_text(json.dumps(shuffled))
+        manifests = []
+        for path in (new, hand):
+            read = sampler.read_manifest_json(path)
+            assert read == oracle.read_manifest_json(path)
+            manifests.append(read)
+    assert manifests[0] == manifest
+
+    predictions = data.draw(_predictions(sorted(manifest.hashes())))
+    preds = _parse_predictions_both(predictions)
+    _parse_predictions_both(predictions, strict=True)
+    lenient, window = data.draw(st.booleans()), data.draw(st.integers(1, 6))
+    for read in manifests:
+        for population in (None, pop):
+            same(sampler.verify_constraints, oracle.verify_constraints, read, population)
+        if preds is None:
+            continue
+        truth = [(e.sha256, e.label, e.period) for e in read.entries]
+        for granularity in (None, Granularity.YEAR):
+            same(metrics.confusion_metrics, oracle.confusion_metrics, truth, preds, granularity, lenient)
+        same(report.evaluate_manifest, oracle.evaluate_manifest, read, [preds], window, "f1", lenient)
