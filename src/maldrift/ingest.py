@@ -62,6 +62,16 @@ def open_text(path: Union[str, Path]) -> IO[str]:
     return open(path, "r", newline="")
 
 
+def _market_tags(text: str) -> frozenset[str]:
+    """The market set a markets field names: its "|"-separated tags, blanks dropped."""
+    return frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"})
+
+
+def _family_name(text: str) -> Optional[str]:
+    """The family a family field names; None when it is blank."""
+    return text.strip() or None
+
+
 def _parse_row(row: dict[str, str]) -> ApkRecord:
     sha = (row.get("sha256") or "").strip()
     dex = parse_timestamp(row["dex_date"])
@@ -71,16 +81,15 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
     crawl_raw = (row.get("added") or "").strip()
     scan_raw = (row.get("vt_scan_date") or "").strip()
     size_raw = (row.get("apk_size") or "").strip()
-    markets_raw = (row.get("markets") or "").strip()
     return ApkRecord(
         sha256=sha,
         dex_date=dex,
         vt_detection=vt,
         crawl_date=parse_timestamp(crawl_raw) if crawl_raw else None,
         vt_scan_date=parse_timestamp(scan_raw) if scan_raw else None,
-        markets=frozenset(markets_raw.split("|")) if markets_raw else frozenset({"unknown"}),
+        markets=_market_tags(row.get("markets") or ""),
         apk_size=int(size_raw) if size_raw else 0,
-        family=(row.get("family") or "").strip() or None,
+        family=_family_name(row.get("family") or ""),
     )
 
 
@@ -295,14 +304,13 @@ class _Columns:
 
     def _market_code(self, raw: bytes) -> int:
         if raw not in self._market_text:
-            text = raw.decode("utf-8", "surrogatepass")
-            tags = frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"})
+            tags = _market_tags(raw.decode("utf-8", "surrogatepass"))
             self._market_text[raw] = self.market_sets.setdefault(tags, len(self.market_sets))
         return self._market_text[raw]
 
     def _family_code(self, raw: bytes) -> int:
         if raw not in self._family_text:
-            name = raw.decode("utf-8", "surrogatepass").strip()
+            name = _family_name(raw.decode("utf-8", "surrogatepass"))
             self._family_text[raw] = self.families.setdefault(name, len(self.families)) if name else -1
         return self._family_text[raw]
 
@@ -461,8 +469,10 @@ def _read_metadata(stream: IO[str], stats: ParseStats, strict: bool) -> _Columns
             pending += text
             continue
         block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
-        if "\r" in block and block.count("\r") == block.count("\r\n"):
-            block = block.replace("\r\n", "\n")  # csv.reader reads CRLF line ends as LF
+        if "\r" in block and block.count("\r") == block.count("\r\n") and '"' not in block and "\0" not in block:
+            # csv.reader reads CRLF line ends as LF; a block with a quote keeps
+            # its CRs, as a quoted field's CRLF is text
+            block = block.replace("\r\n", "\n")
         if any(special in block for special in _SPECIAL):
             lines = io.StringIO(block + pending + stream.readline(), newline="")
             return _read_rows(csv.reader(itertools.chain(lines, stream)), columns, stats, strict)
@@ -562,17 +572,17 @@ def _write_sidecar(pop: Population, path: Path, csv_path: Path) -> None:
     A population whose market or family texts would read back from the CSV
     otherwise (a family with edge spaces, say) or would not survive a
     fixed-width unicode array gets no sidecar, so loading never differs from
-    parsing the CSV.
+    parsing the CSV; a sidecar an earlier ingest left at path is removed.
     """
     markets = ["|".join(sorted(tags)) for tags in pop.market_sets]
     tables = {"market_sets": np.array(markets, dtype=str), "families": np.array(pop.families, dtype=str)}
-    reread = [frozenset(m for m in text.strip().split("|") if m) or frozenset({"unknown"}) for text in markets]
     if (
-        reread != list(pop.market_sets)
-        or any(not name or name.strip() != name for name in pop.families)
+        [_market_tags(text) for text in markets] != list(pop.market_sets)
+        or any(_family_name(name) != name for name in pop.families)
         or tables["market_sets"].tolist() != markets
         or tables["families"].tolist() != list(pop.families)
     ):
+        path.unlink(missing_ok=True)
         return
     arrays = {**pop.columns(), "sha_order": pop.sha_order, **tables}
     arrays["content_sha256"] = np.array(_content_digest(arrays))
@@ -591,8 +601,12 @@ def _read_sidecar(
     records another CSV digest, it is stale: None. Any other fault is a
     FormatError naming the file and the array."""
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return _sidecar_population(npz, str(path), csv_sha256, provenance)
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise FormatError(f"{path}: not a readable population sidecar: not an .npz archive")
+            with npz:
+                return _sidecar_population(npz, str(path), csv_sha256, provenance)
     except FormatError:
         raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -642,7 +656,7 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
         raise FormatError(f"{path}: array 'sha_order' does not sort 'sha256' into unique ascending hashes")
     return Population.from_columns(
         {name: arrays[name] for name in COLUMNS},
-        tuple(frozenset(text.split("|")) for text in arrays["market_sets"].tolist()),
+        tuple(_market_tags(text) for text in arrays["market_sets"].tolist()),
         tuple(arrays["families"].tolist()),
         provenance,
         sha_order=order,

@@ -800,7 +800,7 @@ def _strata_of(strata, where: str) -> tuple[StratumFill, ...]:
         except (AttributeError, ValueError):
             raise FormatError(f"{at}: period {fill['period']!r} is not null, a YYYY or a YYYY-MM period") from None
         if fill.get("label"):
-            if fill["label"] not in _LABEL_CODES:
+            if not isinstance(fill["label"], str) or fill["label"] not in _LABEL_CODES:
                 raise FormatError(f"{at}: label {fill['label']!r} is not null or one of {', '.join(_LABEL_CODES)}")
             label = ClassLabel(fill["label"])
         note = fill.get("note", "")

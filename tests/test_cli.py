@@ -341,6 +341,11 @@ def _requested_not_a_number(data):
     return data
 
 
+def _stratum_label_a_list(data):
+    data["strata"][2]["label"] = ["malware"]
+    return data
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -354,10 +359,12 @@ def _requested_not_a_number(data):
         (_set_entry("label", "benign"), "entries[1]: label 'benign' is not one of goodware, greyware, malware"),
         (_set_entry("period", "2014-13"), "entries[1]: period '2014-13' is not a YYYY or YYYY-MM period"),
         (_set_entry("family", 7), "entries[1]: family 7 is not null or a string"),
+        (_stratum_label_a_list, "strata[2]: label ['malware'] is not null or one of"),
     ],
     ids=[
         "no-created", "top-level-list", "short-sha256", "empty-spec", "ratio-not-a-number",
         "markets-a-string", "requested-not-a-number", "bad-label", "bad-period", "family-not-a-string",
+        "stratum-label-a-list",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
@@ -514,6 +521,11 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _plain_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -526,8 +538,9 @@ def _truncate(path):
         (lambda p: _rewrite_sidecar(p, lambda a: a.update(families=a["families"].astype(object)), digest=False),
          "array 'families': Object arrays cannot be loaded when allow_pickle=False"),
         (_truncate, "not a readable population sidecar"),
+        (_plain_npy, "not a readable population sidecar: not an .npz archive"),
     ],
-    ids=["wrong-dtype", "out-of-range-code", "digest-mismatch", "pickled-array", "truncated-zip"],
+    ids=["wrong-dtype", "out-of-range-code", "digest-mismatch", "pickled-array", "truncated-zip", "plain-npy"],
 )
 @pytest.mark.parametrize("given", ["npz", "csv"])
 def test_corrupt_sidecar_exits_1(ingested, tmp_path, capsys, corrupt, message, given):
@@ -542,6 +555,27 @@ def test_corrupt_sidecar_exits_1(ingested, tmp_path, capsys, corrupt, message, g
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sidecar}: ")
     assert message in err
+
+
+def test_ingest_without_a_sidecar_removes_the_old_one(ingested, tmp_path, capsys):
+    """A population the sidecar cannot hold (a family ending in NUL, which a
+    fixed-width unicode array drops) gets none, and the earlier ingest's
+    sidecar in the same directory is removed rather than left to be loaded."""
+    cache = tmp_path / "cache"
+    assert run(["ingest", "--input", ingested / "population.csv.gz", "--out", cache]) == 0
+    assert (cache / ingest.SIDECAR).is_file()
+    listing = tmp_path / "listing.csv"
+    listing.write_text(
+        ",".join(ingest.CANONICAL_COLUMNS) + "\n" + f"{'a' * 64},2015-01-05,3,anzhi,2015-02-01,,100,fam\0\n"
+    )
+    assert run(["ingest", "--input", listing, "--out", cache]) == 0
+    assert not (cache / ingest.SIDECAR).exists()
+    argv = ["stats", "--vtt-curve", "--out", tmp_path / "stats", "--population"]
+    assert run([*argv, cache / ingest.SIDECAR]) == cli.EXIT_ERROR
+    assert "No such file" in capsys.readouterr().err
+    assert run([*argv, cache / "population.csv.gz"]) == 0
+    heatmap = (tmp_path / "stats" / "vtt_market_heatmap.csv").read_text()
+    assert "anzhi" in heatmap and "play.google.com" not in heatmap
 
 
 @pytest.mark.parametrize(

@@ -110,10 +110,11 @@ _markets = st.one_of(
     st.sampled_from(["", "|anzhi|", " anzhi | appchina ", "unknown", "   "]),
 )
 _size = _mostly(st.sampled_from(["", "1000", "0", "123456789"]), st.sampled_from(["-5", "1e3", "99999999999999999999", " 42"]))
-# a quoted family, one with a line break inside its quotes, and (csv.reader
+# a quoted family, ones with a LF or CRLF inside its quotes, and (csv.reader
 # reads NUL from Python 3.11 on) one with a NUL
 _family = st.sampled_from(
-    ["", "", "fam1", "fam2", " fam3 ", "   ", 'odd,"fam"', "two\nlines"] + ["nul\0fam"] * (sys.version_info >= (3, 11))
+    ["", "", "fam1", "fam2", " fam3 ", "   ", 'odd,"fam"', "two\nlines", "two\r\nlines"]
+    + ["nul\0fam"] * (sys.version_info >= (3, 11))
 )
 
 
@@ -178,9 +179,14 @@ _CRLF_LISTING = "\r\n".join(
 ) + "\r\n"
 
 
+# CRLF rows again, one with a CRLF inside a quoted family: csv.reader keeps that CRLF
+_CRLF_QUOTED_LISTING = _CRLF_LISTING + f'{SHAS[4]},2016-01-05,2,anzhi,,,300,"two\r\nlines"\r\n'
+
+
 @_oracle_settings
 @given(_listing())
 @example(_CRLF_LISTING)
+@example(_CRLF_QUOTED_LISTING)
 def test_parse_and_write_match_oracle_in_small_blocks(text):
     """Blocks of a few dozen characters: most reads end mid-line, quoted fields
     span block cuts, and csv.reader takes over mid-file."""
