@@ -33,7 +33,7 @@ EXIT_CONSTRAINT = 3
 
 CACHE_ENV = "MALDRIFT_CACHE_DIR"
 
-WORKERS_HELP = "deprecated and ignored (sampling and generation run serially); to be removed"
+WORKERS_HELP = "deprecated and ignored (sampling and generation run serially); kept so existing command lines work"
 
 _TIMESTAMP_KINDS = {
     "dex": labeling.TimestampKind.CREATION_DEX,

@@ -15,7 +15,3 @@ class MissingPredictionsError(ValueError):
     def __init__(self, message: str, hashes: tuple[str, ...] = ()):
         super().__init__(message)
         self.hashes = hashes
-
-
-class ConstraintViolation(RuntimeError):
-    """A sampled manifest failed a mandatory constraint check."""

@@ -194,10 +194,9 @@ def _stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool)
     return stamps, ok if required else ok | (lengths == 0)
 
 
-def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray, code_of) -> np.ndarray:
-    """code_of(text) of the spans under ok, called once per distinct text in
-    first-seen order. A span longer than _TEXT_BYTES or holding a NUL is not
-    read: it leaves ok."""
+def _span_chars(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the spans under ok that are read, and their bytes zero-filled to a
+    multiple of 8. A span longer than _TEXT_BYTES or holding a NUL is not read: it leaves ok."""
     rows = np.flatnonzero(ok)
     lengths = end[rows] - start[rows]
     width = -(-int(np.clip(lengths.max(initial=1), 1, _TEXT_BYTES)) // 8) * 8
@@ -205,7 +204,14 @@ def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndar
     chars *= np.arange(width) < lengths[:, None]  # zero past the span
     read = (lengths <= _TEXT_BYTES) & (np.count_nonzero(chars, axis=1) == lengths)
     ok[rows[~read]] = False
-    words = chars[read].view(np.uint64)  # equal texts, equal rows of words
+    return rows[read], chars[read]
+
+
+def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray, code_of) -> np.ndarray:
+    """code_of(text) of the spans under ok that _span_chars reads, called once
+    per distinct text in first-seen order."""
+    rows, chars = _span_chars(buf, start, end, ok)
+    words = chars.view(np.uint64)  # equal texts, equal rows of words
     order = np.lexsort(words.T)  # stable: each text's first row leads its run
     ordered = words[order]
     new = np.ones(len(order), dtype=bool)
@@ -215,9 +221,9 @@ def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndar
     firsts = order[new]
     seen = np.argsort(firsts)
     table = np.empty(len(firsts), dtype=np.int32)
-    table[seen] = [code_of(text) for text in words[firsts[seen]].view(f"S{width}").ravel().tolist()]
+    table[seen] = [code_of(text) for text in chars[firsts[seen]].view(f"S{chars.shape[1]}").ravel().tolist()]
     codes = np.zeros(len(ok), dtype=np.int32)
-    codes[rows[read]] = table[text_of]
+    codes[rows] = table[text_of]
     return codes
 
 
@@ -284,18 +290,154 @@ def _compact(column: np.ndarray, kept: np.ndarray) -> None:
     column.resize(len(kept), refcheck=False)
 
 
-class _Columns:
+def _fields(line: str) -> Union[list[str], csv.Error]:
+    """The fields of a line free of quotes, CR and NUL as csv.reader reads them,
+    or as _csv_rows gives a row it cannot read."""
+    fields, limit = line.split(","), csv.field_size_limit()
+    if len(line) > limit and max(map(len, fields)) > limit:
+        return csv.Error(f"field larger than field limit ({limit})")  # as csv.reader says it
+    return fields
+
+
+def _block_chunk(text: str, width: int) -> tuple:
+    """The rows of whole lines of text free of quotes, CR and NUL: numpy finds the
+    line ends and commas, and the rows of `width` fields are read as spans."""
+    data = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data + _PAD, dtype=np.uint8)
+    body = buf[: len(data)]
+    ends = np.flatnonzero(body == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    filled = ends > starts  # blank lines are skipped and not counted, as csv.DictReader does
+    starts, ends = starts[filled], ends[filled]
+    commas = np.append(np.flatnonzero(body == ord(",")), len(data))  # the end stops a short row
+    first, last = np.searchsorted(commas, starts), len(commas) - 1
+    regular = (np.searchsorted(commas, ends) - first == width - 1) & (ends - starts <= csv.field_size_limit())
+    nothing = np.zeros(len(starts), dtype=np.int64)
+
+    def span(at: Optional[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if at is None:
+            return buf, nothing, nothing
+        start = starts if at == 0 else commas[np.minimum(first + at - 1, last)] + 1
+        end = ends if at == width - 1 else commas[np.minimum(first + at, last)]
+        return buf, np.where(regular, start, 0), np.where(regular, end, 0)
+
+    def row(k: int) -> Union[list[str], csv.Error]:
+        return _fields(data[starts[k] : ends[k]].decode("utf-8", "surrogatepass"))
+
+    return len(starts), span, regular, row
+
+
+def _rows_chunk(rows: list, width: int) -> tuple:
+    """The rows from _csv_rows; a csv.Error stands for a row csv.reader could not read."""
+    regular = np.array([isinstance(r, list) and len(r) == width for r in rows], dtype=bool)
+    blank = ("",) * width  # stands in for the fields of an odd row
+    table = list(zip(*(r if fits else blank for r, fits in zip(rows, regular.tolist()))))
+
+    def span(at: Optional[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _spans(("",) * len(rows) if at is None else table[at])
+
+    return len(rows), span, regular, rows.__getitem__
+
+
+def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, strict: bool) -> _Rows:
+    """Read a CSV stream with a header into kind(header, stats, strict), a
+    _Rows, whose add(n, span, regular, row) takes the rows chunk by chunk.
+    Returns that reader.
+
+    span(at) gives the n rows' fields in column at (None: an absent column) as
+    (buf, start, end): spans of a uint8 buffer that ends in _PAD, empty where a
+    row is not regular, that is, not of the header's width. row(k) gives row k
+    as csv.reader reads it, or the csv.Error it raises. Blank lines are skipped
+    and not counted, as csv.DictReader does. A chunk is an argument only, so
+    its buffers are gone before the next block is read.
+
+    Text is read in blocks of _BLOCK_CHARS cut at a line end, each one chunk
+    that numpy splits into rows and fields. CRLF line ends are read as LF. The
+    first block that holds a quote, NUL or a CR outside a CRLF hands itself and
+    the rest of the stream to csv.reader, in chunks of _CHUNK_ROWS rows. Text
+    that is not UTF-8 is a FormatError naming the stream (else name) and the
+    stats.rows the reader has counted before it.
+    """
+    reader = None
+    pending = ""  # text after the last line end read
+    try:
+        while True:
+            text = stream.read(_BLOCK_CHARS)
+            cut = text.rfind("\n") + 1
+            if text and not cut:
+                pending += text
+                continue
+            block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
+            if "\r" in block and block.count("\r") == block.count("\r\n") and '"' not in block and "\0" not in block:
+                # csv.reader reads CRLF line ends as LF; a block with a quote keeps
+                # its CRs, as a quoted field's CRLF is text
+                block = block.replace("\r\n", "\n")
+            if any(special in block for special in _SPECIAL):
+                lines = io.StringIO(block + pending + stream.readline(), newline="")
+                rows = _csv_rows(csv.reader(itertools.chain(lines, stream)))
+                if reader is None:
+                    reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
+                while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+                    if chunk := [row for row in chunk if row]:
+                        reader.add(*_rows_chunk(chunk, len(reader.header)))
+                return reader
+            if reader is None and block:
+                line, _, block = block.partition("\n")
+                reader = kind(_fields(line), stats, strict)
+            if reader is not None and block:
+                reader.add(*_block_chunk(block, len(reader.header)))
+            if not text:
+                break
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, name, stats.rows, exc) from None
+    if reader is None:
+        raise FormatError(f"empty {kind.what} input")
+    return reader
+
+
+class _Rows:
+    """What reads the rows of a CSV stream for _read_csv: built from the header
+    row, then given each chunk by add(n, span, regular, row). A subclass names
+    its input for messages in `what`."""
+
+    def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
+        if isinstance(header, csv.Error):
+            raise FormatError(f"unreadable {self.what} header: {header}")
+        self.header, self.stats, self.strict = header, stats, strict
+        self.position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+
+    def fallback(self, rejected: np.ndarray, row, parse) -> Iterator:
+        """(k, parse(row k as csv.DictReader gives it)) for each rejected row k
+        of a chunk. A row that parse or csv cannot read is malformed: a
+        FormatError naming its line when strict, else counted and skipped."""
+        for k in np.flatnonzero(rejected).tolist():
+            fields = row(k)
+            try:
+                if isinstance(fields, csv.Error):
+                    raise fields
+                value = parse(_as_dict(self.header, fields))
+            except (ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
+                if self.strict:
+                    raise FormatError(f"malformed {self.what} row at line {self.stats.rows + k + 2}: {exc}") from exc
+                self.stats.malformed += 1
+                continue
+            yield k, value
+
+
+class _Columns(_Rows):
     """The well-formed rows of a metadata CSV as column parts, plus the value
-    tables. A value's code follows where it first shows up: block by block,
+    tables. A value's code follows where it first shows up: chunk by chunk,
     the rows read in bulk first, then the rows _parse_row reads."""
 
-    def __init__(self, header: list[str]):
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    what = "metadata"
+
+    def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
+        super().__init__(header, stats, strict)
+        missing = [c for c in REQUIRED_COLUMNS if c not in self.position]
         if missing:
             raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
-        self.header = header
-        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-        self.position = {name: position.get(name) for name in CANONICAL_COLUMNS}
         self.parts: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
         self.market_sets: dict[frozenset[str], int] = {}
         self.families: dict[str, int] = {}
@@ -314,92 +456,29 @@ class _Columns:
             self._family_text[raw] = self.families.setdefault(name, len(self.families)) if name else -1
         return self._family_text[raw]
 
-    def add_block(self, text: str, stats: ParseStats, strict: bool) -> None:
-        """Parse whole lines of text free of quotes, CR and NUL: numpy finds the
-        line ends and commas, and the rows of the header's width are read as spans."""
-        data = text.encode("utf-8", "surrogatepass")
-        buf = np.frombuffer(data + _PAD, dtype=np.uint8)
-        body = buf[: len(data)]
-        ends = np.flatnonzero(body == ord("\n"))
-        if not data.endswith(b"\n"):
-            ends = np.append(ends, len(data))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        filled = ends > starts  # blank lines are skipped and not counted, as csv.DictReader does
-        starts, ends = starts[filled], ends[filled]
-        commas = np.append(np.flatnonzero(body == ord(",")), len(data))  # the end stops a short row
-        first = np.searchsorted(commas, starts)
-        width, limit, last = len(self.header), csv.field_size_limit(), len(commas) - 1
-        regular = (np.searchsorted(commas, ends) - first == width - 1) & (ends - starts <= limit)
-        nothing = np.zeros(len(starts), dtype=np.int64)
-
-        def span(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            at = self.position[name]
-            if at is None:
-                return buf, nothing, nothing
-            start = starts if at == 0 else commas[np.minimum(first + at - 1, last)] + 1
-            end = ends if at == width - 1 else commas[np.minimum(first + at, last)]
-            return buf, np.where(regular, start, 0), np.where(regular, end, 0)
-
-        def row(k: int) -> list[str]:
-            line = data[starts[k] : ends[k]].decode("utf-8", "surrogatepass")
-            fields = line.split(",")
-            if len(line) > limit and max(map(len, fields)) > limit:
-                raise csv.Error(f"field larger than field limit ({limit})")  # as csv.reader says it
-            return fields
-
-        self._add(len(starts), span, regular, row, stats, strict)
-
-    def add_rows(self, rows: list, stats: ParseStats, strict: bool) -> None:
-        """Parse rows from csv.reader; a csv.Error stands for a row it could not read."""
-        if not rows:
-            return
-        width = len(self.header)
-        regular = np.array([isinstance(r, list) and len(r) == width for r in rows], dtype=bool)
-        blank = ("",) * width  # stands in for the fields of an odd row
-        table = list(zip(*(r if fits else blank for r, fits in zip(rows, regular.tolist()))))
-
-        def span(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            at = self.position[name]
-            return _spans(("",) * len(rows) if at is None else table[at])
-
-        def row(k: int) -> list[str]:
-            if isinstance(rows[k], csv.Error):
-                raise rows[k]
-            return rows[k]
-
-        self._add(len(rows), span, regular, row, stats, strict)
-
-    def _add(self, n: int, span, regular: np.ndarray, row, stats: ParseStats, strict: bool) -> None:
-        """Parse n rows: the regular rows' spans with the field kernels, and every
-        other row, row(k), with _parse_row."""
-        if not n:
-            return
-        sha, ok = _hashes(*span("sha256"))
-        dex, dex_ok = _stamps(*span("dex_date"), required=True)
-        vt, vt_ok = _naturals(*span("vt_detection"), required=True)
-        crawl, crawl_ok = _stamps(*span("added"), required=False)
-        scan, scan_ok = _stamps(*span("vt_scan_date"), required=False)
-        size, size_ok = _naturals(*span("apk_size"), required=False)
+    def add(self, n: int, span, regular: np.ndarray, row) -> None:
+        """Parse a chunk of _read_csv: the regular rows' spans with the field
+        kernels, and every row they reject with _parse_row."""
+        at = self.position
+        sha, ok = _hashes(*span(at["sha256"]))
+        dex, dex_ok = _stamps(*span(at["dex_date"]), required=True)
+        vt, vt_ok = _naturals(*span(at["vt_detection"]), required=True)
+        crawl, crawl_ok = _stamps(*span(at.get("added")), required=False)
+        scan, scan_ok = _stamps(*span(at.get("vt_scan_date")), required=False)
+        size, size_ok = _naturals(*span(at.get("apk_size")), required=False)
         ok &= regular & dex_ok & vt_ok & crawl_ok & scan_ok & size_ok
-        markets = _text_codes(*span("markets"), ok, self._market_code)
-        family = _text_codes(*span("family"), ok, self._family_code)
+        markets = _text_codes(*span(at.get("markets")), ok, self._market_code)
+        family = _text_codes(*span(at.get("family")), ok, self._family_code)
         valid = ok.copy()
-        for k in np.flatnonzero(~ok).tolist():
-            try:
-                rec = _parse_row(_as_dict(self.header, row(k)))
-            except (ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
-                if strict:
-                    raise FormatError(f"malformed metadata row at line {stats.rows + k + 2}: {exc}") from exc
-                stats.malformed += 1
-                continue
+        for k, rec in self.fallback(~ok, row, _parse_row):
             valid[k] = True
             sha[k], dex[k], vt[k], size[k] = rec.sha256, rec.dex_date, rec.vt_detection, rec.apk_size
             crawl[k] = np.datetime64("NaT") if rec.crawl_date is None else rec.crawl_date
             scan[k] = np.datetime64("NaT") if rec.vt_scan_date is None else rec.vt_scan_date
             markets[k] = self.market_sets.setdefault(rec.markets, len(self.market_sets))
             family[k] = -1 if rec.family is None else self.families.setdefault(rec.family, len(self.families))
-        stats.rows += n
-        stats.parsed += int(valid.sum())
+        self.stats.rows += n
+        self.stats.parsed += int(valid.sum())
         chunk = dict(sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
                      apk_size=size, markets=markets, family=family)
         for name, column in chunk.items():
@@ -443,65 +522,13 @@ def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") 
     """Parse an AndroZoo-shaped metadata CSV into a population.
 
     Duplicate hashes are last-wins (counted); malformed rows are counted and
-    skipped unless strict, in which case they raise FormatError. Text is read
-    in blocks of _BLOCK_CHARS cut at a line end; numpy splits a block into rows
-    and fields and parses canonical fields, and any other row goes through
-    _parse_row, the one definition of a well-formed row. CRLF line ends are
-    read as LF. The first block that holds a quote, NUL or a CR outside a CRLF
-    hands itself and the rest of the stream to csv.reader, whose rows go
-    through the same field kernels.
+    skipped unless strict, in which case they raise FormatError. The rows come
+    from _read_csv: the field kernels parse canonical fields, and any other
+    row goes through _parse_row, the one definition of a well-formed row.
     """
     stats = ParseStats()
-    try:
-        columns = _read_metadata(stream, stats, strict)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(stream, provenance or "metadata input", stats.rows, exc) from None
+    columns = _read_csv(stream, provenance or "metadata input", _Columns, stats, strict)
     return ParseResult(columns.population(stats, provenance), stats)
-
-
-def _read_metadata(stream: IO[str], stats: ParseStats, strict: bool) -> _Columns:
-    columns: Optional[_Columns] = None
-    pending = ""  # text after the last line end read
-    while True:
-        text = stream.read(_BLOCK_CHARS)
-        cut = text.rfind("\n") + 1
-        if text and not cut:
-            pending += text
-            continue
-        block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
-        if "\r" in block and block.count("\r") == block.count("\r\n") and '"' not in block and "\0" not in block:
-            # csv.reader reads CRLF line ends as LF; a block with a quote keeps
-            # its CRs, as a quoted field's CRLF is text
-            block = block.replace("\r\n", "\n")
-        if any(special in block for special in _SPECIAL):
-            lines = io.StringIO(block + pending + stream.readline(), newline="")
-            return _read_rows(csv.reader(itertools.chain(lines, stream)), columns, stats, strict)
-        if columns is None and block:
-            header, _, block = block.partition("\n")
-            columns = _Columns(header.split(","))
-        if columns is not None:
-            columns.add_block(block, stats, strict)
-        if not text:
-            break
-    if columns is None:
-        raise FormatError("empty metadata input")
-    return columns
-
-
-def _read_rows(reader: Iterator, columns: Optional[_Columns], stats: ParseStats, strict: bool) -> _Columns:
-    """The csv.reader path: rows in chunks of _CHUNK_ROWS."""
-    rows = _csv_rows(reader)
-    if columns is None:
-        header = next(rows, None)
-        if header is None:
-            raise FormatError("empty metadata input")
-        if isinstance(header, csv.Error):
-            raise FormatError(f"unreadable metadata header: {header}")
-        columns = _Columns(header)
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        # blank lines are skipped and not counted, as csv.DictReader does
-        columns.add_rows([row for row in chunk if row], stats, strict)
-    return columns
 
 
 def _csv_fields(texts: list[str], end: str = "") -> np.ndarray:
@@ -723,12 +750,6 @@ class PredictionRow:
     score: float
     predicted_label: Optional[int] = None
 
-    def resolve(self, threshold: float = 0.5) -> int:
-        """Predicted class: explicit label, else score >= threshold (inclusive)."""
-        if self.predicted_label is not None:
-            return self.predicted_label
-        return 1 if self.score >= threshold else 0
-
 
 class PredictionSet:
     """One classifier's predictions, held as columns in ascending sha256 order:
@@ -789,20 +810,59 @@ def parse_predictions(
 ) -> tuple[PredictionSet, ParseStats]:
     """Parse a prediction CSV with header sha256,score[,label].
 
-    Rows are read in chunks: the hash, score and label kernels read the rows
-    of the header's width, and every row they reject goes through
-    _prediction_row. A row csv cannot read (say, a field over
-    csv.field_size_limit()) is malformed. A repeated hash keeps its last row.
+    The rows come from _read_csv, as parse_metadata's do: the hash, score and
+    label kernels read the regular rows, and every row they reject goes
+    through _prediction_row. A repeated hash keeps its last row.
     """
     stats = ParseStats()
-    try:
-        columns = _read_predictions(csv.reader(stream), stats, strict)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(stream, name, stats.rows, exc) from None
+    columns = _read_csv(stream, name, _Predictions, stats, strict).columns()
     return PredictionSet._from_columns(name, *columns, threshold), stats
 
 
-_LABEL_CODES = {"": -1, "0": 0, "1": 1}
+class _Predictions(_Rows):
+    """The well-formed rows of a prediction CSV as parts of S64 hashes, scores and labels (-1: none)."""
+
+    what = "prediction"
+
+    def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
+        super().__init__(header, stats, strict)
+        if "sha256" not in self.position or "score" not in self.position:
+            raise FormatError("prediction input must have columns sha256,score[,label]")
+        self.parts: tuple[list, list, list] = ([], [], [])
+
+    def add(self, n: int, span, regular: np.ndarray, row) -> None:
+        """Parse a chunk of _read_csv, as _Columns.add does, with _prediction_row."""
+        at = self.position
+        sha, ok = _hashes(*span(at["sha256"]))
+        buf, start, end = span(at.get("label"))
+        digit = buf[start].astype(np.int64) - ord("0")  # "" is -1, "0" and "1" are 0 and 1, and the rest -2
+        label = np.where(start == end, -1, np.where((end - start == 1) & (digit >= 0) & (digit <= 1), digit, -2))
+        ok &= regular & (label > -2)
+        rows, chars = _span_chars(*span(at["score"]), ok)
+        texts = chars.view(f"S{chars.shape[1]}").ravel().tolist()
+        score = np.zeros(n)
+        try:  # float() of bytes reads no text that float() of str reads otherwise
+            score[rows] = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+        except ValueError:  # a score float() cannot read: the chunk goes row by row
+            ok[:] = False
+        ok &= (label >= 0) | ((score >= 0.0) & (score <= 1.0))
+        for k, (sha[k], score[k], predicted) in self.fallback(~ok, row, _prediction_row):
+            ok[k], label[k] = True, -1 if predicted is None else predicted
+        self.stats.rows += n
+        self.stats.parsed += int(ok.sum())
+        for part, column in zip(self.parts, (sha, score, label)):
+            part.append(column[ok])
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hashes, scores and labels in ascending hash order, a hash's last row only."""
+        sha, score, label = (_joined(part, dtype) for part, dtype in zip(self.parts, ("S64", np.float64, np.int64)))
+        order = np.argsort(sha, kind="stable")
+        ordered = sha[order]
+        last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
+        last[:-1] = ordered[1:] != ordered[:-1]
+        kept = order[last]
+        self.stats.duplicates = len(sha) - len(kept)
+        return ordered[last], score[kept], label[kept]
 
 
 def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:
@@ -820,57 +880,6 @@ def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:
     elif not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score} outside [0,1] without a label column")
     return sha, score, predicted
-
-
-def _read_predictions(reader: Iterator, stats: ParseStats, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hashes (S64), scores and labels (-1 where absent) of the well-formed rows, one row per hash."""
-    rows = _csv_rows(reader)
-    header = next(rows, None)
-    if header is None:
-        raise FormatError("empty prediction input")
-    if isinstance(header, csv.Error):
-        raise FormatError(f"unreadable prediction header: {header}")
-    if "sha256" not in header or "score" not in header:
-        raise FormatError("prediction input must have columns sha256,score[,label]")
-    position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    parts: tuple[list, list, list] = ([np.zeros(0, dtype="S64")], [np.zeros(0)], [np.zeros(0, dtype=np.int64)])
-    filler = ["0"] * len(header)  # stands in for the fields of an odd row
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        chunk = [row for row in chunk if row]  # blank lines are skipped and not counted, as csv.DictReader does
-        regular = [isinstance(row, list) and len(row) == len(header) for row in chunk]
-        fitted = [row if fits else filler for row, fits in zip(chunk, regular)]
-        sha, ok = _hashes(*_spans(tuple(row[position["sha256"]] for row in fitted)))
-        scores = [row[position["score"]] for row in fitted]
-        try:
-            score = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
-        except ValueError:  # a score float() cannot read: the chunk goes row by row
-            score, ok[:] = np.zeros(len(chunk)), False
-        texts = [row[position["label"]] for row in fitted] if "label" in position else [""] * len(chunk)
-        label = np.fromiter(map(_LABEL_CODES.get, texts, itertools.repeat(-2)), dtype=np.int64, count=len(texts))
-        ok &= np.array(regular, dtype=bool) & (label > -2)
-        ok &= (label >= 0) | ((score >= 0.0) & (score <= 1.0))
-        for k in np.flatnonzero(~ok).tolist():
-            try:
-                if isinstance(chunk[k], csv.Error):
-                    raise chunk[k]
-                sha[k], score[k], predicted = _prediction_row(_as_dict(header, chunk[k]))
-            except (ValueError, KeyError, TypeError, csv.Error) as exc:
-                if strict:
-                    raise FormatError(f"malformed prediction row at line {stats.rows + k + 2}: {exc}") from exc
-                stats.malformed += 1
-                continue
-            ok[k], label[k] = True, -1 if predicted is None else predicted
-        stats.rows += len(chunk)
-        stats.parsed += int(ok.sum())
-        for part, column in zip(parts, (sha, score, label)):
-            part.append(column[ok])
-    sha, score, label = (np.concatenate(part) for part in parts)
-    order = np.argsort(sha, kind="stable")
-    last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
-    last[:-1] = sha[order[1:]] != sha[order[:-1]]
-    kept = order[last]
-    stats.duplicates = len(sha) - len(kept)
-    return sha[kept], score[kept], label[kept]
 
 
 @dataclass(frozen=True)

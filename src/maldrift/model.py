@@ -146,9 +146,6 @@ class Period:
     def successor(self) -> "Period":
         return self.shifted(1)
 
-    def predecessor(self) -> "Period":
-        return self.shifted(-1)
-
     def year_period(self) -> "Period":
         """The yearly period containing this one (identity for yearly periods)."""
         if self.granularity is Granularity.YEAR:
@@ -212,12 +209,12 @@ def period_range(start: Period, end: Period) -> list[Period]:
     return [Period(start.granularity, i) for i in range(start.index, end.index + 1)]
 
 
-def _sorted_positions(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the ascending array ordered, -1 where it is absent."""
-    if not len(ordered):
+def _sorted_positions(values: np.ndarray, keys: np.ndarray, sorter: Optional[np.ndarray] = None) -> np.ndarray:
+    """Position of each key in values (in sorter, if given: values[sorter] is ascending), -1 if absent."""
+    if not len(values):
         return np.full(len(keys), -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
-    return np.where(ordered[at] == keys, at, -1)
+    at = np.minimum(np.searchsorted(values, keys, sorter=sorter), len(values) - 1)
+    return np.where(values[at if sorter is None else sorter[at]] == keys, at, -1)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -408,7 +405,7 @@ class Population:
             keys = np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype="S64")
         if not len(self):
             return np.full(len(keys), -1, dtype=np.int64)
-        at = _sorted_positions(self.sha256[self.sha_order], keys)
+        at = _sorted_positions(self.sha256, keys, self.sha_order)
         return np.where(valid & (at >= 0), self.sha_order[at], -1)
 
     def carrying_any(self, tags: frozenset[str]) -> np.ndarray:

@@ -108,11 +108,11 @@ def evaluate_manifest(
         points = [(m, matched[k] / totals[k] if totals[k] else None) for k, m in enumerate(split.test)]
         overlap[idx] = MetricSeries("family_overlap", tuple(points))
 
-    ordered_hashes = manifest.sha256[manifest._sha_order]
     results = []
     window_series: dict[tuple[str, int], dict[str, MetricSeries]] = {}
     for preds in predsets:
-        extras = preds.sha256[_sorted_positions(ordered_hashes, preds.sha256) < 0].astype("U64").tolist()
+        unknown = _sorted_positions(manifest.sha256, preds.sha256, manifest._sha_order) < 0
+        extras = preds.sha256[unknown].astype("U64").tolist()
         if extras and not lenient:
             shown = ", ".join(extras[:10])
             raise MissingPredictionsError(

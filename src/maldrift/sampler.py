@@ -35,7 +35,6 @@ from .model import ClassLabel, Granularity, Period, Population, format_timestamp
 from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
 from .version import __version__
 
-_GRAN_CODE = {Granularity.MONTH: 0, Granularity.YEAR: 1}
 _CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}
 _GLOBAL_PERIOD_CODE = 10**6
 
@@ -237,7 +236,7 @@ def build_spec_echo(
 
 def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], cls: Optional[ClassLabel]) -> np.random.Generator:
     period_code = period.index if period is not None else _GLOBAL_PERIOD_CODE
-    ss = np.random.SeedSequence([seed, _GRAN_CODE[granularity], period_code, _CLASS_CODE[cls]])
+    ss = np.random.SeedSequence([seed, _GRANULARITIES.index(granularity), period_code, _CLASS_CODE[cls]])
     return np.random.Generator(np.random.PCG64(ss))
 
 

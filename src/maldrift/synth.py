@@ -58,9 +58,6 @@ class DetectionModel:
     def support_min(self) -> int:
         return self.value if self.kind == "point" else self.low
 
-    def support_max(self) -> int:
-        return self.value if self.kind == "point" else self.high
-
 
 @dataclass(frozen=True)
 class SynthConfig:

@@ -142,6 +142,14 @@ def test_long_header_field_is_format_error(parse):
         parse(io.StringIO(f'"{header}"\n'))
 
 
+@pytest.mark.parametrize("parse", [parse_metadata, parse_predictions], ids=["metadata", "predictions"])
+def test_long_unquoted_header_field_is_format_error(parse):
+    """A header free of quotes is split in bulk, by csv.reader's field limit."""
+    header = "sha256,dex_date,vt_detection,score," + "x" * 200_000
+    with pytest.raises(FormatError, match="unreadable .* header: field larger than field limit"):
+        parse(io.StringIO(f"{header}\n{sha_of(1)},2014-01-15,0,0.5,\n"))
+
+
 def test_snapshot_filter_basic():
     pop = make_population(
         [make_record(1, crawl="2016-05-01"), make_record(2, crawl="2017-09-01")]

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maldrift.model import (
+    COLUMNS,
     ApkRecord,
     Granularity,
     Period,
@@ -158,6 +160,24 @@ def test_population_select_keeps_tables_and_sha_order():
     assert picked.provenance == "picked"
     assert picked.sha256[picked.sha_order].tolist() == sorted(picked.sha256.tolist())
     assert picked.positions([sha_of(1), sha_of(3), "ab", "Z" * 64]).tolist() == [0, -1, -1, -1]
+
+
+def test_positions_make_no_sorted_copy():
+    """A lookup searches the hashes through sha_order: a sorted copy of 100k
+    hashes would take 6.4 MB."""
+    n = 100_000
+    columns = {name: np.zeros(n, dtype=dtype) for name, dtype in COLUMNS.items()}
+    columns["sha256"] = np.array([sha_of(i) for i in range(n)], dtype="S64")
+    columns["family"] -= 1
+    pop = Population.from_columns(columns, [frozenset({"unknown"})], [])
+    tracemalloc.start()
+    try:
+        at = pop.positions([sha_of(5), sha_of(n - 1), sha_of("absent")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at.tolist() == [5, n - 1, -1]
+    assert peak < 640_000
 
 
 def test_population_carrying_any_and_union_tables():

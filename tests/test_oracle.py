@@ -387,3 +387,46 @@ def test_manifest_and_evaluation_match_oracle(text, vtt, policy, plan, params, s
         for granularity in (None, Granularity.YEAR):
             same(metrics.confusion_metrics, oracle.confusion_metrics, truth, preds, granularity, lenient)
         same(report.evaluate_manifest, oracle.evaluate_manifest, read, [preds], window, "f1", lenient)
+
+
+# every line ends in CRLF: a blank line, an uppercase hash, a bad score, a repeat, a raw score
+_CRLF_PREDICTIONS = "\r\n".join(
+    [
+        "sha256,score,label",
+        f"{SHAS[0]},0.9,",
+        f"{SHAS[1].upper()},0.2,1",
+        "",
+        f"{SHAS[2]},x,",
+        f"{SHAS[0]},0.1,0",
+        f"{SHAS[3]},1.5,",
+        f"{SHAS[4]},7.5,1",
+    ]
+) + "\r\n"
+
+
+@_oracle_settings
+@given(_predictions(SHAS[5:20]))
+@example(_CRLF_PREDICTIONS)
+def test_parse_predictions_match_oracle_in_small_blocks(text):
+    """Prediction files in blocks of a few dozen characters, as the metadata
+    small-block test reads listings."""
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 37):
+        _parse_predictions_both(text)
+        _parse_predictions_both(text, strict=True)
+
+
+@pytest.mark.parametrize(
+    "parse, text, calls",
+    [
+        (ingest.parse_metadata, _CRLF_LISTING, 0),
+        (ingest.parse_predictions, _CRLF_PREDICTIONS, 0),
+        (ingest.parse_metadata, _CRLF_QUOTED_LISTING, 1),
+        (ingest.parse_predictions, _CRLF_PREDICTIONS + f'"{SHAS[5]}",0.5,\r\n', 1),
+    ],
+    ids=["metadata-crlf", "predictions-crlf", "metadata-quoted", "predictions-quoted"],
+)
+def test_crlf_input_stays_on_the_bulk_path(parse, text, calls):
+    """CRLF line ends are read in bulk; a quote hands the rest to csv.reader."""
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        parse(io.StringIO(text))
+    assert reader.call_count == calls
