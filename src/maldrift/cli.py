@@ -45,8 +45,9 @@ _TIMESTAMP_KINDS = {
 class Settings:
     """Per-subcommand setting resolution: flag, then config file, then default.
 
-    A config file that configparser cannot read, or a value its cast refuses,
-    is a FormatError naming the file and the line, or the section and the key.
+    A config file that is not UTF-8 or that configparser cannot read, or a
+    value its cast refuses, is a FormatError naming the file and the line, or
+    the section and the key.
     """
 
     def __init__(self, args: argparse.Namespace, section: str):
@@ -56,11 +57,15 @@ class Settings:
         self.config_path = self.args.get("config")
         if self.config_path:
             parser = configparser.ConfigParser()
+            raw = Path(self.config_path).read_bytes()
             try:
-                with open(self.config_path) as fh:
-                    parser.read_file(fh)
+                parser.read_file(io.StringIO(raw.decode("utf-8"), newline=None), source=self.config_path)
                 if parser.has_section(section):
                     self.section = dict(parser.items(section))
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                message = f"invalid UTF-8 (byte 0x{raw[exc.start]:02x}: {exc.reason})"
+                raise FormatError(f"{self.config_path}:{line}: {message}") from None
             except configparser.Error as exc:
                 # a ParsingError lists its bad lines; the other errors name one line, or none
                 lineno = getattr(exc, "lineno", None) or (exc.errors[0][0] if getattr(exc, "errors", None) else None)
@@ -83,6 +88,10 @@ class Settings:
         if value is None:
             return default
         return value
+
+    def given(self, **casts) -> dict:
+        """The settings among casts' keys that a flag or the config file gives, each read with its cast."""
+        return {key: value for key, cast in casts.items() if (value := self.get(key, None, cast)) is not None}
 
 
 def _timestamp_name(text: str) -> str:
@@ -264,15 +273,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_sample_size(args: argparse.Namespace) -> int:
     settings = Settings(args, "sample-size")
-    params = sizing.SizingParams(
-        confidence=settings.get("confidence", 0.99, float),
-        delta=settings.get("delta", 0.015, float),
-        p=settings.get("p", 0.5, float),
-        bonferroni_m=settings.get("bonferroni_m", None, int),
-    )
-    n = sizing.required_sample_size(args.population_size, params)
+    n = sizing.required_sample_size(args.population_size, _sizing_params(settings))
     print(n)
     return EXIT_OK
+
+
+def _sizing_params(settings: Settings) -> sizing.SizingParams:
+    return sizing.SizingParams(**settings.given(confidence=float, delta=float, p=float, bonferroni_m=int))
 
 
 def _sizing_inputs(settings: Settings):
@@ -283,13 +290,7 @@ def _sizing_inputs(settings: Settings):
         spatial=settings.get("spatial", False, bool),
         ratio_malware=settings.get("ratio", 0.10, float),
     )
-    params = sizing.SizingParams(
-        confidence=settings.get("confidence", 0.99, float),
-        delta=settings.get("delta", 0.015, float),
-        p=settings.get("p", 0.5, float),
-        bonferroni_m=settings.get("bonferroni_m", None, int),
-    )
-    return rule, policy, plan, params
+    return rule, policy, plan, _sizing_params(settings)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -492,38 +493,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = Settings(args, "synth")
     out = _out_dir(settings, "synth_out")
-    if args.preset:
-        presets = synth.scenario_presets()
-        if args.preset not in presets:
-            print(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(presets))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        config = presets[args.preset]
-        seed_override = settings.get("seed", None, int)
-        if seed_override is not None:
-            config = dataclasses.replace(config, seed=seed_override)
-    else:
-        config = synth.SynthConfig(
-            months=settings.get("months", 24, int),
-            per_month=settings.get("per_month", 400, int),
-            malware_fraction=settings.get("malware_fraction", 0.10, float),
-            family_pool=settings.get("family_pool", 20, int),
-            family_birth_rate=settings.get("family_birth_rate", 0, int),
-            family_lifetime=settings.get("family_lifetime", None, int),
-            start=settings.get("start", "2014-01"),
-            seed=settings.get("seed", 0, int),
-        )
+    presets = synth.scenario_presets()
+    if args.preset and args.preset not in presets:
+        print(f"unknown preset {args.preset!r}; available: {', '.join(sorted(presets))}", file=sys.stderr)
+        return EXIT_USAGE
+    config = dataclasses.replace(
+        presets[args.preset] if args.preset else synth.SynthConfig(),
+        **settings.given(
+            months=int, per_month=int, malware_fraction=float, family_pool=int,
+            family_birth_rate=int, family_lifetime=int, start=str, seed=int,
+        ),
+    )
     pop, truth = synth.generate(config)
     _write_population_gz(pop, out / "population.csv.gz")
+    echo = dataclasses.asdict(config)
     truth_payload = {
-        "config": synth.config_to_dict(config),
+        "config": echo,
         "active_families": {str(p): list(fams) for p, fams in sorted(truth.active_families.items(), key=lambda kv: kv[0].index)},
         "true_class": {sha: cls.value for sha, cls in sorted(truth.true_class.items())},
     }
     (out / "ground_truth.json").write_text(json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
-    report.write_run_config(out, "synth", synth.config_to_dict(config) | {"preset": args.preset})
+    report.write_run_config(out, "synth", echo | {"preset": args.preset})
     print(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
     return EXIT_OK
 
@@ -633,7 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic population with ground truth")
     common(p)
-    p.add_argument("--preset", help="named scenario (see synth.scenario_presets)")
+    p.add_argument(
+        "--preset",
+        help="named scenario (see synth.scenario_presets); the other flags below and [synth] keys override its fields",
+    )
     p.add_argument("--months", type=int)
     p.add_argument("--per-month", type=int)
     p.add_argument("--malware-fraction", type=float)

@@ -358,7 +358,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     first block that holds a quote, NUL or a CR outside a CRLF hands itself and
     the rest of the stream to csv.reader, in chunks of _CHUNK_ROWS rows. Text
     that is not UTF-8 is a FormatError naming the stream (else name) and the
-    stats.rows the reader has counted before it.
+    stats.rows the reader has counted before it. A header kind refuses, or
+    none, is a FormatError naming the stream, when it has a name.
     """
     reader = None
     pending = ""  # text after the last line end read
@@ -390,10 +391,14 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 reader.add(*_block_chunk(block, len(reader.header)))
             if not text:
                 break
+        if reader is None:
+            raise FormatError(f"empty {kind.what} input")
     except UnicodeDecodeError as exc:
         raise _not_utf8(stream, name, stats.rows, exc) from None
-    if reader is None:
-        raise FormatError(f"empty {kind.what} input")
+    except FormatError as exc:
+        if reader is not None or not getattr(stream, "name", None):
+            raise  # a row's error, or a stream with no name
+        raise FormatError(f"{stream.name}: {exc}") from None
     return reader
 
 

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime
 from typing import Optional
 
 import numpy as np
 
-from .model import ApkRecord, ClassLabel, Period, Population
+from .model import ClassLabel, Period, Population
 from .sizing import round_half_up
+
+_LAST_SECOND = np.datetime64(datetime.max, "s")
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,10 @@ class SynthConfig:
                 )
         if self.monthly_malware() > 0 and not self._family_process_alive():
             raise ValueError("family process dies out: no active families for some generated month")
+        if min(self.goodware_detections.support_min(), self.malware_detections.support_min()) < 0:
+            raise ValueError("detection models must not draw negative counts")
+        if self.size_range[0] < 0:
+            raise ValueError(f"size_range must not start below 0, got {self.size_range}")
 
     def monthly_malware(self) -> int:
         return round_half_up(self.per_month * self.malware_fraction)
@@ -159,16 +165,25 @@ def _draw_detections(model: DetectionModel, rng: np.random.Generator, n: int) ->
     return rng.integers(model.low, model.high + 1, size=n)
 
 
-def _draw_markets(mixture: dict[str, float], rng: np.random.Generator, n: int) -> list[frozenset[str]]:
+def _draw_markets(mixture: dict[str, float], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n positions in sorted(mixture), drawn by weight."""
     keys = sorted(mixture)
     weights = np.array([mixture[k] for k in keys], dtype=float)
     weights = weights / weights.sum()
-    picks = rng.choice(len(keys), size=n, p=weights)
-    groups = [frozenset(k.split("|")) for k in keys]
-    return [groups[i] for i in picks]
+    return rng.choice(len(keys), size=n, p=weights)
 
 
-def _generate_month(config: SynthConfig, month_offset: int, active: list[str]) -> list[tuple[ApkRecord, ClassLabel]]:
+def _market_codes(mixture: dict[str, float], market_sets: dict[frozenset[str], int]) -> np.ndarray:
+    """The code in market_sets of each key of sorted(mixture), read as ApkRecord reads a tag set."""
+    tag_sets = (frozenset(filter(None, key.split("|"))) or frozenset({"unknown"}) for key in sorted(mixture))
+    return np.array([market_sets.setdefault(tags, len(market_sets)) for tags in tag_sets])
+
+
+def _generate_month(
+    config: SynthConfig, month_offset: int, active: np.ndarray, gw_markets: np.ndarray, mw_markets: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The month's columns but sha256, goodware rows first: active holds the
+    family codes, and gw_markets and mw_markets the _market_codes."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, month_offset])))
     period = Period.parse(config.start).shifted(month_offset)
     month_start = period.start()
@@ -176,34 +191,28 @@ def _generate_month(config: SynthConfig, month_offset: int, active: list[str]) -
     n_mw = config.monthly_malware()
     n_gw = config.per_month - n_mw
 
-    dex_offsets = rng.integers(0, month_seconds, size=config.per_month)
-    lag_days = _draw_lags(config.lag, rng, config.per_month)
+    dex = np.datetime64(month_start, "s") + rng.integers(0, month_seconds, size=config.per_month)
+    with np.errstate(invalid="ignore"):  # a NaN or an overlong lag casts to NaT or wraps, refused below
+        crawl = dex + (_draw_lags(config.lag, rng, config.per_month) * 86400).astype(np.int64)
+    if not ((crawl >= dex) & (crawl <= _LAST_SECOND)).all():
+        raise ValueError("lag model gives a crawl date past 9999-12-31")
     sizes = rng.integers(config.size_range[0], config.size_range[1] + 1, size=config.per_month)
-    gw_markets = _draw_markets(config.goodware_markets, rng, n_gw)
-    mw_markets = _draw_markets(config.malware_markets, rng, n_mw)
-    gw_det = _draw_detections(config.goodware_detections, rng, n_gw)
-    mw_det = _draw_detections(config.malware_detections, rng, n_mw)
-    families = rng.choice(len(active), size=n_mw) if (n_mw and active) else np.zeros(0, dtype=int)
-
-    rows = []
-    for i in range(config.per_month):
-        malware = i >= n_gw
-        j = i - n_gw if malware else i
-        sha = hashlib.sha256(f"synth-{config.seed}-{month_offset}-{i}".encode()).hexdigest()
-        dex = month_start + timedelta(seconds=int(dex_offsets[i]))
-        crawl = dex + timedelta(seconds=int(lag_days[i] * 86400))
-        rec = ApkRecord(
-            sha256=sha,
-            dex_date=dex,
-            vt_detection=int(mw_det[j] if malware else gw_det[j]),
-            crawl_date=crawl,
-            vt_scan_date=crawl,
-            markets=mw_markets[j] if malware else gw_markets[j],
-            apk_size=int(sizes[i]),
-            family=active[families[j]] if malware else None,
-        )
-        rows.append((rec, ClassLabel.MALWARE if malware else ClassLabel.GOODWARE))
-    return rows
+    markets = (gw_markets[_draw_markets(config.goodware_markets, rng, n_gw)],
+               mw_markets[_draw_markets(config.malware_markets, rng, n_mw)])
+    detections = (_draw_detections(config.goodware_detections, rng, n_gw),
+                  _draw_detections(config.malware_detections, rng, n_mw))
+    family = np.full(config.per_month, -1)
+    if n_mw and len(active):
+        family[n_gw:] = active[rng.choice(len(active), size=n_mw)]
+    return {
+        "dex_date": dex,
+        "crawl_date": crawl,
+        "vt_scan_date": crawl,
+        "vt_detection": np.concatenate(detections),
+        "apk_size": sizes,
+        "markets": np.concatenate(markets),
+        "family": family,
+    }
 
 
 def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
@@ -218,58 +227,26 @@ def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
     active_by_month = [
         sorted(_active_at(births, m, config.family_lifetime)) for m in range(config.months)
     ]
-    month_rows = [_generate_month(config, m, active_by_month[m]) for m in range(config.months)]
-
-    records = []
-    true_class = {}
-    for rows in month_rows:
-        for rec, cls in rows:
-            records.append(rec)
-            true_class[rec.sha256] = cls
+    family_code = {name: code for code, (name, _) in enumerate(births)}
+    market_sets: dict[frozenset[str], int] = {}
+    gw_markets = _market_codes(config.goodware_markets, market_sets)
+    mw_markets = _market_codes(config.malware_markets, market_sets)
+    months = [
+        _generate_month(config, m, np.array([family_code[f] for f in active], dtype=int), gw_markets, mw_markets)
+        for m, active in enumerate(active_by_month)
+    ]
+    columns = {name: np.concatenate([month[name] for month in months]) for name in months[0]}
+    columns["sha256"] = hashes = [
+        hashlib.sha256(f"synth-{config.seed}-{m}-{i}".encode()).hexdigest()
+        for m in range(config.months)
+        for i in range(config.per_month)
+    ]
+    n_mw = config.monthly_malware()
+    classes = ([ClassLabel.GOODWARE] * (config.per_month - n_mw) + [ClassLabel.MALWARE] * n_mw) * config.months
     start = Period.parse(config.start)
-    active_families = {
-        start.shifted(m): tuple(active_by_month[m]) for m in range(config.months)
-    }
-    pop = Population(tuple(records), provenance=f"synth(seed={config.seed})")
-    return pop, GroundTruth(active_families, true_class)
-
-
-def config_to_dict(config: SynthConfig) -> dict:
-    """JSON-ready echo of a generator configuration."""
-    return {
-        "months": config.months,
-        "per_month": config.per_month,
-        "malware_fraction": config.malware_fraction,
-        "family_pool": config.family_pool,
-        "family_birth_rate": config.family_birth_rate,
-        "family_lifetime": config.family_lifetime,
-        "goodware_markets": dict(sorted(config.goodware_markets.items())),
-        "malware_markets": dict(sorted(config.malware_markets.items())),
-        "lag": {
-            "kind": config.lag.kind,
-            "days": config.lag.days,
-            "sigma": config.lag.sigma,
-            "late_fraction": config.lag.late_fraction,
-            "late_days": config.lag.late_days,
-        },
-        "goodware_detections": {
-            "kind": config.goodware_detections.kind,
-            "value": config.goodware_detections.value,
-            "low": config.goodware_detections.low,
-            "high": config.goodware_detections.high,
-        },
-        "malware_detections": {
-            "kind": config.malware_detections.kind,
-            "value": config.malware_detections.value,
-            "low": config.malware_detections.low,
-            "high": config.malware_detections.high,
-        },
-        "design_vtt": config.design_vtt,
-        "start": config.start,
-        "seed": config.seed,
-        "allow_label_noise": config.allow_label_noise,
-        "size_range": list(config.size_range),
-    }
+    active_families = {start.shifted(m): tuple(active) for m, active in enumerate(active_by_month)}
+    pop = Population.from_columns(columns, tuple(market_sets), tuple(family_code), f"synth(seed={config.seed})")
+    return pop, GroundTruth(active_families, dict(zip(hashes, classes)))
 
 
 def scenario_presets() -> dict[str, SynthConfig]:

@@ -8,11 +8,13 @@ that the columnar functions return exactly what these return.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import re
 import statistics
 from collections import Counter, defaultdict
+from datetime import timedelta
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -85,6 +87,14 @@ from maldrift.sizing import (
     _spatial_split,
     required_sample_size,
     round_half_up,
+)
+from maldrift.synth import (
+    GroundTruth,
+    SynthConfig,
+    _active_at,
+    _draw_detections,
+    _draw_lags,
+    _family_births,
 )
 
 
@@ -1029,3 +1039,79 @@ def market_consistency_from_pairs(
     if not gw or not mw:
         raise ValueError("market consistency undefined: a class is empty")
     return _consistency(_normalized_market_dist(gw, priority), _normalized_market_dist(mw, priority), threshold)
+
+
+# from maldrift/synth.py
+def _draw_markets(mixture: dict[str, float], rng: np.random.Generator, n: int) -> list[frozenset[str]]:
+    keys = sorted(mixture)
+    weights = np.array([mixture[k] for k in keys], dtype=float)
+    weights = weights / weights.sum()
+    picks = rng.choice(len(keys), size=n, p=weights)
+    groups = [frozenset(k.split("|")) for k in keys]
+    return [groups[i] for i in picks]
+
+
+def _generate_month(config: SynthConfig, month_offset: int, active: list[str]) -> list[tuple[ApkRecord, ClassLabel]]:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, month_offset])))
+    period = Period.parse(config.start).shifted(month_offset)
+    month_start = period.start()
+    month_seconds = int((period.successor().start() - month_start).total_seconds())
+    n_mw = config.monthly_malware()
+    n_gw = config.per_month - n_mw
+
+    dex_offsets = rng.integers(0, month_seconds, size=config.per_month)
+    lag_days = _draw_lags(config.lag, rng, config.per_month)
+    sizes = rng.integers(config.size_range[0], config.size_range[1] + 1, size=config.per_month)
+    gw_markets = _draw_markets(config.goodware_markets, rng, n_gw)
+    mw_markets = _draw_markets(config.malware_markets, rng, n_mw)
+    gw_det = _draw_detections(config.goodware_detections, rng, n_gw)
+    mw_det = _draw_detections(config.malware_detections, rng, n_mw)
+    families = rng.choice(len(active), size=n_mw) if (n_mw and active) else np.zeros(0, dtype=int)
+
+    rows = []
+    for i in range(config.per_month):
+        malware = i >= n_gw
+        j = i - n_gw if malware else i
+        sha = hashlib.sha256(f"synth-{config.seed}-{month_offset}-{i}".encode()).hexdigest()
+        dex = month_start + timedelta(seconds=int(dex_offsets[i]))
+        crawl = dex + timedelta(seconds=int(lag_days[i] * 86400))
+        rec = ApkRecord(
+            sha256=sha,
+            dex_date=dex,
+            vt_detection=int(mw_det[j] if malware else gw_det[j]),
+            crawl_date=crawl,
+            vt_scan_date=crawl,
+            markets=mw_markets[j] if malware else gw_markets[j],
+            apk_size=int(sizes[i]),
+            family=active[families[j]] if malware else None,
+        )
+        rows.append((rec, ClassLabel.MALWARE if malware else ClassLabel.GOODWARE))
+    return rows
+
+
+def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
+    """Deterministic synthetic population plus its ground truth.
+
+    Per-month record and class counts are exact and seed-independent; all
+    draws run on month-derived sub-seeds, so no month's records depend on
+    another month's draws.
+    """
+    config.validate()
+    births = _family_births(config)
+    active_by_month = [
+        sorted(_active_at(births, m, config.family_lifetime)) for m in range(config.months)
+    ]
+    month_rows = [_generate_month(config, m, active_by_month[m]) for m in range(config.months)]
+
+    records = []
+    true_class = {}
+    for rows in month_rows:
+        for rec, cls in rows:
+            records.append(rec)
+            true_class[rec.sha256] = cls
+    start = Period.parse(config.start)
+    active_families = {
+        start.shifted(m): tuple(active_by_month[m]) for m in range(config.months)
+    }
+    pop = Population(tuple(records), provenance=f"synth(seed={config.seed})")
+    return pop, GroundTruth(active_families, true_class)

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maldrift import cli, ingest
+from maldrift import cli, ingest, synth
 from maldrift.sampler import read_manifest_json
 
 from helpers import sha_of
@@ -235,6 +236,34 @@ def test_synth_row_count(tmp_path):
     assert len(truth["true_class"]) == 2400
 
 
+def test_synth_flags_override_a_preset(tmp_path):
+    out = tmp_path / "s"
+    assert run(["synth", "--preset", "stable", "--months", 3, "--out", out]) == 0
+    truth = json.loads((out / "ground_truth.json").read_text())
+    assert list(truth["active_families"]) == ["2014-01", "2014-02", "2014-03"]
+    assert len(truth["true_class"]) == 3 * 400
+    config = json.loads((out / "run_config.json").read_text())["config"]
+    assert (config["preset"], config["months"], config["family_pool"], config["seed"]) == ("stable", 3, 8, 7)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"goodware_detections": synth.DetectionModel("point", value=-3)},
+        {"malware_detections": synth.DetectionModel("uniform", low=-2, high=5)},
+        {"size_range": (-1, 100)},
+    ],
+    ids=["goodware-detections", "malware-detections", "sizes"],
+)
+def test_synth_negative_detections_or_sizes_exit_1(tmp_path, capsys, monkeypatch, bad):
+    presets = synth.scenario_presets()
+    broken = dataclasses.replace(presets["stable"], allow_label_noise=True, **bad)
+    monkeypatch.setattr(synth, "scenario_presets", lambda: {**presets, "broken": broken})
+    assert run(["synth", "--preset", "broken", "--out", tmp_path / "s"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s" / "population.csv.gz").exists()
+
+
 def test_stats_tables(tmp_path):
     out = tmp_path / "synth"
     assert run(["synth", "--preset", "churn", "--out", out]) == 0
@@ -454,6 +483,34 @@ def test_invalid_utf8_names_the_file(good_manifest, tmp_path, capsys, broken):
     assert "byte 0xff" in err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("sha,score\n", "prediction input must have columns sha256,score[,label]"),
+        ("", "empty prediction input"),
+        (f'"{LONG}"\n', "unreadable prediction header: field larger than field limit (131072)"),
+    ],
+    ids=["columns", "empty", "unreadable"],
+)
+def test_prediction_header_errors_name_the_file(good_manifest, tmp_path, capsys, header, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    rows = "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"])
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("sha256,score\n" + rows)
+    bad.write_text(header + rows if header else "")
+    argv = ["evaluate", "--manifest", manifest, "--predictions", f"a={good}", "--predictions", f"b={bad}"]
+    assert run([*argv, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_metadata_header_error_names_the_file(tmp_path, capsys):
+    src = tmp_path / "meta.csv"
+    src.write_text(f"sha256,dex\n{sha_of(1)},2014-01-15\n")
+    assert run(["ingest", "--input", src, "--out", tmp_path / "cache"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {src}: metadata input missing required columns: dex_date, vt_detection\n"
+
+
 @pytest.fixture(scope="module")
 def ingested(tmp_path_factory):
     """A cache written by ingest: population.csv.gz and its population.npz sidecar."""
@@ -609,3 +666,17 @@ def test_aut_table_errors_name_the_line(tmp_path, capsys, table, message):
     path.write_text(table)
     assert run(["evaluate", "--aut-table", path, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+def test_config_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    config = tmp_path / "maldrift.ini"
+    config.write_bytes(b"[sample-size]\ndelta = 0.5\n# caf\x82\n")
+    assert run(["sample-size", "--population-size", 1000, "--config", config]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {config}:3: invalid UTF-8 (byte 0x82: invalid start byte)\n"
+
+
+def test_config_with_crlf_line_ends(tmp_path, capsys):
+    config = tmp_path / "maldrift.ini"
+    config.write_bytes(b"[sample-size]\r\ndelta = 0.5\r\n")
+    assert run(["sample-size", "--population-size", 10**9, "--config", config]) == 0
+    assert capsys.readouterr().out.strip() == "7"

@@ -197,3 +197,40 @@ def test_golden_exit_codes(chain, capsys):
 def test_golden_digest(chain, key):
     digests, _ = chain
     assert digests[key] == GOLDEN[key]
+
+
+SYNTH_INI = """[synth]
+months = 5
+per_month = 37
+malware_fraction = 0.3
+family_pool = 3
+family_birth_rate = 1
+family_lifetime = 2
+start = 2016-11
+seed = 42
+"""
+
+SYNTH_GOLDEN = {
+    ("preset-late-backfill", "population.csv.gz"): "41704551036d727559e5a8d90ef5df3eacde4400944c822645ce3dea79ec698e",
+    ("preset-late-backfill", "ground_truth.json"): "50ba91ba68fa36dd171cb3913e8eba89b86741be4036668735249d234f274f6d",
+    ("preset-late-backfill", "run_config.json"): "ff63609cc9949e1433bc91ccdf4af7c158eeb064058840fa37919a88b5aa3495",
+    ("ini", "population.csv.gz"): "265e786ca17e5d1ccfccb0a2570475203310d53f6d8bb71cfce1609853b50741",
+    ("ini", "ground_truth.json"): "e301bc3756d22e758cd78c58a42d1d8e6219e51d25e74deba0ccd6682dba546e",
+    ("ini", "run_config.json"): "a9255c5aecc2c9c56e28a701c505e76537dd33112e1076a1883269d1113cf8aa",
+}
+
+
+@pytest.mark.parametrize("name", ["preset-late-backfill", "ini"])
+def test_synth_golden_digests(tmp_path, name):
+    """synth's three files, for a preset and for an INI config, keep their bytes."""
+    if name == "ini":
+        (tmp_path / "synth.ini").write_text(SYNTH_INI)
+        args = ["--config", str(tmp_path / "synth.ini")]
+    else:
+        args = ["--preset", "late-backfill"]
+    assert cli.main(["synth", *args, "--out", str(tmp_path / name)]) == 0
+    digests = {
+        (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for file in ("population.csv.gz", "ground_truth.json", "run_config.json")
+    }
+    assert digests == {key: value for key, value in SYNTH_GOLDEN.items() if key[0] == name}

@@ -1,6 +1,12 @@
+import dataclasses
 import io
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracle_rows as oracle
 
 from maldrift.ingest import parse_metadata, snapshot_filter, write_metadata_csv
 from maldrift.labeling import (
@@ -177,3 +183,84 @@ def test_preset_stable_no_churn():
     months = sorted(truth.active_families, key=lambda p: p.index)
     first = truth.active_families[months[0]]
     assert all(truth.active_families[m] == first for m in months)
+
+
+def test_negative_detections_or_sizes_refused():
+    base = SynthConfig(months=2, per_month=20, family_pool=2, allow_label_noise=True, design_vtt=-5)
+    for change in (
+        {"goodware_detections": DetectionModel("point", value=-3)},
+        {"malware_detections": DetectionModel("uniform", low=-2, high=5)},
+    ):
+        with pytest.raises(ValueError, match="detection models must not draw negative counts"):
+            generate(dataclasses.replace(base, **change))
+    with pytest.raises(ValueError, match=r"size_range must not start below 0, got \(-1, 10\)"):
+        generate(dataclasses.replace(base, size_range=(-1, 10)))
+
+
+@pytest.mark.parametrize("days", [1e7, math.inf, math.nan])
+def test_crawl_date_past_the_calendar_refused(days):
+    config = SynthConfig(months=1, per_month=5, family_pool=1, lag=LagModel("point", days=days))
+    with pytest.raises(ValueError, match="lag model gives a crawl date past 9999-12-31"):
+        generate(config)
+
+
+_MARKET_KEYS = ["play.google.com", "anzhi", "VirusShare", "a||b", "", "|", "a|b", "b|a", "unknown"]
+_mixtures = st.dictionaries(
+    st.sampled_from(_MARKET_KEYS), st.sampled_from([1, 2, 0.25, 3.5, 0]), min_size=1, max_size=4
+)
+_detections = st.one_of(
+    st.builds(DetectionModel, st.just("point"), value=st.integers(0, 30)),
+    st.integers(0, 12).flatmap(
+        lambda low: st.builds(DetectionModel, st.just("uniform"), low=st.just(low), high=st.integers(low, 40))
+    ),
+)
+_lags = st.builds(
+    LagModel,
+    st.sampled_from(["point", "lognormal", "backfill"]),
+    days=st.floats(0, 40),
+    sigma=st.floats(0, 2),
+    late_fraction=st.floats(0, 1),
+    late_days=st.floats(0, 2000),
+)
+
+
+@st.composite
+def _configs(draw):
+    noise = draw(st.booleans())
+    return SynthConfig(
+        months=draw(st.integers(1, 5)),
+        per_month=draw(st.integers(1, 30)),
+        malware_fraction=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0, 1)),
+        family_pool=draw(st.integers(0, 5)),
+        family_birth_rate=draw(st.integers(0, 3)),
+        family_lifetime=draw(st.none() | st.integers(1, 4)),
+        goodware_markets=draw(_mixtures),
+        malware_markets=draw(_mixtures),
+        lag=draw(_lags),
+        goodware_detections=draw(_detections) if noise else DetectionModel("point", value=0),
+        malware_detections=draw(_detections),
+        design_vtt=draw(st.integers(0, 6)),
+        start=draw(st.sampled_from(["2014-01", "2015-12", "1970-01", "2100-11"])),
+        seed=draw(st.integers(0, 2**32)),
+        allow_label_noise=noise,
+        size_range=draw(st.sampled_from([(0, 0), (1, 10), (50_000, 50_000_000)] * 3 + [(7, 3)])),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_configs())
+def test_generate_matches_row_oracle(config):
+    """generate gives the records and ground truth of the record-at-a-time
+    generator, or raises the error it raises."""
+    try:
+        old_pop, old_truth = oracle.generate(config)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            generate(config)
+        assert str(raised.value) == str(exc)
+    else:
+        pop, truth = generate(config)
+        assert pop.records == old_pop.records
+        assert pop.provenance == old_pop.provenance
+        assert list(truth.true_class.items()) == list(old_truth.true_class.items())
+        assert truth.active_families == old_truth.active_families
