@@ -7,6 +7,7 @@ document with one section per subcommand. Exit codes: 0 success, 1 error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import configparser
 import csv
 import dataclasses
@@ -23,7 +24,7 @@ import numpy as np
 from . import ingest as ingest_mod
 from . import labeling, metrics, report, sampler, sizing, synth
 from .errors import FetchError, FormatError, MissingPredictionsError
-from .model import MIN_YEAR, Granularity, Period, Population, parse_timestamp
+from .model import MIN_YEAR, ClassLabel, Granularity, Period, Population, parse_timestamp
 from .version import __version__
 
 EXIT_OK = 0
@@ -125,16 +126,40 @@ def _load_population(path: str) -> Population:
 
 
 def _write_population_gz(pop: Population, path: Path) -> None:
-    buffer = io.BytesIO()
-    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
-    ingest_mod.write_metadata_csv(pop, text)
-    text.detach()  # flushes; the CSV stays in buffer
+    """Write pop's CSV gzipped, a chunk at a time, through path's .part file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # fixed mtime keeps byte-identical outputs across runs; one write, because
-    # deflate's output depends on how its input is split
-    with open(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
-        with buffer.getbuffer() as csv_bytes:
-            gz.write(csv_bytes)
+    # a fixed mtime keeps the bytes the same across runs. The chunks' UTF-8
+    # bytes go straight to GzipFile.write, and nothing flushes the compressor
+    # before close: a sync flush (as TextIOWrapper's flush, detach or close
+    # sends) would change the bytes, and how the input is split does not
+    with ingest_mod._replacing(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
+        ingest_mod.write_metadata_csv(pop, codecs.getwriter("utf-8")(gz))
+
+
+def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline, where
+    payload holds the config echo, the active families by period and the true
+    class by sha256; the true classes are written a chunk at a time."""
+    text = json.dumps(
+        {
+            "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
+            "config": config_echo,
+            "true_class": {},
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    classes = {cls: json.dumps(cls.value) for cls in ClassLabel}
+    hashes = sorted(truth.true_class)
+    with ingest_mod._replacing(path) as fh:
+        fh.write(text[: -len("{}\n}")] + "{\n")  # "true_class" sorts last; generate gives at least one row
+        ingest_mod._write_chunks(
+            fh,
+            len(hashes),
+            lambda rows: (f"    {json.dumps(sha)}: {classes[truth.true_class[sha]]}" for sha in hashes[rows]),
+            sep=",\n",
+        )
+        fh.write("\n  }\n}\n")
 
 
 def _out_dir(settings: Settings, default: str) -> Path:
@@ -353,7 +378,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         violations=tuple({"check": c.name, "evidence": c.evidence} for c in failures),
     )
     sampler.write_manifest_json(manifest, out / "manifest.json")
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    with ingest_mod._replacing(out / "manifest.csv", newline="") as fh:
         sampler.write_manifest_csv(manifest, fh)
     report.write_csv(
         out / "plan.csv",
@@ -507,12 +532,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     pop, truth = synth.generate(config)
     _write_population_gz(pop, out / "population.csv.gz")
     echo = dataclasses.asdict(config)
-    truth_payload = {
-        "config": echo,
-        "active_families": {str(p): list(fams) for p, fams in sorted(truth.active_families.items(), key=lambda kv: kv[0].index)},
-        "true_class": {sha: cls.value for sha, cls in sorted(truth.true_class.items())},
-    }
-    (out / "ground_truth.json").write_text(json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
+    _write_ground_truth(truth, echo, out / "ground_truth.json")
     report.write_run_config(out, "synth", echo | {"preset": args.preset})
     print(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
     return EXIT_OK

@@ -6,6 +6,7 @@ malformed rows) is the default because real snapshots contain bad rows.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import hashlib
@@ -93,8 +94,11 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
     )
 
 
-# Rows per chunk of the csv.reader path and of write_metadata_csv.
+# Rows per chunk of the csv.reader path.
 _CHUNK_ROWS = 1 << 13
+# Rows per chunk of the writers (_write_chunks): what a write holds at once
+# follows this, not the output's size.
+_WRITE_ROWS = 1 << 10
 # Characters per parse block: what a parse holds at once follows this, not the file size.
 _BLOCK_CHARS = 1 << 20
 # Market and family texts longer than this go through _parse_row.
@@ -550,14 +554,14 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
     """Serialize a population in the same CSV schema parse_metadata consumes.
 
     The bytes are csv.writer's: market and family texts are quoted once per
-    table entry, and rows are joined a chunk at a time.
+    table entry, and rows are written a chunk at a time.
     """
     csv.writer(stream, lineterminator="\n").writerow(CANONICAL_COLUMNS)
     markets = _csv_fields(["|".join(sorted(tags)) for tags in pop.market_sets])
     families = _csv_fields([*pop.families, ""], end="\n")  # code -1 is the last entry
-    for start in range(0, len(pop), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        fields = zip(
+
+    def lines(rows: slice) -> Iterator[str]:
+        return map(",".join, zip(
             pop.sha256[rows].astype("U64").tolist(),
             format_timestamps(pop.dex_date[rows]),
             pop.vt_detection[rows].astype("U20").tolist(),
@@ -566,8 +570,31 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
             format_timestamps(pop.vt_scan_date[rows]),
             pop.apk_size[rows].astype("U20").tolist(),
             families[pop.family[rows]].tolist(),
-        )
-        stream.write("".join(map(",".join, fields)))
+        ))
+
+    _write_chunks(stream, len(pop), lines)
+
+
+def _write_chunks(stream: IO[str], n: int, render, sep: str = "") -> None:
+    """Write the texts of rows 0..n-1 joined by sep, _WRITE_ROWS rows at a
+    time: render(rows) gives the texts of the rows in a slice."""
+    for at in range(0, n, _WRITE_ROWS):
+        stream.write((sep if at else "") + sep.join(render(slice(at, at + _WRITE_ROWS))))
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open path's .part file for writing, and move it onto path when the
+    block ends. On an error the .part file is removed, so path keeps what it
+    held and no reader sees a truncated output."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, mode, **kwargs) as fh:
+            yield fh
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 # population.npz beside population.csv.gz holds what ingest parsed, so later
@@ -620,10 +647,8 @@ def _write_sidecar(pop: Population, path: Path, csv_path: Path) -> None:
     arrays["content_sha256"] = np.array(_content_digest(arrays))
     arrays["csv_sha256"] = np.array(_file_sha256(csv_path))
     arrays["schema"] = np.array(_SIDECAR_SCHEMA, dtype=np.int64)
-    part = path.with_name(path.name + ".part")
-    with open(part, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         np.savez(fh, **arrays)
-    part.replace(path)
 
 
 def _read_sidecar(

@@ -13,12 +13,12 @@ from datetime import datetime
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import FormatError
-from .ingest import _hashes, _spans
+from .ingest import _hashes, _replacing, _spans, _write_chunks
 from .labeling import (
     CLASSES,
     DEFAULT_MARKET_PRIORITY,
@@ -179,9 +179,9 @@ class DatasetManifest:
             out.setdefault(entry.period, []).append(entry)
         return out
 
-    def _period_keys(self) -> np.ndarray:
-        """Each entry's period as one integer: see _period_of."""
-        return self.period * len(_GRANULARITIES) + self.granularity
+    def _period_keys(self, rows: slice = slice(None)) -> np.ndarray:
+        """The period of each entry in rows as one integer: see _period_of."""
+        return self.period[rows] * len(_GRANULARITIES) + self.granularity[rows]
 
     def _periods(self) -> tuple[list[Period], np.ndarray]:
         """The distinct periods ordered by index (then first seen), and each entry's position in that list."""
@@ -604,23 +604,33 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
     }
 
 
-def _pair_texts(manifest: DatasetManifest, render) -> np.ndarray:
-    """render(label, period) of each entry's (label, period) pair, rendered once per distinct pair."""
-    pairs, inverse = np.unique(manifest._period_keys() * len(CLASSES) + manifest.label, return_inverse=True)
-    texts = [
-        render(CLASSES[pair % len(CLASSES)].value, str(_period_of(pair // len(CLASSES)))) for pair in pairs.tolist()
-    ]
-    return np.array(texts, dtype=object)[inverse]
+def _pair_texts(manifest: DatasetManifest, render) -> Callable[[slice], list[str]]:
+    """A function of a slice of the entries that gives render(label, period)
+    of each entry in it; each distinct (label, period) pair is rendered once."""
+    rendered: dict[int, str] = {}
+
+    def texts(rows: slice) -> list[str]:
+        pairs, inverse = np.unique(manifest._period_keys(rows) * len(CLASSES) + manifest.label[rows], return_inverse=True)
+        for pair in pairs.tolist():
+            if pair not in rendered:
+                rendered[pair] = render(CLASSES[pair % len(CLASSES)].value, str(_period_of(pair // len(CLASSES))))
+        return np.array([rendered[pair] for pair in pairs.tolist()], dtype=object)[inverse].tolist()
+
+    return texts
 
 
 def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> None:
     """Write json.dumps(manifest_to_dict(manifest), indent=2) and a newline.
 
     Each table value and each (label, period) pair is rendered with json.dumps
-    once; the entries join their renderings.
+    once; the entries join their renderings a chunk at a time. The file is
+    written as path's .part file and then moved onto path.
     """
     text = json.dumps({**_manifest_head(manifest), "entries": []}, indent=2)
-    if len(manifest):
+    with _replacing(Path(path)) as fh:
+        if not len(manifest):
+            fh.write(text + "\n")
+            return
         pairs = _pair_texts(
             manifest,
             lambda label, period: f'",\n      "label": {json.dumps(label)},\n      "period": {json.dumps(period)},'
@@ -629,22 +639,28 @@ def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> No
         markets = [json.dumps(sorted(tags), indent=2).replace("\n", "\n      ") for tags in manifest.market_sets]
         markets = np.array([f'{text},\n      "family": ' for text in markets], dtype=object)
         families = np.array([f"{json.dumps(name)}\n    }}" for name in (*manifest.families, None)], dtype=object)
-        entries = zip(
-            repeat('    {\n      "sha256": "'),
-            manifest.sha256.astype("U64").tolist(),
-            pairs.tolist(),
-            markets[manifest.markets].tolist(),
-            families[manifest.family].tolist(),  # code -1 picks the null
-        )
-        text = text[: -len("[]\n}")] + "[\n" + ",\n".join(map("".join, entries)) + "\n  ]\n}"
-    Path(path).write_text(text + "\n")
+
+        def entries(rows: slice) -> Iterator[str]:
+            return map("".join, zip(
+                repeat('    {\n      "sha256": "'),
+                manifest.sha256[rows].astype("U64").tolist(),
+                pairs(rows),
+                markets[manifest.markets[rows]].tolist(),
+                families[manifest.family[rows]].tolist(),  # code -1 picks the null
+            ))
+
+        fh.write(text[: -len("[]\n}")] + "[\n")
+        _write_chunks(fh, len(manifest), entries, sep=",\n")
+        fh.write("\n  ]\n}\n")
 
 
 def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
-    """The sha256,label,period CSV of the entries, as csv.writer writes it."""
+    """The sha256,label,period CSV of the entries, as csv.writer writes it, written a chunk at a time."""
     stream.write("sha256,label,period\n")
     pairs = _pair_texts(manifest, lambda label, period: f",{label},{period}\n")
-    stream.write("".join(map("".join, zip(manifest.sha256.astype("U64").tolist(), pairs.tolist()))))
+    _write_chunks(
+        stream, len(manifest), lambda rows: map("".join, zip(manifest.sha256[rows].astype("U64").tolist(), pairs(rows)))
+    )
 
 
 def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:

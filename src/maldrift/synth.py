@@ -185,13 +185,14 @@ def _generate_month(
     """The month's columns but sha256, goodware rows first: active holds the
     family codes, and gw_markets and mw_markets the _market_codes."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, month_offset])))
-    period = Period.parse(config.start).shifted(month_offset)
-    month_start = period.start()
-    month_seconds = int((period.successor().start() - month_start).total_seconds())
+    month = np.datetime64(Period.parse(config.start).shifted(month_offset).start(), "M")
+    month_start = month.astype("datetime64[s]")
+    # from datetime64 arithmetic, not Period.successor: the calendar's last month has none
+    month_seconds = int(((month + 1).astype("datetime64[s]") - month_start).astype(np.int64))
     n_mw = config.monthly_malware()
     n_gw = config.per_month - n_mw
 
-    dex = np.datetime64(month_start, "s") + rng.integers(0, month_seconds, size=config.per_month)
+    dex = month_start + rng.integers(0, month_seconds, size=config.per_month)
     with np.errstate(invalid="ignore"):  # a NaN or an overlong lag casts to NaT or wraps, refused below
         crawl = dex + (_draw_lags(config.lag, rng, config.per_month) * 86400).astype(np.int64)
     if not ((crawl >= dex) & (crawl <= _LAST_SECOND)).all():

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gzip
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maldrift import cli, ingest, synth
+from maldrift import cli, ingest, sampler, synth
+from maldrift.model import Period
 from maldrift.sampler import read_manifest_json
 
 from helpers import sha_of
@@ -234,6 +237,92 @@ def test_synth_row_count(tmp_path):
     assert len(rows) == 2400 + 1  # header
     truth = json.loads((out / "ground_truth.json").read_text())
     assert len(truth["true_class"]) == 2400
+
+
+def test_synth_last_calendar_month(tmp_path):
+    out = tmp_path / "s"
+    assert run(["synth", "--start", "2100-12", "--months", 1, "--per-month", 50, "--out", out]) == 0
+    with gzip.open(out / "population.csv.gz", "rt", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 50
+    assert all(row["dex_date"].startswith("2100-12-") for row in rows)
+
+
+# market texts that csv.writer must quote and that are not ASCII
+_MARKETS = {"play.google.com": 2.0, "anzhi|appchina": 1.0, "zz,odd": 1.0, "市场": 1.0}
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_population_gz_is_one_gzip_write(tmp_path, monkeypatch, rows):
+    """The chunked population.csv.gz holds the bytes of one GzipFile.write of
+    the whole CSV (gzip.compress writes another header)."""
+    pop, _ = synth.generate(synth.SynthConfig(months=3, per_month=500, goodware_markets=_MARKETS))
+    text = io.StringIO()
+    ingest.write_metadata_csv(pop, text)
+    expected = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=expected, mtime=0) as gz:
+        gz.write(text.getvalue().encode("utf-8"))
+    if rows:
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", rows)
+    cli._write_population_gz(pop, tmp_path / "population.csv.gz")
+    assert (tmp_path / "population.csv.gz").read_bytes() == expected.getvalue()
+
+
+@pytest.mark.parametrize("preset", sorted(synth.scenario_presets()))
+def test_ground_truth_is_json_dumps_across_chunks(tmp_path, monkeypatch, preset):
+    config = synth.scenario_presets()[preset]
+    _, truth = synth.generate(config)
+    echo = dataclasses.asdict(config)
+    payload = {
+        "config": echo,
+        "active_families": {str(p): list(fams) for p, fams in sorted(truth.active_families.items(), key=lambda kv: kv[0].index)},
+        "true_class": {sha: cls.value for sha, cls in sorted(truth.true_class.items())},
+    }
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", 7)
+    cli._write_ground_truth(truth, echo, tmp_path / "ground_truth.json")
+    assert (tmp_path / "ground_truth.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _manifest_of(truth):
+    entries = [
+        sampler.ManifestEntry(sha, cls, Period.parse("2014-01"), frozenset({"play.google.com"}))
+        for sha, cls in truth.true_class.items()
+    ]
+    return sampler.DatasetManifest(entries, spec={}, created="")
+
+
+_WRITERS = {
+    "population.csv.gz": lambda pop, truth, path: cli._write_population_gz(pop, path),
+    "ground_truth.json": lambda pop, truth, path: cli._write_ground_truth(truth, {}, path),
+    "manifest.json": lambda pop, truth, path: sampler.write_manifest_json(_manifest_of(truth), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, name):
+    """A writer that fails after its first chunk leaves the file it would
+    replace byte-identical, and no .part file."""
+    pop, truth = synth.generate(synth.SynthConfig(months=2, per_month=20))
+    path, part = tmp_path / name, tmp_path / f"{name}.part"
+    path.write_bytes(b"earlier output\n")
+    write_chunks = ingest._write_chunks
+
+    def failing(stream, n, render, sep=""):
+        def render_or_fail(rows):
+            if rows.start:
+                assert part.exists()
+                raise OSError("No space left on device")
+            return render(rows)
+
+        write_chunks(stream, n, render_or_fail, sep)
+
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", 7)
+    monkeypatch.setattr(ingest, "_write_chunks", failing)
+    monkeypatch.setattr(sampler, "_write_chunks", failing)
+    with pytest.raises(OSError, match="No space left on device"):
+        _WRITERS[name](pop, truth, path)
+    assert path.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_synth_flags_override_a_preset(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maldrift import cli, synth
 from maldrift.errors import FetchError, FormatError
 from maldrift.ingest import (
     fetch_metadata,
@@ -26,6 +27,8 @@ from maldrift.ingest import (
     write_metadata_csv,
 )
 from maldrift.model import parse_timestamp
+from maldrift.sampler import DatasetManifest, write_manifest_json
+from maldrift.synth import SynthConfig
 
 from helpers import make_population, make_record, sha_of
 
@@ -305,6 +308,49 @@ def test_parse_memory_follows_block_size(tmp_path):
     _write_listing(small, 40_000)
     _write_listing(large, 160_000)
     assert abs(_bytes_beyond_columns(large) - _bytes_beyond_columns(small)) < 4_000_000
+
+
+def _write_peak(write, *args):
+    """Peak traced memory of write(*args), numpy buffers included; the input was made before tracing."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_population_gz_memory_follows_chunk_size(tmp_path):
+    """From 40k to 160k rows, what writing population.csv.gz holds grows by
+    under 4 MB: one chunk's text is gone before the next is rendered. Holding
+    the whole CSV would add tens of MB."""
+    peaks = [
+        _write_peak(cli._write_population_gz, synth.generate(SynthConfig(months=100, per_month=n))[0], tmp_path / "p.csv.gz")
+        for n in (400, 1600)
+    ]
+    assert peaks[1] - peaks[0] < 4_000_000
+
+
+def _manifest(n):
+    """A manifest of n entries over 60 months, three market sets and a few families."""
+    rng = np.random.default_rng(n)
+    columns = {
+        "sha256": np.array([sha_of(i) for i in range(n)], dtype="S64"),
+        "label": rng.integers(0, 3, n),
+        "period": rng.integers(528, 588, n),  # 2014-01 .. 2018-12
+        "granularity": np.zeros(n),
+        "markets": rng.integers(0, 3, n),
+        "family": rng.integers(-1, 5, n),
+    }
+    market_sets = (frozenset({"play.google.com"}), frozenset({"anzhi", "appchina"}), frozenset({"unknown"}))
+    families = tuple(f"fam{i}" for i in range(5))
+    return DatasetManifest._from_columns(columns, market_sets, families, spec={"seed": 0}, created="")
+
+
+def test_manifest_json_memory_follows_chunk_size(tmp_path):
+    """From 40k to 160k entries, what writing manifest.json holds grows by under 4 MB."""
+    peaks = [_write_peak(write_manifest_json, _manifest(n), tmp_path / "manifest.json") for n in (40_000, 160_000)]
+    assert peaks[1] - peaks[0] < 4_000_000
 
 
 PAYLOAD = bytes(range(256)) * 4096  # 1 MiB

@@ -189,8 +189,9 @@ _CRLF_QUOTED_LISTING = _CRLF_LISTING + f'{SHAS[4]},2016-01-05,2,anzhi,,,300,"two
 @example(_CRLF_QUOTED_LISTING)
 def test_parse_and_write_match_oracle_in_small_blocks(text):
     """Blocks of a few dozen characters: most reads end mid-line, quoted fields
-    span block cuts, and csv.reader takes over mid-file."""
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 37):
+    span block cuts, and csv.reader takes over mid-file. Writes of 7 rows a
+    chunk: chunk cuts fall between rows of every kind."""
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 37), mock.patch.object(ingest, "_WRITE_ROWS", 7):
         _check_parse_and_write(text)
 
 
@@ -402,6 +403,29 @@ _CRLF_PREDICTIONS = "\r\n".join(
         f"{SHAS[4]},7.5,1",
     ]
 ) + "\r\n"
+
+
+@settings(_oracle_settings, max_examples=100)
+@given(_listing(), st.integers(1, 8), _policy, _plan, _params, st.integers(0, 3))
+def test_manifest_writers_match_oracle_across_chunks(text, vtt, policy, plan, params, seed):
+    """write_manifest_json and write_manifest_csv 3 entries a chunk (a sampled
+    manifest here holds a few dozen entries at most), and the empty manifest."""
+    pop = ingest.parse_metadata(io.StringIO(text)).population
+    rule = LabelRule(vtt)
+    try:
+        manifest = sampler.stratified_sample(pop, rule, policy, sizing.plan_sizes(pop, rule, policy, plan, params), seed)
+    except ValueError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_WRITE_ROWS", 3):
+        new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
+        for entries in (manifest, manifest._replace(rows=slice(0, 0))):
+            written, expected = io.StringIO(), io.StringIO()
+            sampler.write_manifest_csv(entries, written)
+            oracle.write_manifest_csv(entries, expected)
+            assert written.getvalue() == expected.getvalue()
+            sampler.write_manifest_json(entries, new)
+            oracle.write_manifest_json(entries, old)
+            assert new.read_bytes() == old.read_bytes()
 
 
 @_oracle_settings

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,7 @@ from maldrift.labeling import (
     timestamp_lag_stats,
 )
 from maldrift.metrics import malware_families_by_period, overlap_series
-from maldrift.model import ClassLabel, Granularity, parse_timestamp
+from maldrift.model import ClassLabel, Granularity, Period, parse_timestamp
 from maldrift.synth import (
     DetectionModel,
     LagModel,
@@ -247,20 +248,37 @@ def _configs(draw):
     )
 
 
+_LAST_MONTH = Period.parse("2100-12")  # the calendar's last month
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(_configs())
 def test_generate_matches_row_oracle(config):
     """generate gives the records and ground truth of the record-at-a-time
-    generator, or raises the error it raises."""
+    generator, or raises the error it raises. That generator took a month's
+    length from the month after, so it refused 2100-12, the calendar's last
+    month: a config that reaches it is compared with the same config a year
+    earlier (2099 and 2100 have the same month lengths), its dates a year
+    later, and one that runs past it must name the first month outside."""
+    first = Period.parse(config.start)
+    late = first.index + config.months > _LAST_MONTH.index
     try:
-        old_pop, old_truth = oracle.generate(config)
+        old_pop, old_truth = oracle.generate(dataclasses.replace(config, start=str(first.shifted(-12))) if late else config)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
             generate(config)
         assert str(raised.value) == str(exc)
-    else:
-        pop, truth = generate(config)
-        assert pop.records == old_pop.records
-        assert pop.provenance == old_pop.provenance
-        assert list(truth.true_class.items()) == list(old_truth.true_class.items())
-        assert truth.active_families == old_truth.active_families
+        return
+    if first.index + config.months - 1 > _LAST_MONTH.index:
+        with pytest.raises(ValueError, match=f"^period index {_LAST_MONTH.index + 1} outside supported calendar range$"):
+            generate(config)
+        return
+    pop, truth = generate(config)
+    year, months = (timedelta(days=365), 12) if late else (timedelta(0), 0)
+    assert pop.records == tuple(
+        dataclasses.replace(r, dex_date=r.dex_date + year, crawl_date=r.crawl_date + year, vt_scan_date=r.vt_scan_date + year)
+        for r in old_pop.records
+    )
+    assert pop.provenance == old_pop.provenance
+    assert list(truth.true_class.items()) == list(old_truth.true_class.items())
+    assert truth.active_families == {p.shifted(months): fams for p, fams in old_truth.active_families.items()}
