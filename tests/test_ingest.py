@@ -28,7 +28,6 @@ from maldrift.ingest import (
 )
 from maldrift.model import parse_timestamp
 from maldrift.sampler import DatasetManifest, write_manifest_json
-from maldrift.synth import SynthConfig
 
 from helpers import make_population, make_record, sha_of
 
@@ -325,7 +324,7 @@ def test_population_gz_memory_follows_chunk_size(tmp_path):
     under 4 MB: one chunk's text is gone before the next is rendered. Holding
     the whole CSV would add tens of MB."""
     peaks = [
-        _write_peak(cli._write_population_gz, synth.generate(SynthConfig(months=100, per_month=n))[0], tmp_path / "p.csv.gz")
+        _write_peak(cli._write_population_gz, synth.generate(synth.SynthConfig(months=100, per_month=n))[0], tmp_path / "p.csv.gz")
         for n in (400, 1600)
     ]
     assert peaks[1] - peaks[0] < 4_000_000
