@@ -96,8 +96,10 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
 
 # Rows per chunk of the csv.reader path.
 _CHUNK_ROWS = 1 << 13
-# Rows per chunk of the writers (_write_chunks): what a write holds at once
-# follows this, not the output's size.
+# Rows per chunk of the writers (_write_chunks), and of the sort-order checks
+# of a loaded sidecar and of a manifest: what they hold at once follows this,
+# not the data's size. (The parse's dedupe compares _CHUNK_ROWS rows at a
+# time; each size gave the lower peak RSS where it is used.)
 _WRITE_ROWS = 1 << 10
 # Characters per parse block: what a parse holds at once follows this, not the file size.
 _BLOCK_CHARS = 1 << 20
@@ -283,6 +285,16 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
         column[at - len(part) : at] = part
         at -= len(part)
     return column
+
+
+def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare, rows: int) -> np.ndarray:
+    """compare(sha[order[i]], sha[order[i - 1]]) for i in 1..n-1, taken rows
+    at a time, so no sorted copy of the hashes is made."""
+    out = np.empty(max(len(order) - 1, 0), dtype=bool)
+    for at in range(1, len(order), rows):
+        here = order[at - 1 : at + rows]
+        out[at - 1 : at - 2 + len(here)] = compare(sha[here[1:]], sha[here[:-1]])
+    return out
 
 
 def _compact(column: np.ndarray, kept: np.ndarray) -> None:
@@ -503,9 +515,7 @@ class _Columns(_Rows):
         sha = columns["sha256"]
         order = np.argsort(sha, kind="stable")
         new = np.ones(len(sha), dtype=bool)  # order[i] holds another hash than order[i - 1]
-        for at in range(1, len(sha), _CHUNK_ROWS):  # a chunk at a time: no sorted copy of the hashes
-            here = order[at - 1 : at + _CHUNK_ROWS]
-            new[at : at - 1 + len(here)] = sha[here[1:]] != sha[here[:-1]]
+        new[1:] = _sorted_neighbours(sha, order, np.not_equal, _CHUNK_ROWS)
         starts = np.flatnonzero(new)
         first = order[starts]  # the stable sort puts a hash's first row first
         last = order[np.append(starts[1:], len(sha))[: len(starts)] - 1]
@@ -708,8 +718,7 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
     for name, (low, high) in in_range.items():
         if n and not low <= arrays[name].min() <= arrays[name].max() < high:
             raise FormatError(f"{path}: array {name!r} holds a value outside {low}..{high - 1}")
-    ordered = arrays["sha256"][order]
-    if (ordered[1:] <= ordered[:-1]).any():
+    if not _sorted_neighbours(arrays["sha256"], order, np.greater, _WRITE_ROWS).all():
         raise FormatError(f"{path}: array 'sha_order' does not sort 'sha256' into unique ascending hashes")
     return Population.from_columns(
         {name: arrays[name] for name in COLUMNS},

@@ -17,8 +17,10 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from . import ingest
 from .errors import FormatError
-from .ingest import _hashes, _replacing, _spans, _write_chunks
+from .ingest import _hashes, _replacing, _sorted_neighbours, _spans, _write_chunks
+from .jsonstream import read_object
 from .labeling import (
     CLASSES,
     DEFAULT_MARKET_PRIORITY,
@@ -124,8 +126,8 @@ class DatasetManifest:
         self.spec, self.created = spec, created
         self.strata, self.checks, self.violations = tuple(strata), tuple(checks), tuple(violations)
         self._sha_order = np.argsort(self.sha256, kind="stable")
-        ordered = self.sha256[self._sha_order]
-        repeats = self._sha_order[1:][ordered[1:] == ordered[:-1]]  # every occurrence after a hash's first
+        repeated = _sorted_neighbours(self.sha256, self._sha_order, np.equal, ingest._WRITE_ROWS)
+        repeats = self._sha_order[1:][repeated]  # every occurrence after a hash's first
         if repeats.size:
             raise ValueError(f"duplicate sha256 in manifest: {self.sha256[repeats.min()].decode()}")
 
@@ -664,12 +666,18 @@ def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
 
 
 def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
-    """Load a manifest; a malformed file raises FormatError naming the bad key or value."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return manifest_from_dict(data, str(path))
+    """Load a manifest; a malformed file raises FormatError naming the bad key or value.
+
+    The file is read a block of ingest._BLOCK_CHARS characters at a time and
+    its entries are decoded and checked ingest._WRITE_ROWS at a time (see
+    jsonstream.read_object), so what a read holds besides the manifest follows
+    those sizes, not the file's. The manifest, or the error, is the one
+    json.loads of the whole text and manifest_from_dict give.
+    """
+    data, entries = read_object(
+        path, "entries", lambda: _Entries(f"{path}: entries"), ingest._BLOCK_CHARS, ingest._WRITE_ROWS
+    )
+    return _manifest_of(data, entries, str(path))
 
 
 def manifest_from_dict(data: dict, where: str = "manifest") -> DatasetManifest:
@@ -678,12 +686,26 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> DatasetManifest:
     Every value it reads is checked; a fault is a FormatError naming where
     (the file), the entry or stratum, and the key.
     """
+    entries = None
+    if isinstance(data, dict) and isinstance(data.get("entries"), list):
+        entries = _Entries(f"{where}: entries")
+        for at in range(0, len(data["entries"]), ingest._WRITE_ROWS):
+            entries.add(data["entries"][at : at + ingest._WRITE_ROWS])
+    return _manifest_of(data, entries, where)
+
+
+def _manifest_of(data, entries: Optional["_Entries"], where: str) -> DatasetManifest:
+    """The manifest of decoded manifest JSON whose entries list went into entries.
+
+    Faults are raised in one order: the top-level keys, then the first bad
+    entry, then the spec, then the strata.
+    """
     if not isinstance(data, dict):
         raise FormatError(f"{where}: manifest must be a JSON object, not {type(data).__name__}")
     _require_keys(data, ("spec", "created", "entries"), f"{where}: manifest")
     if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
         raise FormatError(f"{where}: manifest 'spec' must be an object and 'entries' a list")
-    columns, market_sets, families = _entry_columns_of(data["entries"], f"{where}: entries")
+    columns, market_sets, families = entries.columns()
     _check_spec(data["spec"], f"{where}: spec")
     strata = _strata_of(data.get("strata", []), f"{where}: strata")
     try:
@@ -701,15 +723,61 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> DatasetManifest:
         raise FormatError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
+class _Entries:
+    """Entry columns built from decoded JSON entries, a chunk at a time.
+
+    Each chunk is checked and coded by _entry_columns_of, and its market-set
+    and family tables are merged into the manifest's in first-seen order, so
+    codes and tables are those of one pass over all entries. The columns grow
+    in bytearrays that the manifest's arrays then view, so no column is ever
+    held twice. After the first bad entry no chunk is coded; columns() raises
+    that entry's FormatError.
+    """
+
+    def __init__(self, where: str):
+        self.where = where
+        self.data = {name: bytearray() for name in _ENTRY_COLUMNS}
+        self.market_sets: dict[frozenset[str], int] = {}
+        self.families: dict[str, int] = {}
+        self.count = 0
+        self.fault: Optional[FormatError] = None
+
+    def add(self, entries: list) -> None:
+        if entries and self.fault is None:
+            try:
+                columns, market_sets, families = _entry_columns_of(entries, self.where, self.count)
+            except FormatError as exc:
+                self.fault = exc
+            else:
+                columns["markets"] = _merged(self.market_sets, market_sets)[columns["markets"]]
+                columns["family"] = _merged(self.families, families)[columns["family"]]
+                for name, dtype in _ENTRY_COLUMNS.items():
+                    self.data[name].extend(np.ascontiguousarray(columns[name], dtype=dtype))
+        self.count += len(entries)
+
+    def columns(self) -> tuple[dict, tuple, tuple]:
+        if self.fault is not None:
+            raise self.fault
+        columns = {name: np.frombuffer(self.data[name], dtype=dtype) for name, dtype in _ENTRY_COLUMNS.items()}
+        return columns, tuple(self.market_sets), tuple(self.families)
+
+
+def _merged(table: dict, values: tuple) -> np.ndarray:
+    """The codes in table of a chunk's table values, each new value added in
+    order, and -1 last, so code -1 (no family) stays -1."""
+    return np.array([table.setdefault(value, len(table)) for value in values] + [-1], dtype=np.int64)
+
+
 _MISSING = object()
 _ENTRY_KEYS = ("sha256", "label", "period", "markets")
 _LABEL_CODES = {label.value: code for code, label in enumerate(CLASSES)}
 
 
-def _entry_columns_of(entries: list, where: str) -> tuple[dict, tuple, tuple]:
-    """Entry columns and value tables of decoded JSON entries. Each value check
-    runs over all entries, and the first entry failing any is named in the
-    FormatError. A missing key or a non-object entry fails a value check too."""
+def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, tuple, tuple]:
+    """Entry columns and value tables of decoded JSON entries, the first of
+    which is entry number first. Each value check runs over all entries, and
+    the first entry failing any is named in the FormatError. A missing key or
+    a non-object entry fails a value check too."""
     try:
         rows = entries
         values = [[row[key] for row in rows] for key in _ENTRY_KEYS]
@@ -752,7 +820,7 @@ def _entry_columns_of(entries: list, where: str) -> tuple[dict, tuple, tuple]:
     bad = np.logical_or.reduce([mask for mask, _ in faults])
     if bad.any():
         i = int(bad.argmax())
-        entry, at = entries[i], f"{where}[{i}]"
+        entry, at = entries[i], f"{where}[{first + i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{at} must be an object")
         _require_keys(entry, _ENTRY_KEYS, at)

@@ -29,10 +29,13 @@ from maldrift.ingest import (
     PredictionRow,
     PredictionSet,
     _csv_rows,
+    _hashes,
     _not_utf8,
+    _spans,
 )
 from maldrift.labeling import (
     _FIELD_BY_KIND,
+    CLASSES,
     DEFAULT_MARKET_PRIORITY,
     LabelRule,
     LagStats,
@@ -73,6 +76,7 @@ from maldrift.sampler import (
     DatasetManifest,
     ManifestEntry,
     StratumFill,
+    _GRANULARITIES,
     _check_spec,
     _require_keys,
     build_spec_echo,
@@ -1115,3 +1119,170 @@ def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
     }
     pop = Population(tuple(records), provenance=f"synth(seed={config.seed})")
     return pop, GroundTruth(active_families, true_class)
+
+
+# read_manifest_json and manifest_from_dict as they were before the manifest
+# was read a block and a chunk of entries at a time: json.loads of the whole
+# text, then every entry checked and coded in one pass.
+
+
+def read_manifest_json_whole(path: Union[str, Path]) -> DatasetManifest:
+    """Load a manifest; a malformed file raises FormatError naming the bad key or value."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    return manifest_from_dict_whole(data, str(path))
+
+
+def manifest_from_dict_whole(data: dict, where: str = "manifest") -> DatasetManifest:
+    """The manifest of a manifest_to_dict() dict, such as decoded manifest JSON.
+
+    Every value it reads is checked; a fault is a FormatError naming where
+    (the file), the entry or stratum, and the key.
+    """
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: manifest must be a JSON object, not {type(data).__name__}")
+    _require_keys(data, ("spec", "created", "entries"), f"{where}: manifest")
+    if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
+        raise FormatError(f"{where}: manifest 'spec' must be an object and 'entries' a list")
+    columns, market_sets, families = _entry_columns_of(data["entries"], f"{where}: entries")
+    _check_spec(data["spec"], f"{where}: spec")
+    strata = _strata_of(data.get("strata", []), f"{where}: strata")
+    try:
+        return DatasetManifest._from_columns(
+            columns,
+            market_sets,
+            families,
+            spec=data["spec"],
+            created=data["created"],
+            strata=strata,
+            checks=tuple(data.get("checks", ())),
+            violations=tuple(data.get("violations", ())),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+_MISSING = object()
+_ENTRY_KEYS = ("sha256", "label", "period", "markets")
+_LABEL_CODES = {label.value: code for code, label in enumerate(CLASSES)}
+
+
+def _entry_columns_of(entries: list, where: str) -> tuple[dict, tuple, tuple]:
+    """Entry columns and value tables of decoded JSON entries. Each value check
+    runs over all entries, and the first entry failing any is named in the
+    FormatError. A missing key or a non-object entry fails a value check too."""
+    try:
+        rows = entries
+        values = [[row[key] for row in rows] for key in _ENTRY_KEYS]
+    except (KeyError, TypeError):  # a missing key or an entry that is not an object
+        rows = [e if isinstance(e, dict) else {} for e in entries]
+        values = [[row.get(key, _MISSING) for row in rows] for key in _ENTRY_KEYS]
+    shas, labels, periods, markets = values
+    try:
+        spans = _spans(tuple(shas))
+    except TypeError:  # a hash that is not a string
+        spans = _spans(tuple(v if isinstance(v, str) else "" for v in shas))
+    sha256, sha_ok = _hashes(*spans)
+    label = _codes(labels, lambda v: _LABEL_CODES.get(v, -1) if isinstance(v, str) else -1)
+    keys = _codes(periods, lambda v: _period_key(v) if isinstance(v, str) else -1)
+    market_sets: dict[frozenset[str], int] = {}
+
+    def market_code(tags) -> int:
+        if not isinstance(tags, tuple) or not all(isinstance(t, str) for t in tags):
+            return -1
+        return market_sets.setdefault(frozenset(tags), len(market_sets))
+
+    # a list of tags reads as a tuple, anything else as itself
+    if set(map(type, markets)) <= {list}:
+        tag_lists = list(map(tuple, markets))
+    else:
+        tag_lists = [tuple(v) if isinstance(v, list) else v for v in markets]
+    market = _codes(tag_lists, market_code)
+    families: dict[str, int] = {}
+    family = _codes(
+        [row.get("family") for row in rows],
+        lambda v: -1 if v is None else families.setdefault(v, len(families)) if isinstance(v, str) else -2,
+    )
+    faults = (
+        (~sha_ok, lambda e: f": sha256 {e['sha256']!r} is not 64 lowercase hex characters"),
+        (label < 0, lambda e: f": label {e['label']!r} is not one of {', '.join(_LABEL_CODES)}"),
+        (keys < 0, lambda e: f": period {e['period']!r} is not a YYYY or YYYY-MM period"),
+        (market < 0, lambda e: f": markets {e['markets']!r} is not a list of strings"),
+        (family < -1, lambda e: f": family {e['family']!r} is not null or a string"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        i = int(bad.argmax())
+        entry, at = entries[i], f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{at} must be an object")
+        _require_keys(entry, _ENTRY_KEYS, at)
+        describe = next(describe for mask, describe in faults if mask[i])
+        raise FormatError(f"{at}{describe(entry)}")
+    columns = {
+        "sha256": sha256,
+        "label": label,
+        "period": keys // len(_GRANULARITIES),
+        "granularity": keys % len(_GRANULARITIES),
+        "markets": market,
+        "family": family,
+    }
+    return columns, tuple(market_sets), tuple(families)
+
+
+def _codes(values: list, code_of) -> np.ndarray:
+    """code_of(value) of each value, called once per distinct value in first-seen
+    order; an unhashable value (a list or an object, say) gets code_of(_MISSING)."""
+    try:
+        table = {value: code_of(value) for value in dict.fromkeys(values)}
+    except TypeError:
+        return np.array([code_of(_MISSING if _unhashable(v) else v) for v in values], dtype=np.int64)
+    return np.fromiter(map(table.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _unhashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return True
+    return False
+
+
+def _period_key(text: str) -> int:
+    """The key (see _period_of) of a YYYY or YYYY-MM text; -1 for any other text."""
+    try:
+        period = Period.parse(text)
+    except ValueError:
+        return -1
+    return period.index * len(_GRANULARITIES) + _GRANULARITIES.index(period.granularity)
+
+
+def _strata_of(strata, where: str) -> tuple[StratumFill, ...]:
+    if not isinstance(strata, list):
+        raise FormatError(f"{where} must be a list")
+    fills = []
+    for i, fill in enumerate(strata):
+        at = f"{where}[{i}]"
+        if not isinstance(fill, dict):
+            raise FormatError(f"{at} must be an object")
+        _require_keys(fill, ("requested", "sampled"), at)
+        for key in ("requested", "sampled"):
+            if isinstance(fill[key], bool) or not isinstance(fill[key], int):
+                raise FormatError(f"{at}: {key} {fill[key]!r} is not an integer")
+        period = label = None
+        try:
+            if fill.get("period"):
+                period = Period.parse(fill["period"])
+        except (AttributeError, ValueError):
+            raise FormatError(f"{at}: period {fill['period']!r} is not null, a YYYY or a YYYY-MM period") from None
+        if fill.get("label"):
+            if not isinstance(fill["label"], str) or fill["label"] not in _LABEL_CODES:
+                raise FormatError(f"{at}: label {fill['label']!r} is not null or one of {', '.join(_LABEL_CODES)}")
+            label = ClassLabel(fill["label"])
+        note = fill.get("note", "")
+        if not isinstance(note, str):
+            raise FormatError(f"{at}: note {note!r} is not a string")
+        fills.append(StratumFill(period, label, fill["requested"], fill["sampled"], note))
+    return tuple(fills)

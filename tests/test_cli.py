@@ -502,6 +502,39 @@ def test_malformed_manifest_exits_1(good_manifest, tmp_path, capsys, corrupt, me
     assert message in err
 
 
+def _cut_mid_entry(text):
+    at = text.index('"sha256"', text.index('"entries"'))
+    return text[: text.index('"label"', at) + 4].encode()
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_cut_mid_entry, lambda text: b"\xef\xbb\xbf" + text.encode()],
+    ids=["cut-mid-entry", "bom"],
+)
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_manifest_not_json_exits_1(good_manifest, tmp_path, broken, command):
+    """A manifest that is not valid JSON ends in exit 1 and the error json.loads
+    gives, with no traceback and no file left open (ResourceWarning is an
+    error here)."""
+    path = tmp_path / "manifest.json"
+    path.write_bytes(broken(json.dumps(good_manifest, indent=2)))
+    with pytest.raises(ValueError) as expected:
+        json.loads(path.read_text())
+    argv = [command, "--manifest", path]
+    if command == "evaluate":
+        preds = tmp_path / "preds.csv"
+        preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"]))
+        argv += ["--predictions", f"p={preds}", "--out", tmp_path / "eval"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "maldrift.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == cli.EXIT_ERROR
+    assert result.stderr == f"error: {path}: not valid JSON: {expected.value}\n"
+
+
 def test_import_cli_loads_no_http_client():
     code = (
         "import sys, maldrift.cli; "

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maldrift import cli, synth
+from maldrift import cli, ingest, synth
 from maldrift.errors import FetchError, FormatError
 from maldrift.ingest import (
     fetch_metadata,
@@ -27,7 +27,7 @@ from maldrift.ingest import (
     write_metadata_csv,
 )
 from maldrift.model import parse_timestamp
-from maldrift.sampler import DatasetManifest, write_manifest_json
+from maldrift.sampler import DatasetManifest, read_manifest_json, write_manifest_json
 
 from helpers import make_population, make_record, sha_of
 
@@ -309,6 +309,33 @@ def test_parse_memory_follows_block_size(tmp_path):
     assert abs(_bytes_beyond_columns(large) - _bytes_beyond_columns(small)) < 4_000_000
 
 
+def _sidecar_bytes_beyond_columns(tmp_path, rows):
+    """Peak traced memory of loading a sidecar of a parsed listing, numpy buffers
+    included, less what the population keeps."""
+    listing, csv_path, sidecar = tmp_path / "listing.csv", tmp_path / "population.csv.gz", tmp_path / "population.npz"
+    _write_listing(listing, rows)
+    with open(listing, newline="") as stream:
+        pop = parse_metadata(stream).population
+    csv_path.write_bytes(b"")
+    ingest._write_sidecar(pop, sidecar, csv_path)
+    del pop
+    tracemalloc.start()
+    try:
+        pop = ingest._read_sidecar(sidecar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(column.nbytes for column in pop.columns().values()) - pop.sha_order.nbytes
+
+
+def test_sidecar_load_makes_no_sorted_copy(tmp_path):
+    """From 40k to 160k records, what loading a sidecar holds beyond its result
+    grows by under 4 MB: the sort-order check compares neighbours a chunk at a
+    time. A sorted copy of the hashes would add 7.7 MB."""
+    peaks = [_sidecar_bytes_beyond_columns(tmp_path, rows) for rows in (40_000, 160_000)]
+    assert peaks[1] - peaks[0] < 4_000_000
+
+
 def _write_peak(write, *args):
     """Peak traced memory of write(*args), numpy buffers included; the input was made before tracing."""
     tracemalloc.start()
@@ -349,6 +376,31 @@ def _manifest(n):
 def test_manifest_json_memory_follows_chunk_size(tmp_path):
     """From 40k to 160k entries, what writing manifest.json holds grows by under 4 MB."""
     peaks = [_write_peak(write_manifest_json, _manifest(n), tmp_path / "manifest.json") for n in (40_000, 160_000)]
+    assert peaks[1] - peaks[0] < 4_000_000
+
+
+def _read_beyond_columns(path):
+    """Peak traced memory of read_manifest_json, numpy buffers included, less
+    what the manifest keeps: its columns and their sort order."""
+    tracemalloc.start()
+    try:
+        manifest = read_manifest_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(column.nbytes for column in manifest._columns().values()) - manifest._sha_order.nbytes
+
+
+def test_manifest_json_read_memory_follows_chunk_size(tmp_path):
+    """From 40k to 160k entries, what reading manifest.json holds beyond the
+    manifest grows by under 4 MB: a block of text and a chunk of decoded
+    entries at a time. Decoding the whole file with json.loads would add
+    about 100 MB."""
+    peaks = []
+    for n in (40_000, 160_000):
+        path = tmp_path / f"manifest-{n}.json"
+        write_manifest_json(_manifest(n)._replace(spec={"policy": {"kind": "creation_dex"}}), path)
+        peaks.append(_read_beyond_columns(path))
     assert peaks[1] - peaks[0] < 4_000_000
 
 

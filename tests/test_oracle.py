@@ -9,7 +9,9 @@ breaks inside quotes, CRLF rows and NUL. Each columnar function must return
 exactly what tests/oracle_rows.py returns, or raise the same error with the
 same message.
 """
+import copy
 import csv
+import functools
 import io
 import json
 import sys
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_rows as oracle
-from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing
+from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing, synth
 from maldrift.errors import FormatError
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
 from maldrift.model import Granularity
@@ -454,3 +456,136 @@ def test_crlf_input_stays_on_the_bulk_path(parse, text, calls):
     with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
         parse(io.StringIO(text))
     assert reader.call_count == calls
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_manifest() -> dict:
+    """manifest_to_dict of a yearly spatial sample of a small synth population:
+    about 150 entries over a few market sets and families."""
+    config = synth.SynthConfig(
+        months=24, per_month=60, malware_fraction=0.3, family_pool=6,
+        malware_markets={"anzhi": 0.5, "appchina|anzhi": 0.3, "play.google.com": 0.2},
+    )
+    pop = synth.generate(config)[0]
+    rule, policy = LabelRule(4), TimestampPolicy(TimestampKind.CREATION_DEX)
+    plan = sizing.plan_sizes(pop, rule, policy, SizingPlan(PlanMode.YEARLY, spatial=True), SizingParams(0.9, 0.2))
+    return sampler.manifest_to_dict(sampler.stratified_sample(pop, rule, policy, plan, seed=1))
+
+
+_BAD_VALUES = {
+    "sha256": ["x", 7, None, "A" * 64, ["a"]],
+    "label": ["bad", 1, None, {}],
+    "period": ["2014-13", "14", 2014, None],
+    "markets": ["anzhi", [1], None, {"a": 1}],
+    "family": [3, ["f"], {}],
+}
+# "}," inside a string: a run of elements decoded up to it fails
+_GOOD_VALUES = {
+    "family": ["fam\u00e9", None, "x\u2028y", "a},{b", "fam\U0001f600"],
+    "markets": [["\u5e02\u573a", "anzhi"], [], ["anzhi", "anzhi"], ["}, "]],
+}
+
+
+@st.composite
+def _manifest_json(draw) -> bytes:
+    """A sampled manifest's JSON, serialised in one of many styles and maybe
+    corrupted: a field, an entry, a top-level key or the bytes themselves."""
+    data = copy.deepcopy(_sampled_manifest())
+    entries = data["entries"]
+    data["entries"] = entries = entries[: draw(st.integers(0, len(entries)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if not entries:
+            break
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        if not isinstance(entry, dict):
+            continue
+        key = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        kind = draw(st.sampled_from(["bad", "good", "drop", "copy", "list"]))
+        if kind == "bad":
+            entry[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+        elif kind == "good" and key in _GOOD_VALUES:
+            entry[key] = draw(st.sampled_from(_GOOD_VALUES[key]))
+        elif kind == "drop":
+            entry.pop(key, None)
+        elif kind == "copy":  # a duplicate hash
+            entries.append(dict(entry))
+        elif kind == "list":
+            entries[entries.index(entry)] = list(entry.values())
+    if draw(st.sampled_from([False, False, True])):
+        data["spec"]["nan"] = float("nan")
+    head = draw(st.sampled_from([""] * 6 + ["spec", "created", "strata", "checks", "policy", "top"]))
+    if head == "spec":
+        data["spec"] = draw(st.sampled_from([[], "x", {}]))
+    elif head == "created":
+        del data["created"]
+    elif head == "strata":
+        data["strata"] = draw(st.sampled_from([{}, [1], [{"requested": 1}], [{"requested": 1, "sampled": "2"}]]))
+    elif head == "checks":
+        data["checks"] = draw(st.sampled_from([3, [{"name": "C1"}], "ab"]))
+    elif head == "policy":
+        data["spec"]["policy"] = draw(st.sampled_from([{"kind": "x"}, [], {"kind": "dex", "fallback": 1}]))
+    elif head == "top":
+        data = draw(st.sampled_from([data["entries"], 3, "x", None]))
+    style = {
+        "indent": draw(st.sampled_from([None, 0, 1, 4])),
+        "sort_keys": draw(st.booleans()),
+        "ensure_ascii": draw(st.booleans()),
+        "separators": draw(st.sampled_from([None, (",", ":"), (" ,", " : "), (",\t", ":\n")])),
+    }
+    if isinstance(data, dict):
+        members = list(data.items())
+        members = [members[i] for i in draw(st.permutations(range(len(members))))]
+        if draw(st.sampled_from([False, False, False, True])):  # a duplicate "entries": the last one wins
+            first = draw(st.sampled_from([[{"sha256": "x"}], [], 5, data.get("entries", [])]))
+            members.insert(draw(st.integers(0, len(members))), ("entries", first))
+        gap = draw(st.sampled_from([", ", ",\n  ", ","]))
+        text = "{" + gap.join(f"{json.dumps(k)}: {json.dumps(v, **style)}" for k, v in members) + "}"
+    else:
+        text = json.dumps(data, **style)
+    text += draw(st.sampled_from(["", "\n", "  \n\n"]))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    raw = text.encode()
+    if draw(st.sampled_from([False] * 5 + [True])):
+        raw = b"\xef\xbb\xbf" + raw
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.sampled_from(["cut", "drop", "insert"]))
+        if edit == "cut":
+            raw = raw[:at]
+        elif edit == "drop":
+            raw = raw[:at] + raw[at + draw(st.integers(1, 40)) :]
+        else:
+            raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\x82", b"\xc3", b",", b"]", b"}", b"1", b'"', b"\r", b"\n", b"\x00"])) + raw[at:]
+    return raw
+
+
+def _manifest_or_error(read, path):
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(_oracle_settings, max_examples=300)
+@given(_manifest_json(), st.sampled_from([1, 2, 5, 16, 37, 1000]), st.sampled_from([1, 3, 1024]))
+def test_streamed_manifest_read_matches_whole_text_read(raw, block, rows):
+    """read_manifest_json in blocks of a few characters and chunks of a few
+    entries gives json.loads' manifest or error: same columns, tables and head,
+    or the same exception and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "manifest.json")
+        path.write_bytes(raw)
+        want = _manifest_or_error(oracle.read_manifest_json_whole, path)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), mock.patch.object(ingest, "_WRITE_ROWS", rows):
+            got = _manifest_or_error(sampler.read_manifest_json, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, sampler.DatasetManifest)
+    for name, column in want._columns().items():
+        assert getattr(got, name).dtype == column.dtype
+        assert getattr(got, name).tobytes() == column.tobytes()
+    assert (got.market_sets, got.families) == (want.market_sets, want.families)
+    head = [json.dumps(sampler._manifest_head(m)) for m in (got, want)]  # NaN in spec renders as NaN
+    assert head[0] == head[1]
