@@ -10,10 +10,10 @@ import argparse
 import random
 from pathlib import Path
 
-from maldrift.ingest import PredictionRow, PredictionSet
+from maldrift.ingest import PredictionRow, PredictionSet, write_csv
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
 from maldrift.model import ClassLabel
-from maldrift.report import evaluate_manifest, render_aut_markdown, write_csv, aut_table_rows
+from maldrift.report import evaluate_manifest, render_aut_markdown, aut_table_rows
 from maldrift.sampler import stratified_sample, verify_constraints, write_manifest_json
 from maldrift.sizing import PlanMode, SizingParams, SizingPlan, plan_sizes
 from maldrift.synth import SynthConfig, generate

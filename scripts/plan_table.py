@@ -8,9 +8,8 @@ monthly / spatial combinations, all applied to the same population.
 import argparse
 from pathlib import Path
 
-from maldrift.ingest import open_text, parse_metadata
+from maldrift.ingest import open_text, parse_metadata, write_csv
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
-from maldrift.report import write_csv
 from maldrift.sizing import PlanMode, SizingParams, SizingPlan, compare_plans
 from maldrift.synth import SynthConfig, generate
 

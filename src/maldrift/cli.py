@@ -17,15 +17,19 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+# sampler, report and synth load inside the commands that run them
 from . import ingest as ingest_mod
-from . import labeling, metrics, report, sampler, sizing, synth
-from .errors import FetchError, FormatError, MissingPredictionsError
+from . import labeling, metrics, sizing
+from .errors import FormatError, MissingPredictionsError
 from .model import MIN_YEAR, ClassLabel, Granularity, Period, Population, parse_timestamp
 from .version import __version__
+
+if TYPE_CHECKING:
+    from . import synth
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,6 +166,12 @@ def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path)
         fh.write("\n  }\n}\n")
 
 
+def write_run_config(out: Path, command: str, config: dict) -> None:
+    """Echo the fully-resolved run configuration next to the outputs."""
+    payload = {"tool_version": __version__, "command": command, "config": config}
+    (out / "run_config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _out_dir(settings: Settings, default: str) -> Path:
     out = Path(settings.get("out", default))
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +212,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "families": family_info,
     }
     (out / "ingest_stats.json").write_text(json.dumps(stats_payload, indent=2) + "\n")
-    report.write_run_config(out, "ingest", {"input": args.input, "strict": strict})
+    write_run_config(out, "ingest", {"input": args.input, "strict": strict})
     print(f"ingested {len(pop)} records -> {out / 'population.csv.gz'}")
     print(f"rows={stats.rows} malformed={stats.malformed} duplicates={stats.duplicates}")
     return EXIT_OK
@@ -218,7 +228,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         rows = []
         for vtt in range(1, settings.get("vtt_max", 40, int) + 1):
             rows.append((vtt, f"{labeling.vtt_coverage(pop, vtt):.6f}"))
-        report.write_csv(out / "vtt_coverage.csv", ("vtt", "coverage"), rows)
+        ingest_mod.write_csv(out / "vtt_coverage.csv", ("vtt", "coverage"), rows)
         heat_values = [int(v) for v in settings.get("vtt_values", "1,4,10,15,20").split(",")]
         heatmap = labeling.vtt_market_heatmap(pop, heat_values)
         heat_rows = []
@@ -228,11 +238,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 continue
             for market, pct in row.items():
                 heat_rows.append((vtt, market, f"{pct:.4f}"))
-        report.write_csv(out / "vtt_market_heatmap.csv", ("vtt", "market", "pct"), heat_rows)
+        ingest_mod.write_csv(out / "vtt_market_heatmap.csv", ("vtt", "market", "pct"), heat_rows)
         wrote += ["vtt_coverage.csv", "vtt_market_heatmap.csv"]
     if args.markets:
         comp = labeling.market_composition(pop, rule)
-        report.write_csv(
+        ingest_mod.write_csv(
             out / "market_composition.csv",
             ("market", "goodware_pct", "malware_pct"),
             [(r.market, f"{r.goodware_pct:.4f}", f"{r.malware_pct:.4f}") for r in comp],
@@ -254,7 +264,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         a = _TIMESTAMP_KINDS[settings.get("lag_from", "dex", _timestamp_name)]
         b = _TIMESTAMP_KINDS[settings.get("lag_to", "crawl", _timestamp_name)]
         lag = labeling.timestamp_lag_stats(pop, a, b)
-        report.write_csv(
+        ingest_mod.write_csv(
             out / "timestamp_lag.csv",
             ("stat", "value"),
             [
@@ -265,7 +275,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 ("q3_days", f"{lag.q3_days:.4f}"),
             ],
         )
-        report.write_csv(
+        ingest_mod.write_csv(
             out / "timestamp_lag_histogram.csv",
             ("day_lag", "count"),
             sorted(lag.histogram.items()),
@@ -282,7 +292,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         ref = Period.parse(str(ref_raw)) if ref_raw else periods[0]
         tests = [p for p in periods if p != ref]
         series = metrics.overlap_series(slices, ref, tests)
-        report.write_csv(
+        ingest_mod.write_csv(
             out / "family_overlap.csv",
             ("period", "overlap"),
             [(str(p), f"{v:.6f}") for p, v in series.points],
@@ -291,7 +301,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not wrote:
         print("nothing to do: pass at least one of --vtt-curve/--markets/--timestamps/--overlap", file=sys.stderr)
         return EXIT_USAGE
-    report.write_run_config(out, "stats", {"population": args.population, "tables": wrote})
+    write_run_config(out, "stats", {"population": args.population, "tables": wrote})
     print(f"wrote {', '.join(wrote)} -> {out}")
     return EXIT_OK
 
@@ -319,6 +329,8 @@ def _sizing_inputs(settings: Settings):
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import sampler
+
     settings = Settings(args, "sample")
     out = _out_dir(settings, "sample_out")
     seed = settings.get("seed", 0, int)
@@ -380,7 +392,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     sampler.write_manifest_json(manifest, out / "manifest.json")
     with ingest_mod._replacing(out / "manifest.csv", newline="") as fh:
         sampler.write_manifest_csv(manifest, fh)
-    report.write_csv(
+    ingest_mod.write_csv(
         out / "plan.csv",
         ("period", "population", "n", "malware", "goodware", "malware_shortfall", "goodware_shortfall"),
         [
@@ -396,12 +408,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
             for s in plan_result.strata
         ],
     )
-    report.write_run_config(out, "sample", config_echo)
+    write_run_config(out, "sample", config_echo)
     print(f"manifest with {len(manifest)} entries -> {out / 'manifest.json'}")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import sampler
+
     settings = Settings(args, "verify")
     manifest = sampler.read_manifest_json(args.manifest)
     pop = _load_population(args.population) if args.population else None
@@ -422,9 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             + "\n"
         )
-        report.write_run_config(
-            out, "verify", {"manifest": args.manifest, "population": args.population}
-        )
+        write_run_config(out, "verify", {"manifest": args.manifest, "population": args.population})
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CONSTRAINT
 
 
@@ -464,6 +476,8 @@ def _parse_predset_arg(value: str, threshold: float) -> ingest_mod.PredictionSet
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import report, sampler
+
     settings = Settings(args, "evaluate")
     out = _out_dir(settings, "evaluate_out")
     window = settings.get("window", 12, int)
@@ -506,16 +520,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(markdown, end="")
     (out / "report.md").write_text(markdown)
     header, rows = report.aut_table_rows(result)
-    report.write_csv(out / "aut_table.csv", header, rows)
+    ingest_mod.write_csv(out / "aut_table.csv", header, rows)
     (out / "report.json").write_text(json.dumps(report.report_to_dict(result), indent=2) + "\n")
     if result.window_series:
         with open(out / "window_series.csv", "w", newline="") as fh:
             report.write_window_series_csv(result, fh)
-    report.write_run_config(out, "evaluate", config_echo)
+    write_run_config(out, "evaluate", config_echo)
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     settings = Settings(args, "synth")
     out = _out_dir(settings, "synth_out")
     presets = synth.scenario_presets()
@@ -533,20 +549,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_population_gz(pop, out / "population.csv.gz")
     echo = dataclasses.asdict(config)
     _write_ground_truth(truth, echo, out / "ground_truth.json")
-    report.write_run_config(out, "synth", echo | {"preset": args.preset})
+    write_run_config(out, "synth", echo | {"preset": args.preset})
     print(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
-    return EXIT_OK
-
-
-def cmd_fetch(args: argparse.Namespace) -> int:
-    settings = Settings(args, "fetch")
-    path = ingest_mod.fetch_metadata(
-        args.url,
-        args.dest,
-        resume=settings.get("resume", False, bool),
-        attempts=settings.get("attempts", 3, int),
-    )
-    print(path)
     return EXIT_OK
 
 
@@ -658,13 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fetch", help="download a remote metadata file")
-    common(p)
-    p.add_argument("--url", required=True)
-    p.add_argument("--dest", required=True)
-    p.add_argument("--resume", action="store_const", const=True)
-    p.add_argument("--attempts", type=int)
-    p.set_defaults(func=cmd_fetch)
     return parser
 
 
@@ -673,7 +670,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, MissingPredictionsError, FetchError, ValueError, OSError) as exc:
+    except (FormatError, MissingPredictionsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -5,10 +5,6 @@ class FormatError(ValueError):
     """Input file is structurally unusable (missing columns, empty, bad row in strict mode)."""
 
 
-class FetchError(RuntimeError):
-    """Remote metadata download failed after retries."""
-
-
 class MissingPredictionsError(ValueError):
     """Truth hashes without predictions (or predictions that resolve to no truth)."""
 

@@ -1,4 +1,4 @@
-"""Parse metadata/family/prediction files, fetch remote metadata, emulate snapshots.
+"""Parse metadata/family/prediction files, write CSV outputs, emulate snapshots.
 
 Column names follow the public AndroZoo metadata: "added" maps to the crawl
 date and "markets" is a "|"-separated list. Lenient parsing (count and skip
@@ -12,25 +12,25 @@ import gzip
 import hashlib
 import io
 import itertools
-import shutil
-import time
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FetchError, FormatError
+from .errors import FormatError
 from .model import (
     COLUMNS,
     MAX_YEAR,
     MIN_YEAR,
     ApkRecord,
     Population,
+    _WRITE_ROWS,
+    _sorted_neighbours,
     _sorted_positions,
     format_timestamps,
     parse_timestamp,
@@ -56,11 +56,12 @@ class ParseResult:
 
 
 def open_text(path: Union[str, Path]) -> IO[str]:
-    """Open a possibly gzip-compressed text file for reading."""
+    """Open a possibly gzip-compressed UTF-8 text file for reading; a byte that is not
+    UTF-8 reads as a lone surrogate, so a parser can name its row (_undecodable)."""
     path = str(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", newline="")
-    return open(path, "r", newline="")
+        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape", newline="")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _market_tags(text: str) -> frozenset[str]:
@@ -96,11 +97,6 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
 
 # Rows per chunk of the csv.reader path.
 _CHUNK_ROWS = 1 << 13
-# Rows per chunk of the writers (_write_chunks), and of the sort-order checks
-# of a loaded sidecar and of a manifest: what they hold at once follows this,
-# not the data's size. (The parse's dedupe compares _CHUNK_ROWS rows at a
-# time; each size gave the lower peak RSS where it is used.)
-_WRITE_ROWS = 1 << 10
 # Characters per parse block: what a parse holds at once follows this, not the file size.
 _BLOCK_CHARS = 1 << 20
 # Market and family texts longer than this go through _parse_row.
@@ -268,6 +264,30 @@ def _as_dict(header: list[str], row: list[str]) -> dict:
     return record
 
 
+def _undecodable(stream: IO[str], text: str) -> tuple[int, Optional[UnicodeDecodeError]]:
+    """Where text, read from stream, holds its first byte that is not UTF-8, and
+    the error decoding it gives, or (-1, None). Only open_text's streams read
+    such bytes (as lone surrogates); others raise the error as they are read."""
+    if getattr(stream, "errors", None) == "surrogateescape" and not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            try:
+                text[exc.start :].encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as error:
+                return exc.start, error
+    return -1, None
+
+
+def _utf8_lines(stream: IO[str], lines: Iterable[str]) -> Iterator[str]:
+    """The lines; one that holds a byte that is not UTF-8 raises its _undecodable
+    error when read, so csv.reader raises it at the row that holds the byte."""
+    for line in lines:
+        if not line.isascii() and (error := _undecodable(stream, line)[1]):
+            raise error
+        yield line
+
+
 def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError) -> FormatError:
     """The error for input that is not UTF-8, naming the file and the rows read before it."""
     name = getattr(stream, "name", None) or default
@@ -285,16 +305,6 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
         column[at - len(part) : at] = part
         at -= len(part)
     return column
-
-
-def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare, rows: int) -> np.ndarray:
-    """compare(sha[order[i]], sha[order[i - 1]]) for i in 1..n-1, taken rows
-    at a time, so no sorted copy of the hashes is made."""
-    out = np.empty(max(len(order) - 1, 0), dtype=bool)
-    for at in range(1, len(order), rows):
-        here = order[at - 1 : at + rows]
-        out[at - 1 : at - 2 + len(here)] = compare(sha[here[1:]], sha[here[:-1]])
-    return out
 
 
 def _compact(column: np.ndarray, kept: np.ndarray) -> None:
@@ -374,7 +384,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     first block that holds a quote, NUL or a CR outside a CRLF hands itself and
     the rest of the stream to csv.reader, in chunks of _CHUNK_ROWS rows. Text
     that is not UTF-8 is a FormatError naming the stream (else name) and the
-    stats.rows the reader has counted before it. A header kind refuses, or
+    stats.rows counted before it: the rows before its row, when open_text
+    opened the stream (see _undecodable). A header kind refuses, or
     none, is a FormatError naming the stream, when it has a name.
     """
     reader = None
@@ -393,18 +404,32 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 block = block.replace("\r\n", "\n")
             if any(special in block for special in _SPECIAL):
                 lines = io.StringIO(block + pending + stream.readline(), newline="")
-                rows = _csv_rows(csv.reader(itertools.chain(lines, stream)))
+                rows = _csv_rows(csv.reader(_utf8_lines(stream, itertools.chain(lines, stream))))
                 if reader is None:
                     reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
-                while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-                    if chunk := [row for row in chunk if row]:
-                        reader.add(*_rows_chunk(chunk, len(reader.header)))
-                return reader
+                while True:
+                    chunk, error = [], None
+                    try:
+                        for row in itertools.islice(rows, _CHUNK_ROWS):
+                            chunk.append(row)
+                    except UnicodeDecodeError as exc:  # at its row, so the rows before it are read first
+                        error = exc
+                    if filled := [row for row in chunk if row]:
+                        reader.add(*_rows_chunk(filled, len(reader.header)))
+                    if error:
+                        raise error
+                    if not chunk:
+                        return reader
+            at, error = _undecodable(stream, block)
+            if error:  # read the lines before its line, then raise it
+                block = block[: block.rfind("\n", 0, at) + 1]
             if reader is None and block:
                 line, _, block = block.partition("\n")
                 reader = kind(_fields(line), stats, strict)
             if reader is not None and block:
                 reader.add(*_block_chunk(block, len(reader.header)))
+            if error:
+                raise error
             if not text:
                 break
         if reader is None:
@@ -585,6 +610,13 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
     _write_chunks(stream, len(pop), lines)
 
 
+def write_csv(path: Union[str, Path], header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_chunks(stream: IO[str], n: int, render, sep: str = "") -> None:
     """Write the texts of rows 0..n-1 joined by sep, _WRITE_ROWS rows at a
     time: render(rows) gives the texts of the rows in a slice."""
@@ -745,7 +777,7 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
     mapping: dict[str, str] = {}
     malformed = rows = 0
     try:
-        for row in _csv_rows(csv.reader(stream)):
+        for row in _csv_rows(csv.reader(_utf8_lines(stream, stream))):
             if not row or row == ["sha256", "family"]:
                 continue
             rows += 1
@@ -896,12 +928,11 @@ class _Predictions(_Rows):
         """The hashes, scores and labels in ascending hash order, a hash's last row only."""
         sha, score, label = (_joined(part, dtype) for part, dtype in zip(self.parts, ("S64", np.float64, np.int64)))
         order = np.argsort(sha, kind="stable")
-        ordered = sha[order]
         last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
-        last[:-1] = ordered[1:] != ordered[:-1]
+        last[:-1] = _sorted_neighbours(sha, order, np.not_equal, _WRITE_ROWS)
         kept = order[last]
         self.stats.duplicates = len(sha) - len(kept)
-        return ordered[last], score[kept], label[kept]
+        return sha[kept], score[kept], label[kept]
 
 
 def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:
@@ -938,76 +969,3 @@ def snapshot_filter(pop: Population, cutoff: datetime) -> SnapshotResult:
     late = pop.crawl_date > np.datetime64(cutoff)  # False for NaT
     snapped = pop.select(~missing & ~late, snapshot_date=cutoff)
     return SnapshotResult(snapped, int(late.sum()), int(missing.sum()))
-
-
-def fetch_metadata(
-    url: str,
-    destination: Union[str, Path],
-    resume: bool = False,
-    attempts: int = 3,
-    backoff: float = 0.5,
-    timeout: float = 30.0,
-) -> Path:
-    """Download a metadata file with retry/backoff and optional byte-range resume.
-
-    When the URL ends in .gz and the destination does not, the payload is
-    transparently decompressed.
-    """
-    # the HTTP modules load on first fetch: urllib.request pulls in ssl and
-    # email, which no other command needs
-    import http.client
-
-    destination = Path(destination)
-    part = destination.with_name(destination.name + ".part")
-    last_error: Optional[Exception] = None
-    for attempt in range(attempts):
-        if attempt:
-            time.sleep(backoff * 2 ** (attempt - 1))
-        try:
-            _download(url, part, resume, timeout)
-            break
-        except (FetchError, OSError, http.client.HTTPException) as exc:
-            last_error = exc
-    else:
-        raise FetchError(f"fetch of {url} failed after {attempts} attempts: {last_error}")
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    if url.split("?")[0].endswith(".gz") and not destination.name.endswith(".gz"):
-        with gzip.open(part, "rb") as src, open(destination, "wb") as dst:
-            shutil.copyfileobj(src, dst)
-        part.unlink()
-    else:
-        part.replace(destination)
-    return destination
-
-
-def _download(url: str, part: Path, resume: bool, timeout: float) -> None:
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(url)
-    mode = "wb"
-    if resume and part.exists() and part.stat().st_size > 0:
-        request.add_header("Range", f"bytes={part.stat().st_size}-")
-        mode = "ab"
-    try:
-        resp = urllib.request.urlopen(request, timeout=timeout)
-    except urllib.error.HTTPError as err:
-        err.close()
-        if err.code == 416 and mode == "ab":
-            return  # already complete
-        raise FetchError(f"HTTP {err.code} for {url}") from None
-    with resp:
-        if resp.status == 200 and mode == "ab":
-            mode = "wb"  # server ignored the range request; restart
-        if resp.status not in (200, 206):
-            raise FetchError(f"HTTP {resp.status} for {url}")
-        expected = resp.headers.get("Content-Length")
-        received = 0
-        part.parent.mkdir(parents=True, exist_ok=True)
-        with open(part, mode) as out:
-            while chunk := resp.read(1 << 16):
-                out.write(chunk)
-                received += len(chunk)
-    # a connection closed early ends the read without an error
-    if expected is not None and received != int(expected):
-        raise FetchError(f"short read from {url}: {received} of {expected} bytes")

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import MissingPredictionsError
-from .ingest import PredictionSet
 from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
 from .model import ClassLabel, Granularity, Period, Population, period_indices
-from .sampler import DatasetManifest
+
+if TYPE_CHECKING:  # the CLI loads this module for every command; these load where they run
+    from .ingest import PredictionSet
+    from .sampler import DatasetManifest
 
 METRIC_NAMES = ("f1", "fpr", "tpr", "precision", "recall")
 
@@ -92,6 +94,8 @@ def confusion_metrics(
     truth order) unless lenient, in which case they are dropped and counted.
     Empty-denominator metrics are explicit absent values, never silent zeros.
     """
+    from .sampler import DatasetManifest
+
     if isinstance(truth, DatasetManifest):
         hashes, classes = truth.sha256, truth.label
         periods, period_of = truth._periods()

@@ -217,6 +217,22 @@ def _sorted_positions(values: np.ndarray, keys: np.ndarray, sorter: Optional[np.
     return np.where(values[at if sorter is None else sorter[at]] == keys, at, -1)
 
 
+# Rows per chunk of the writers (ingest._write_chunks) and of the duplicate and
+# sort-order checks (_sorted_neighbours) of a population, a sidecar and a
+# manifest: what they hold at once follows this, not the data's size.
+_WRITE_ROWS = 1 << 10
+
+
+def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare, rows: int) -> np.ndarray:
+    """compare(sha[order[i]], sha[order[i - 1]]) for i in 1..n-1, taken rows
+    at a time, so no sorted copy of the hashes is made."""
+    out = np.empty(max(len(order) - 1, 0), dtype=bool)
+    for at in range(1, len(order), rows):
+        here = order[at - 1 : at + rows]
+        out[at - 1 : at - 2 + len(here)] = compare(sha[here[1:]], sha[here[:-1]])
+    return out
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -351,10 +367,9 @@ class Population:
         self.snapshot_date = snapshot_date
         if sha_order is None:
             sha_order = np.argsort(self.sha256, kind="stable")
-            ordered = self.sha256[sha_order]
-            repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
-            if repeated.size:
-                raise ValueError(f"duplicate sha256 in population: {ordered[repeated[0]].decode()}")
+            repeated = _sorted_neighbours(self.sha256, sha_order, np.equal, _WRITE_ROWS)
+            if repeated.any():  # the first repeat in sorted order is the smallest repeated hash
+                raise ValueError(f"duplicate sha256 in population: {self.sha256[sha_order[repeated.argmax()]].decode()}")
         sha_order.flags.writeable = False
         self.sha_order = sha_order  # row positions in ascending sha256 order
         if snapshot_date is not None:

@@ -9,10 +9,8 @@ ties broken by std ascending.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .metrics import (
 )
 from .model import Granularity, Period, _sorted_positions
 from .sampler import DatasetManifest
-from .version import __version__
 
 
 def fmt4(x: Optional[float]) -> str:
@@ -166,14 +163,11 @@ def report_from_aut_table(
 
 
 def render_aut_markdown(report: EvaluationReport) -> str:
-    headers = ["classifier", *report.split_labels, "mu_aut", "sigma_aut", "mu", "sigma"]
-    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    for row in report.results:
-        cells = [row.name]
-        cells.extend(fmt4(v) for v in row.auts)
-        cells.extend([fmt4(row.mu), fmt4(row.sigma), fmt2(row.mu), fmt2(row.sigma)])
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+    """The rows of aut_table_rows as a markdown table."""
+    header, rows = aut_table_rows(report)
+    header[-2:] = ["mu", "sigma"]
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    return "\n".join(lines + ["| " + " | ".join(cells) + " |" for cells in rows]) + "\n"
 
 
 def aut_table_rows(report: EvaluationReport) -> tuple[list[str], list[list[str]]]:
@@ -220,20 +214,3 @@ def write_window_series_csv(report: EvaluationReport, stream: IO[str]) -> None:
         for metric_name, series in sorted(series_map.items()):
             for period, value in series.points:
                 writer.writerow((name, split_idx, str(period), metric_name, fmt4(value)))
-
-
-def write_csv(path: Union[str, Path], header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_run_config(out_dir: Union[str, Path], command: str, config: dict) -> Path:
-    """Echo the fully-resolved run configuration next to the outputs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"tool_version": __version__, "command": command, "config": config}
-    path = out_dir / "run_config.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ingest
 from .errors import FormatError
-from .ingest import _hashes, _replacing, _sorted_neighbours, _spans, _write_chunks
+from .ingest import _hashes, _replacing, _spans, _write_chunks
 from .jsonstream import read_object
 from .labeling import (
     CLASSES,
@@ -33,7 +33,7 @@ from .labeling import (
     class_codes,
     timeline_dates,
 )
-from .model import ClassLabel, Granularity, Period, Population, format_timestamp, period_indices
+from .model import ClassLabel, Granularity, Period, Population, _sorted_neighbours, format_timestamp, period_indices
 from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
 from .version import __version__
 

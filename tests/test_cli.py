@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gzip
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maldrift
 from maldrift import cli, ingest, sampler, synth
 from maldrift.model import Period
 from maldrift.sampler import read_manifest_json
@@ -543,6 +545,70 @@ def test_import_cli_loads_no_http_client():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _fresh_process(code, *args, cwd=None):
+    """The last line code prints when run in a new interpreter that imports maldrift from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env, cwd=cwd, check=True
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def test_step_loads_only_its_modules(tmp_path):
+    """Each step, run as a process of its own, loads none of the modules it does not run."""
+    code = (
+        "import sys; from maldrift import cli; rc = cli.main(sys.argv[1:]); "
+        "print(rc, *sorted(m for m in sys.modules if m.startswith('maldrift.')))"
+    )
+    steps = [
+        (["synth", "--preset", "stable", "--out", "synth"], {"sampler", "jsonstream", "report"}),
+        (["ingest", "--input", "synth/population.csv.gz", "--out", "cache"], {"sampler", "jsonstream", "report", "synth"}),
+        (
+            ["sample", "--population", "cache/population.csv.gz", "--timestamp", "dex", "--mode", "monthly",
+             "--spatial", "--seed", "3", "--out", "sample"],
+            {"report", "synth"},
+        ),
+        (["verify", "--manifest", "sample/manifest.json", "--population", "cache/population.csv.gz"], {"report", "synth"}),
+        (["evaluate", "--manifest", "sample/manifest.json", "--predictions", "p=preds.csv", "--out", "eval"], {"synth"}),
+    ]
+    for argv, absent in steps:
+        if argv[0] == "evaluate":
+            with open(tmp_path / "sample" / "manifest.csv", newline="") as fh:
+                hashes = [row["sha256"] for row in csv.DictReader(fh)]
+            (tmp_path / "preds.csv").write_text("sha256,score\n" + "".join(f"{sha},0.9\n" for sha in hashes))
+        rc, *loaded = _fresh_process(code, *argv, cwd=tmp_path).split()
+        assert rc == "0", argv
+        assert not {name.removeprefix("maldrift.") for name in loaded} & absent, argv[0]
+
+
+# every name the package exported before its submodules loaded lazily, by module
+PACKAGE_NAMES = {
+    "model": "ApkRecord ClassLabel Granularity Period Population period_of period_range",
+    "labeling": "LabelRule TimestampKind TimestampPolicy label market_composition market_consistency timeline_date "
+    "timestamp_lag_stats vtt_coverage vtt_market_heatmap",
+    "ingest": "PredictionRow PredictionSet parse_families parse_metadata parse_predictions snapshot_filter "
+    "write_metadata_csv",
+    "sizing": "PlanMode SizingParams SizingPlan compare_plans plan_sizes required_sample_size",
+    "sampler": "DatasetManifest ManifestEntry market_scenario stratified_sample verify_constraints",
+    "metrics": "MetricSeries SplitPlan a_aut aut confusion_metrics family_overlap overlap_series rolling_splits",
+    "synth": "SynthConfig generate scenario_presets",
+}
+
+
+def test_package_loads_a_module_on_first_use():
+    code = "import sys, maldrift; print(*sorted(m for m in sys.modules if m.startswith('maldrift')))"
+    assert _fresh_process(code) == "maldrift maldrift.version"
+    for module, names in PACKAGE_NAMES.items():
+        for name in names.split():
+            scope = {}
+            exec(f"from maldrift import {name}", scope)
+            assert scope[name] is getattr(importlib.import_module(f"maldrift.{module}"), name)
+    with pytest.raises(AttributeError):
+        maldrift.nope
+    with pytest.raises(ImportError):
+        exec("from maldrift import fetch_metadata", {})
 
 
 LONG = "x" * 200_000  # longer than csv.field_size_limit()

@@ -1,13 +1,10 @@
 import gzip
-import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maldrift import cli, ingest, synth
-from maldrift.errors import FetchError, FormatError
+from maldrift.errors import FormatError
 from maldrift.ingest import (
-    fetch_metadata,
     join_families,
     parse_families,
     parse_metadata,
@@ -298,6 +294,33 @@ def _bytes_beyond_columns(path):
     return peak - sum(column.nbytes for column in pop.columns().values()) - pop.sha_order.nbytes
 
 
+_UTF8_CASES = {
+    "metadata": (HEADER, lambda i: f"{sha_of(i)},2015-01-01 00:00:00,{i % 7},play.google.com,2015-02-01,,100,\n"),
+    "predictions": ("sha256,score\n", lambda i: f"{sha_of(i)},0.5\n"),
+    "families": ("sha256,family\n", lambda i: f"{sha_of(i)},fam{i % 9}\n"),
+}
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("kind", ["metadata", "predictions", "families", "quoted", "quoted-long"])
+def test_invalid_utf8_names_its_row(tmp_path, kind, suffix):
+    """A byte that is not UTF-8 in data row 15,000 of 20,000 is reported after
+    row 14999, in whichever block or csv.reader chunk it falls, and also when
+    its field is longer than csv.field_size_limit()."""
+    header, line = _UTF8_CASES.get(kind, _UTF8_CASES["metadata"])
+    lines = [line(i) for i in range(20_000)]
+    if kind.startswith("quoted"):  # a quote in the first block sends the rest to csv.reader
+        lines[0] = lines[0].replace("play.google.com", '"play.google.com"')
+    bad = b"x" * 200_000 * (kind == "quoted-long") + b"\xff"  # longer than csv.field_size_limit()
+    data = (header + "".join(lines[:14_999])).encode() + bad + "".join(lines[14_999:]).encode()
+    path = tmp_path / f"{kind}.csv{suffix}"
+    path.write_bytes(gzip.compress(data) if suffix else data)
+    parse = {"predictions": parse_predictions, "families": parse_families}.get(kind, parse_metadata)
+    with ingest.open_text(path) as fh, pytest.raises(FormatError) as err:
+        parse(fh)
+    assert str(err.value) == f"{path}: invalid UTF-8 after row 14999 (byte 0xff: invalid start byte)"
+
+
 def test_parse_memory_follows_block_size(tmp_path):
     """From 40k to 160k rows, what a parse holds beyond its result grows by under
     4 MB: a block's text and arrays are gone before the next block is read, and
@@ -403,102 +426,3 @@ def test_manifest_json_read_memory_follows_chunk_size(tmp_path):
         peaks.append(_read_beyond_columns(path))
     assert peaks[1] - peaks[0] < 4_000_000
 
-
-PAYLOAD = bytes(range(256)) * 4096  # 1 MiB
-
-
-class _Handler(BaseHTTPRequestHandler):
-    hits: dict[str, int] = {}
-
-    def log_message(self, *args):
-        pass
-
-    def do_GET(self):
-        self.hits[self.path] = self.hits.get(self.path, 0) + 1
-        if self.path in ("/norange.bin", "/short.bin"):
-            # both ignore Range; /short.bin closes before the promised body ends
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(PAYLOAD)))
-            self.end_headers()
-            self.wfile.write(PAYLOAD if self.path == "/norange.bin" else PAYLOAD[: len(PAYLOAD) // 3])
-            return
-        if self.path == "/missing":
-            self.send_response(404)
-            self.end_headers()
-            return
-        if self.path == "/pop.csv.gz":
-            data = gzip.compress(b"sha256,dex_date,vt_detection\n")
-        else:
-            data = PAYLOAD
-        range_header = self.headers.get("Range")
-        if range_header:
-            start = int(range_header.split("=")[1].split("-")[0])
-            if start >= len(data):
-                self.send_response(416)
-                self.end_headers()
-                return
-            body = data[start:]
-            self.send_response(206)
-            self.send_header("Content-Range", f"bytes {start}-{len(data) - 1}/{len(data)}")
-        else:
-            body = data
-            self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-@pytest.fixture(scope="module")
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-
-
-def test_fetch_full_download(http_server, tmp_path):
-    dest = fetch_metadata(f"{http_server}/data.bin", tmp_path / "data.bin")
-    assert hashlib.sha256(dest.read_bytes()).digest() == hashlib.sha256(PAYLOAD).digest()
-
-
-def test_fetch_resume_matches_uninterrupted(http_server, tmp_path):
-    dest = tmp_path / "data.bin"
-    part = tmp_path / "data.bin.part"
-    part.write_bytes(PAYLOAD[: len(PAYLOAD) // 2])  # simulate an interrupted download
-    fetch_metadata(f"{http_server}/data.bin", dest, resume=True)
-    assert hashlib.sha256(dest.read_bytes()).digest() == hashlib.sha256(PAYLOAD).digest()
-
-
-def test_fetch_404_after_retries(http_server, tmp_path):
-    with pytest.raises(FetchError):
-        fetch_metadata(f"{http_server}/missing", tmp_path / "x", attempts=2, backoff=0.01)
-
-
-def test_fetch_gzip_decode(http_server, tmp_path):
-    dest = fetch_metadata(f"{http_server}/pop.csv.gz", tmp_path / "pop.csv")
-    assert dest.read_bytes() == b"sha256,dex_date,vt_detection\n"
-
-
-def test_fetch_resume_restarts_when_range_ignored(http_server, tmp_path):
-    dest = tmp_path / "data.bin"
-    (tmp_path / "data.bin.part").write_bytes(PAYLOAD[: len(PAYLOAD) // 2])
-    fetch_metadata(f"{http_server}/norange.bin", dest, resume=True)
-    assert dest.read_bytes() == PAYLOAD
-
-
-def test_fetch_resume_complete_part_kept(http_server, tmp_path):
-    dest = tmp_path / "data.bin"
-    (tmp_path / "data.bin.part").write_bytes(PAYLOAD)  # server answers 416
-    fetch_metadata(f"{http_server}/data.bin", dest, resume=True)
-    assert dest.read_bytes() == PAYLOAD
-    assert not (tmp_path / "data.bin.part").exists()
-
-
-def test_fetch_short_body_retried_then_fails(http_server, tmp_path):
-    before = _Handler.hits.get("/short.bin", 0)
-    with pytest.raises(FetchError):
-        fetch_metadata(f"{http_server}/short.bin", tmp_path / "x", attempts=3, backoff=0.01)
-    assert _Handler.hits["/short.bin"] - before == 3
-    assert not (tmp_path / "x").exists()

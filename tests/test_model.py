@@ -180,6 +180,33 @@ def test_positions_make_no_sorted_copy():
     assert peak < 640_000
 
 
+def _from_columns_beyond_order(n):
+    columns = {name: np.zeros(n, dtype=dtype) for name, dtype in COLUMNS.items()}
+    columns["sha256"] = np.array([sha_of(i) for i in range(n)], dtype="S64")
+    columns["family"] -= 1
+    tracemalloc.start()
+    try:
+        pop = Population.from_columns(columns, [frozenset({"unknown"})], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - pop.sha_order.nbytes
+
+
+def test_duplicate_check_makes_no_sorted_copy():
+    """From 40k to 160k records, what from_columns without a sha_order holds
+    beyond the sort order it makes grows by under 2 MB: the duplicate check
+    compares neighbours a chunk at a time. A sorted copy would add 7.7 MB."""
+    peaks = [_from_columns_beyond_order(n) for n in (40_000, 160_000)]
+    assert peaks[1] - peaks[0] < 2_000_000
+
+
+def test_duplicate_names_the_smallest_repeated_hash():
+    smallest = min(sha_of(2), sha_of(5))
+    with pytest.raises(ValueError, match=f"^duplicate sha256 in population: {smallest}$"):
+        make_population([make_record(t) for t in (5, 9, 2, 5, 2)])
+
+
 def test_population_carrying_any_and_union_tables():
     a = make_population([make_record(1, markets=("anzhi",), family="x"), make_record(2)])
     b = make_population([make_record(3, markets=("anzhi", "mi.com"), family="y"), make_record(4, family="x")])
