@@ -143,7 +143,8 @@ def _write_population_gz(pop: Population, path: Path) -> None:
 def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path) -> None:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline, where
     payload holds the config echo, the active families by period and the true
-    class by sha256; the true classes are written a chunk at a time."""
+    class by sha256; the true classes are written a chunk at a time in sha256
+    order, from the population's columns (hex hashes need no JSON escaping)."""
     text = json.dumps(
         {
             "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
@@ -153,16 +154,16 @@ def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path)
         indent=2,
         sort_keys=True,
     )
-    classes = {cls: json.dumps(cls.value) for cls in ClassLabel}
-    hashes = sorted(truth.true_class)
+    classes = [json.dumps(cls.value) for cls in ClassLabel]
+    sha256, order, codes = truth.true_class.pop.sha256, truth.true_class.pop.sha_order, truth.true_class.codes
+
+    def render(rows: slice):
+        at = order[rows]
+        return (f'    "{sha.decode()}": {classes[code]}' for sha, code in zip(sha256[at].tolist(), codes[at].tolist()))
+
     with ingest_mod._replacing(path) as fh:
         fh.write(text[: -len("{}\n}")] + "{\n")  # "true_class" sorts last; generate gives at least one row
-        ingest_mod._write_chunks(
-            fh,
-            len(hashes),
-            lambda rows: (f"    {json.dumps(sha)}: {classes[truth.true_class[sha]]}" for sha in hashes[rows]),
-            sep=",\n",
-        )
+        ingest_mod._write_chunks(fh, len(order), render, sep=",\n")
         fh.write("\n  }\n}\n")
 
 
@@ -483,17 +484,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     window = settings.get("window", 12, int)
     if args.aut_table:
         rows = []
-        with open(args.aut_table, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in ingest_mod._csv_rows(reader):
-                try:
+        with ingest_mod.open_text(args.aut_table) as fh:
+            reader = csv.reader(ingest_mod._utf8_lines(fh, fh))
+            try:
+                for row in ingest_mod._csv_rows(reader):
                     if isinstance(row, csv.Error):
                         raise row
-                    if not row or row[0] == "classifier":
-                        continue
-                    rows.append((row[0], [float(v) for v in row[1:]]))
-                except (ValueError, csv.Error) as exc:
-                    raise FormatError(f"{args.aut_table}:{reader.line_num}: {exc}") from None
+                    if row and row[0] != "classifier":
+                        rows.append((row[0], [float(v) for v in row[1:]]))
+            except UnicodeDecodeError as exc:  # raised by the line csv.reader would read next
+                message = f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+                raise FormatError(f"{args.aut_table}:{reader.line_num + 1}: {message}") from None
+            except ingest_mod._GZIP_ERRORS as exc:
+                raise FormatError(f"{args.aut_table}:{reader.line_num + 1}: unreadable gzip data ({exc})") from None
+            except (ValueError, csv.Error) as exc:
+                raise FormatError(f"{args.aut_table}:{reader.line_num}: {exc}") from None
         result = report.report_from_aut_table(rows, window)
         config_echo = {"aut_table": args.aut_table, "window": window}
     else:

@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from datetime import datetime
@@ -295,6 +296,19 @@ def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError)
     return FormatError(f"{name}: invalid UTF-8 after row {rows} (byte 0x{byte}: {exc.reason})")
 
 
+# what reading a truncated or corrupt .gz stream raises
+_GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
+
+
+def _unreadable(stream: IO[str], default: str, rows: int, exc: Exception) -> FormatError:
+    """The error for input that is not UTF-8 (_not_utf8) or not whole gzip
+    data, naming the file and the rows read before it."""
+    if isinstance(exc, UnicodeDecodeError):
+        return _not_utf8(stream, default, rows, exc)
+    name = getattr(stream, "name", None) or default
+    return FormatError(f"{name}: unreadable gzip data after row {rows} ({exc})")
+
+
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
     """The parts end to end; each part leaves the list once copied, so the
     parts and the result never both hold all of the data."""
@@ -385,8 +399,10 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     the rest of the stream to csv.reader, in chunks of _CHUNK_ROWS rows. Text
     that is not UTF-8 is a FormatError naming the stream (else name) and the
     stats.rows counted before it: the rows before its row, when open_text
-    opened the stream (see _undecodable). A header kind refuses, or
-    none, is a FormatError naming the stream, when it has a name.
+    opened the stream (see _undecodable). So is gzip data that ends early or
+    fails its check, after the rows read before the read that fails. A header
+    kind refuses, or none, is a FormatError naming the stream, when it has a
+    name.
     """
     reader = None
     pending = ""  # text after the last line end read
@@ -412,7 +428,7 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                     try:
                         for row in itertools.islice(rows, _CHUNK_ROWS):
                             chunk.append(row)
-                    except UnicodeDecodeError as exc:  # at its row, so the rows before it are read first
+                    except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:  # where it is read: read the rows before it first
                         error = exc
                     if filled := [row for row in chunk if row]:
                         reader.add(*_rows_chunk(filled, len(reader.header)))
@@ -434,8 +450,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 break
         if reader is None:
             raise FormatError(f"empty {kind.what} input")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(stream, name, stats.rows, exc) from None
+    except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
+        raise _unreadable(stream, name, stats.rows, exc) from None
     except FormatError as exc:
         if reader is not None or not getattr(stream, "name", None):
             raise  # a row's error, or a stream with no name
@@ -790,8 +806,8 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
                 continue
             if family:
                 mapping[sha] = family
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(stream, "family input", rows, exc) from None
+    except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
+        raise _unreadable(stream, "family input", rows, exc) from None
     return mapping, malformed
 
 

@@ -8,16 +8,21 @@ and every aggregate count is fixed by the config (seed-independent).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
 import numpy as np
 
-from .model import ClassLabel, Period, Population
+from .model import COLUMNS, MAX_YEAR, ClassLabel, Period, Population, _WRITE_ROWS
 from .sizing import round_half_up
 
 _LAST_SECOND = np.datetime64(datetime.max, "s")
+# the last second ingest's parser reads: later crawl dates are capped to it
+_LAST_PARSED = np.datetime64(f"{MAX_YEAR + 1}-01-01", "s") - 1
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_CLASSES = tuple(ClassLabel)  # the class codes of TrueClass
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,32 @@ class SynthConfig:
         return initial or fresh
 
 
+class TrueClass(Mapping[str, ClassLabel]):
+    """The true class of each sha256 of pop, a read-only mapping in row
+    (generation) order over the population's columns: codes[i] is the
+    position in tuple(ClassLabel) of row i's class. Lookups go through
+    pop.sha_order, so no copy of the hashes is made."""
+
+    def __init__(self, pop: Population, codes: np.ndarray):
+        self.pop, self.codes = pop, codes
+
+    def __getitem__(self, sha: str) -> ClassLabel:
+        at = self.pop.positions([sha])[0] if isinstance(sha, str) else -1
+        if at < 0:
+            raise KeyError(sha)
+        return _CLASSES[self.codes[at]]
+
+    def __iter__(self) -> Iterator[str]:
+        return (sha.decode() for sha in self.pop.sha256)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     active_families: dict[Period, tuple[str, ...]]
-    true_class: dict[str, ClassLabel]
+    true_class: TrueClass
 
 
 def _family_births(config: SynthConfig) -> list[tuple[str, int]]:
@@ -197,6 +224,7 @@ def _generate_month(
         crawl = dex + (_draw_lags(config.lag, rng, config.per_month) * 86400).astype(np.int64)
     if not ((crawl >= dex) & (crawl <= _LAST_SECOND)).all():
         raise ValueError("lag model gives a crawl date past 9999-12-31")
+    crawl = np.minimum(crawl, _LAST_PARSED)
     sizes = rng.integers(config.size_range[0], config.size_range[1] + 1, size=config.per_month)
     markets = (gw_markets[_draw_markets(config.goodware_markets, rng, n_gw)],
                mw_markets[_draw_markets(config.malware_markets, rng, n_mw)])
@@ -232,22 +260,36 @@ def generate(config: SynthConfig) -> tuple[Population, GroundTruth]:
     market_sets: dict[frozenset[str], int] = {}
     gw_markets = _market_codes(config.goodware_markets, market_sets)
     mw_markets = _market_codes(config.malware_markets, market_sets)
-    months = [
-        _generate_month(config, m, np.array([family_code[f] for f in active], dtype=int), gw_markets, mw_markets)
-        for m, active in enumerate(active_by_month)
-    ]
-    columns = {name: np.concatenate([month[name] for month in months]) for name in months[0]}
-    columns["sha256"] = hashes = [
-        hashlib.sha256(f"synth-{config.seed}-{m}-{i}".encode()).hexdigest()
-        for m in range(config.months)
-        for i in range(config.per_month)
-    ]
-    n_mw = config.monthly_malware()
-    classes = ([ClassLabel.GOODWARE] * (config.per_month - n_mw) + [ClassLabel.MALWARE] * n_mw) * config.months
+    per_month = config.per_month
+    columns = {name: np.empty(config.months * per_month, dtype=dtype) for name, dtype in COLUMNS.items()}
+    for m, active in enumerate(active_by_month):
+        month = _generate_month(config, m, np.array([family_code[f] for f in active], dtype=int), gw_markets, mw_markets)
+        for name, values in month.items():
+            columns[name][m * per_month : (m + 1) * per_month] = values
+    _hex_hashes(config, columns["sha256"])
+    month_codes = np.full(per_month, _CLASSES.index(ClassLabel.GOODWARE), dtype=np.int8)
+    month_codes[per_month - config.monthly_malware() :] = _CLASSES.index(ClassLabel.MALWARE)
     start = Period.parse(config.start)
     active_families = {start.shifted(m): tuple(active) for m, active in enumerate(active_by_month)}
     pop = Population.from_columns(columns, tuple(market_sets), tuple(family_code), f"synth(seed={config.seed})")
-    return pop, GroundTruth(active_families, dict(zip(hashes, classes)))
+    return pop, GroundTruth(active_families, TrueClass(pop, np.tile(month_codes, config.months)))
+
+
+def _hex_hashes(config: SynthConfig, out: np.ndarray) -> None:
+    """Fill the S64 column out with the sha256 hexdigest of
+    f"synth-{seed}-{month}-{i}" for row i of each month, _WRITE_ROWS rows at
+    a time, so no Python object per record outlives a chunk: the digests'
+    bytes go through a uint8 buffer and a 16-entry table of hex digits."""
+    hexed = out.view(np.uint8).reshape(len(out), 64)
+    per_month = config.per_month
+    for at in range(0, len(out), _WRITE_ROWS):
+        rows = range(at, min(at + _WRITE_ROWS, len(out)))
+        digests = b"".join(
+            hashlib.sha256(f"synth-{config.seed}-{r // per_month}-{r % per_month}".encode()).digest() for r in rows
+        )
+        digest = np.frombuffer(digests, dtype=np.uint8).reshape(len(rows), 32)
+        hexed[at : rows.stop, 0::2] = _HEX_DIGITS[digest >> 4]
+        hexed[at : rows.stop, 1::2] = _HEX_DIGITS[digest & 15]
 
 
 def scenario_presets() -> dict[str, SynthConfig]:

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -671,6 +672,34 @@ def test_invalid_utf8_names_the_file(good_manifest, tmp_path, capsys, broken):
     assert "byte 0xff" in err
 
 
+_GZIP_FAULTS = {
+    "truncated": (lambda data: data[: len(data) // 2], "Compressed file ended before the end-of-stream marker was reached"),
+    "crc": (lambda data: data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:], "CRC check failed 0x[0-9a-f]+ != 0x[0-9a-f]+"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_GZIP_FAULTS))
+@pytest.mark.parametrize("broken", ["metadata", "families", "predictions"])
+def test_unreadable_gzip_names_the_file(good_manifest, tmp_path, capsys, broken, fault):
+    src, families, preds = tmp_path / "meta.csv.gz", tmp_path / "families.csv.gz", tmp_path / "preds.csv.gz"
+    src.write_bytes(gzip.compress(CSV.encode()))
+    families.write_bytes(gzip.compress(f"sha256,family\n{sha_of(1)},adware\n".encode()))
+    rows = "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"])
+    preds.write_bytes(gzip.compress(f"sha256,score\n{rows}".encode()))
+    damage, reason = _GZIP_FAULTS[fault]
+    bad = {"metadata": src, "families": families, "predictions": preds}[broken]
+    bad.write_bytes(damage(bad.read_bytes()))
+    if broken == "predictions":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(good_manifest))
+        argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", tmp_path / "eval"]
+    else:
+        argv = ["ingest", "--input", src, "--families", families, "--out", tmp_path / "cache"]
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: unreadable gzip data after row \d+ \({reason}\)\n", err), err
+
+
 @pytest.mark.parametrize(
     "header, message",
     [
@@ -854,6 +883,13 @@ def test_aut_table_errors_name_the_line(tmp_path, capsys, table, message):
     path.write_text(table)
     assert run(["evaluate", "--aut-table", path, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+def test_aut_table_not_utf8_names_the_line(tmp_path, capsys):
+    path = tmp_path / "auts.csv"
+    path.write_bytes(b'drebin,0.573,0.488\n"hcc\nv2",0.62,0.5\xff1\n')
+    assert run(["evaluate", "--aut-table", path, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 (byte 0xff: invalid start byte)\n"
 
 
 def test_config_not_utf8_names_the_file_and_line(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import io
 import math
-from datetime import timedelta
+import tracemalloc
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -69,6 +71,66 @@ def test_round_trip_through_ingest():
     write_metadata_csv(pop, buf)
     buf.seek(0)
     assert set(parse_metadata(buf).population.records) == set(pop.records)
+
+
+_backfill_lags = st.builds(
+    LagModel,
+    st.just("backfill"),
+    days=st.floats(0, 40),
+    sigma=st.floats(0, 2),
+    late_fraction=st.floats(0, 1),
+    late_days=st.floats(0, 2000),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(10, 12).flatmap(lambda month: st.tuples(st.just(month), st.integers(1, 13 - month))),
+       _backfill_lags, st.integers(1, 40), st.integers(0, 2**32))
+def test_generated_population_ingests_whole(span, lag, per_month, seed):
+    """Every population generate gives ingests with no malformed row: crawl
+    and scan dates past the parser's last second (2100-12-31 23:59:59) are
+    capped to it."""
+    month, months = span
+    config = SynthConfig(months=months, per_month=per_month, family_pool=3, lag=lag, start=f"2100-{month}", seed=seed)
+    pop, _ = generate(config)
+    buf = io.StringIO()
+    write_metadata_csv(pop, buf)
+    buf.seek(0)
+    result = parse_metadata(buf)
+    assert (result.stats.malformed, result.stats.parsed) == (0, len(pop))
+    assert result.population.records == pop.records
+
+
+def test_true_class_is_in_generation_order():
+    pop, truth = generate(SynthConfig(months=3, per_month=50, malware_fraction=0.2, family_pool=2, seed=4))
+    hashes = [hashlib.sha256(f"synth-4-{m}-{i}".encode()).hexdigest() for m in range(3) for i in range(50)]
+    classes = ([ClassLabel.GOODWARE] * 40 + [ClassLabel.MALWARE] * 10) * 3
+    expected = dict(zip(hashes, classes))
+    assert list(truth.true_class.items()) == list(expected.items())
+    assert truth.true_class == expected
+    assert pop.sha256.astype(str).tolist() == hashes
+    for absent in ("0" * 64, hashes[0].upper(), "x", 5, None):
+        assert absent not in truth.true_class
+        with pytest.raises(KeyError):
+            truth.true_class[absent]
+
+
+def _generate_beyond_columns(months):
+    tracemalloc.start()
+    try:
+        pop, _ = generate(SynthConfig(months=months, per_month=400, family_pool=20, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(column.nbytes for column in pop.columns().values()) - pop.sha_order.nbytes
+
+
+def test_generate_holds_only_columns():
+    """From 40k to 160k records, what generate holds beyond the population's
+    columns and sort order grows by under 2 MB. A list of hex strings and a
+    dict of classes (Python objects per record) grew it by 28 MB."""
+    peaks = [_generate_beyond_columns(months) for months in (100, 400)]
+    assert peaks[1] - peaks[0] < 2_000_000
 
 
 def test_ground_truth_matches_design_labeling():
@@ -249,6 +311,7 @@ def _configs(draw):
 
 
 _LAST_MONTH = Period.parse("2100-12")  # the calendar's last month
+_LAST_PARSED = datetime(2100, 12, 31, 23, 59, 59)  # the parser's last second
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -259,7 +322,8 @@ def test_generate_matches_row_oracle(config):
     length from the month after, so it refused 2100-12, the calendar's last
     month: a config that reaches it is compared with the same config a year
     earlier (2099 and 2100 have the same month lengths), its dates a year
-    later, and one that runs past it must name the first month outside."""
+    later and its crawl and scan dates capped at the parser's last second,
+    and one that runs past it must name the first month outside."""
     first = Period.parse(config.start)
     late = first.index + config.months > _LAST_MONTH.index
     try:
@@ -276,7 +340,12 @@ def test_generate_matches_row_oracle(config):
     pop, truth = generate(config)
     year, months = (timedelta(days=365), 12) if late else (timedelta(0), 0)
     assert pop.records == tuple(
-        dataclasses.replace(r, dex_date=r.dex_date + year, crawl_date=r.crawl_date + year, vt_scan_date=r.vt_scan_date + year)
+        dataclasses.replace(
+            r,
+            dex_date=r.dex_date + year,
+            crawl_date=min(r.crawl_date + year, _LAST_PARSED),
+            vt_scan_date=min(r.vt_scan_date + year, _LAST_PARSED),
+        )
         for r in old_pop.records
     )
     assert pop.provenance == old_pop.provenance
