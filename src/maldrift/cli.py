@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -99,11 +99,34 @@ class Settings:
         return {key: value for key, cast in casts.items() if (value := self.get(key, None, cast)) is not None}
 
 
-def _timestamp_name(text: str) -> str:
-    """A --timestamp value read from a config file."""
-    if text not in _TIMESTAMP_KINDS:
-        raise ValueError(f"not one of {', '.join(sorted(_TIMESTAMP_KINDS))}")
-    return text
+def _one_of(names) -> Callable[[str], str]:
+    """The cast of a config value that must be one of names."""
+
+    def cast(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"not one of {', '.join(sorted(names))}")
+        return text
+
+    return cast
+
+
+def _checked(parse) -> Callable[[str], str]:
+    """The cast of a config value that parse must read; the value keeps its text, and an empty one stays unset."""
+
+    def cast(text: str) -> str:
+        if text:
+            parse(text)
+        return text
+
+    return cast
+
+
+def _ints(text: str) -> list[int]:
+    """A comma-separated list of integers read from a config file."""
+    return [int(v) for v in text.split(",")]
+
+
+_timestamp_name = _one_of(_TIMESTAMP_KINDS)
 
 
 def _policy_from(settings: Settings) -> labeling.TimestampPolicy:
@@ -194,7 +217,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         family_info = {
             "mapped": join_stats.mapped,
             "matched": join_stats.matched,
-            "unmatched": len(join_stats.unmatched),
+            "unmatched": join_stats.unmatched,
             "malformed": malformed,
         }
     else:
@@ -230,8 +253,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for vtt in range(1, settings.get("vtt_max", 40, int) + 1):
             rows.append((vtt, f"{labeling.vtt_coverage(pop, vtt):.6f}"))
         ingest_mod.write_csv(out / "vtt_coverage.csv", ("vtt", "coverage"), rows)
-        heat_values = [int(v) for v in settings.get("vtt_values", "1,4,10,15,20").split(",")]
-        heatmap = labeling.vtt_market_heatmap(pop, heat_values)
+        heatmap = labeling.vtt_market_heatmap(pop, settings.get("vtt_values", [1, 4, 10, 15, 20], _ints))
         heat_rows = []
         for vtt, row in heatmap.items():
             if row is None:
@@ -289,7 +311,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if not slices:
             raise ValueError("no datable malware records for overlap statistics")
         periods = sorted(slices, key=lambda p: p.index)
-        ref_raw = settings.get("ref_period")
+        ref_raw = settings.get("ref_period", None, _checked(Period.parse))
         ref = Period.parse(str(ref_raw)) if ref_raw else periods[0]
         tests = [p for p in periods if p != ref]
         series = metrics.overlap_series(slices, ref, tests)
@@ -338,7 +360,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     allow_violations = settings.get("allow_violations", False, bool)
     rule, policy, plan, params = _sizing_inputs(settings)
     pop = _load_population(args.population)
-    snapshot_raw = settings.get("snapshot")
+    snapshot_raw = settings.get("snapshot", None, _checked(parse_timestamp))
     if snapshot_raw:
         snap = ingest_mod.snapshot_filter(pop, parse_timestamp(snapshot_raw))
         pop = snap.population
@@ -476,6 +498,45 @@ def _parse_predset_arg(value: str, threshold: float) -> ingest_mod.PredictionSet
     return predset
 
 
+def _aut_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for nan
+        raise ValueError(f"AUT value {text!r} is not a number in [0, 1]")
+    return value
+
+
+def _aut_rows(path: str) -> list[tuple[str, list[float]]]:
+    """The (name, AUT values) rows of an --aut-table CSV. A value that is not a
+    number in [0, 1], a row without values or of another width than the first,
+    a table without rows, and text that csv, UTF-8 or gzip cannot read are
+    FormatErrors naming the file and the line."""
+    rows: list[tuple[str, list[float]]] = []
+    with ingest_mod.open_text(path) as fh:
+        reader = csv.reader(ingest_mod._utf8_lines(fh, fh))
+        try:
+            for row in ingest_mod._csv_rows(reader):
+                if isinstance(row, csv.Error):
+                    raise row
+                if not row or row[0] == "classifier":
+                    continue
+                values = [_aut_value(v) for v in row[1:]]
+                if not values:
+                    raise ValueError("no AUT values")
+                if rows and len(values) != len(rows[0][1]):
+                    raise ValueError(f"width {len(values)} differs from the first row's {len(rows[0][1])} AUT values")
+                rows.append((row[0], values))
+        except UnicodeDecodeError as exc:  # raised by the line csv.reader would read next
+            message = f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            raise FormatError(f"{path}:{reader.line_num + 1}: {message}") from None
+        except ingest_mod._GZIP_ERRORS as exc:
+            raise FormatError(f"{path}:{reader.line_num + 1}: unreadable gzip data ({exc})") from None
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}:{reader.line_num + 1}: empty AUT table")
+    return rows
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import report, sampler
 
@@ -483,23 +544,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(settings, "evaluate_out")
     window = settings.get("window", 12, int)
     if args.aut_table:
-        rows = []
-        with ingest_mod.open_text(args.aut_table) as fh:
-            reader = csv.reader(ingest_mod._utf8_lines(fh, fh))
-            try:
-                for row in ingest_mod._csv_rows(reader):
-                    if isinstance(row, csv.Error):
-                        raise row
-                    if row and row[0] != "classifier":
-                        rows.append((row[0], [float(v) for v in row[1:]]))
-            except UnicodeDecodeError as exc:  # raised by the line csv.reader would read next
-                message = f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-                raise FormatError(f"{args.aut_table}:{reader.line_num + 1}: {message}") from None
-            except ingest_mod._GZIP_ERRORS as exc:
-                raise FormatError(f"{args.aut_table}:{reader.line_num + 1}: unreadable gzip data ({exc})") from None
-            except (ValueError, csv.Error) as exc:
-                raise FormatError(f"{args.aut_table}:{reader.line_num}: {exc}") from None
-        result = report.report_from_aut_table(rows, window)
+        result = report.report_from_aut_table(_aut_rows(args.aut_table), window)
         config_echo = {"aut_table": args.aut_table, "window": window}
     else:
         if not args.manifest or not args.predictions:
@@ -512,7 +557,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             manifest,
             predsets,
             window,
-            metric=settings.get("metric", "f1"),
+            metric=settings.get("metric", "f1", _one_of(metrics.METRIC_NAMES)),
             lenient=settings.get("lenient", False, bool),
         )
         config_echo = {

@@ -58,11 +58,45 @@ class ParseResult:
 
 def open_text(path: Union[str, Path]) -> IO[str]:
     """Open a possibly gzip-compressed UTF-8 text file for reading; a byte that is not
-    UTF-8 reads as a lone surrogate, so a parser can name its row (_undecodable)."""
+    UTF-8 reads as a lone surrogate, so a parser can name its row (_undecodable).
+    Gzip data that ends early or fails its check gives all the text before
+    the fault, and no line that the fault cut (see _GzipText)."""
     path = str(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape", newline="")
+        return _GzipText(_GzipFile(path, "rb"), encoding="utf-8", errors="surrogateescape", newline="")
     return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+
+
+class _GzipFile(gzip.GzipFile):
+    """A GzipFile whose read1 returns the data decoded before a fault: the
+    fault reads as the end of the data once, and every read1 after raises it."""
+
+    fault: Optional[Exception] = None
+
+    def read1(self, size: int = -1) -> bytes:
+        if self.fault is not None:
+            raise self.fault
+        try:
+            return super().read1(size)
+        except _GZIP_ERRORS as exc:
+            self.fault = exc
+            return b""
+
+
+class _GzipText(io.TextIOWrapper):
+    """The text of a _GzipFile. A read that finds no text, or a line without a
+    line end, may have stopped at a fault: it reads once more, which gives ""
+    at the end of whole data and raises the fault otherwise. So a line that a
+    fault cut is never returned."""
+
+    def read(self, size: Optional[int] = -1) -> str:
+        return super().read(size) or super().read(size)
+
+    def readline(self, size: int = -1) -> str:
+        line = super().readline(size)
+        if size < 0 and not line.endswith(("\n", "\r")):
+            super().readline()
+        return line
 
 
 def _market_tags(text: str) -> frozenset[str]:
@@ -400,7 +434,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     that is not UTF-8 is a FormatError naming the stream (else name) and the
     stats.rows counted before it: the rows before its row, when open_text
     opened the stream (see _undecodable). So is gzip data that ends early or
-    fails its check, after the rows read before the read that fails. A header
+    fails its check, after every row held whole before the fault, when
+    open_text opened the stream (see _GzipText). A header
     kind refuses, or none, is a FormatError naming the stream, when it has a
     name.
     """
@@ -419,8 +454,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 # its CRs, as a quoted field's CRLF is text
                 block = block.replace("\r\n", "\n")
             if any(special in block for special in _SPECIAL):
-                lines = io.StringIO(block + pending + stream.readline(), newline="")
-                rows = _csv_rows(csv.reader(_utf8_lines(stream, itertools.chain(lines, stream))))
+                lines = itertools.chain(io.StringIO(block, newline=""), _lines_after(pending, stream))
+                rows = _csv_rows(csv.reader(_utf8_lines(stream, lines)))
                 if reader is None:
                     reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
                 while True:
@@ -457,6 +492,20 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
             raise  # a row's error, or a stream with no name
         raise FormatError(f"{stream.name}: {exc}") from None
     return reader
+
+
+def _lines_after(pending: str, stream: IO[str]) -> Iterator[str]:
+    """The lines of the stream's text after pending, the start of a line read
+    from it. The stream is read a block at a time as the lines are taken,
+    and each block's text is split up to its last line end."""
+    while text := stream.read(_BLOCK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield from io.StringIO(pending + text[:cut], newline="")
+            pending = text[cut:]
+        else:
+            pending += text
+    yield from io.StringIO(pending, newline="")
 
 
 class _Rows:
@@ -782,7 +831,7 @@ class FamilyJoinStats:
     mapped: int = 0
     malformed: int = 0
     matched: int = 0
-    unmatched: tuple[str, ...] = ()
+    unmatched: int = 0
 
 
 def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
@@ -812,7 +861,7 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
 
 
 def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population, FamilyJoinStats]:
-    """Attach family labels to matching records; unmatched hashes are reported."""
+    """Attach family labels to matching records; unmatched hashes are counted."""
     stats = FamilyJoinStats(mapped=len(mapping))
     hashes = list(mapping)
     rows = pop.positions(hashes)
@@ -823,7 +872,7 @@ def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population,
         if row >= 0 and name is not None:
             stats.matched += 1
             family[row] = families.setdefault(name, len(families)) if name.strip() else -1
-    stats.unmatched = tuple(sorted(sha for sha, row in zip(hashes, rows.tolist()) if row < 0))
+    stats.unmatched = int(np.count_nonzero(rows < 0))
     columns = pop.columns() | {"family": family}
     joined = Population.from_columns(
         columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, pop.sha_order

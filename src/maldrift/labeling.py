@@ -14,7 +14,7 @@ import numpy as np
 from .model import ApkRecord, ClassLabel, Population
 
 # Market tags in the order used for single-market attribution (AndroZoo tag
-# names; configurable). Tags not listed sort after these, alphabetically.
+# names). Tags not listed sort after these, alphabetically.
 DEFAULT_MARKET_PRIORITY: tuple[str, ...] = (
     "angeeks",
     "anzhi",
@@ -146,9 +146,8 @@ def market_sort_key(priority: tuple[str, ...]):
     return key
 
 
-def attribute_market(markets: frozenset[str], priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY) -> str:
-    """Single-market attribution: the record's first tag under the priority order."""
-    return min(markets, key=market_sort_key(priority))
+# single-market attribution takes a record's first tag in this order
+_MARKET_KEY = market_sort_key(DEFAULT_MARKET_PRIORITY)
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,7 @@ def _tag_counts(pop: Population, mask: np.ndarray) -> Counter:
     return counts
 
 
-def market_composition(
-    pop: Population,
-    rule: LabelRule,
-    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
-) -> list[MarketShare]:
+def market_composition(pop: Population, rule: LabelRule) -> list[MarketShare]:
     """Per-market percentage of each class's records carrying the tag.
 
     A record with k market tags contributes to all k rows, so a class's
@@ -184,7 +179,7 @@ def market_composition(
     gw_counts, mw_counts = _tag_counts(pop, goodware), _tag_counts(pop, malware)
     gw_total, mw_total = int(goodware.sum()), int(malware.sum())
     rows = []
-    for tag in sorted(gw_counts.keys() | mw_counts.keys(), key=market_sort_key(priority)):
+    for tag in sorted(gw_counts.keys() | mw_counts.keys(), key=_MARKET_KEY):
         gw = 100.0 * gw_counts[tag] / gw_total if gw_total else 0.0
         mw = 100.0 * mw_counts[tag] / mw_total if mw_total else 0.0
         rows.append(MarketShare(tag, gw, mw))
@@ -227,7 +222,6 @@ def _coded_market_consistency(
     classes: np.ndarray,
     market_sets: tuple[frozenset[str], ...],
     threshold: float,
-    priority: tuple[str, ...],
 ) -> ConsistencyResult:
     """Total-variation distance between the goodware and malware market
     distributions of market-set codes into market_sets and class codes.
@@ -238,21 +232,15 @@ def _coded_market_consistency(
     goodware, malware = classes == GOODWARE, classes == MALWARE
     if not goodware.any() or not malware.any():
         raise ValueError("market consistency undefined: a class is empty")
-    key = market_sort_key(priority)
     used = np.flatnonzero(np.bincount(markets[goodware | malware])).tolist()
-    attributed = {code: min(market_sets[code], key=key) for code in used}
+    attributed = {code: min(market_sets[code], key=_MARKET_KEY) for code in used}
     p = _attributed_dist(markets[goodware], attributed)
     q = _attributed_dist(markets[malware], attributed)
     return _consistency(p, q, threshold)
 
 
-def market_consistency(
-    pop: Population,
-    rule: LabelRule,
-    threshold: float = 0.10,
-    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
-) -> ConsistencyResult:
-    return _coded_market_consistency(pop.markets, class_codes(pop, rule), pop.market_sets, threshold, priority)
+def market_consistency(pop: Population, rule: LabelRule, threshold: float = 0.10) -> ConsistencyResult:
+    return _coded_market_consistency(pop.markets, class_codes(pop, rule), pop.market_sets, threshold)
 
 
 def vtt_coverage(pop: Population, vtt: int) -> float:
@@ -265,11 +253,7 @@ def vtt_coverage(pop: Population, vtt: int) -> float:
     return int(np.count_nonzero(pop.vt_detection >= vtt)) / detected
 
 
-def vtt_market_heatmap(
-    pop: Population,
-    vtt_values: Iterable[int],
-    priority: tuple[str, ...] = DEFAULT_MARKET_PRIORITY,
-) -> dict[int, Optional[dict[str, float]]]:
+def vtt_market_heatmap(pop: Population, vtt_values: Iterable[int]) -> dict[int, Optional[dict[str, float]]]:
     """Per-vtt market percentages over records with d >= vtt.
 
     A vtt with no qualifying records maps to None (absent row, not zeros).
@@ -285,5 +269,5 @@ def vtt_market_heatmap(
             out[vtt] = None
             continue
         counts = _tag_counts(pop, hits)
-        out[vtt] = {tag: 100.0 * counts[tag] / n for tag in sorted(counts, key=market_sort_key(priority))}
+        out[vtt] = {tag: 100.0 * counts[tag] / n for tag in sorted(counts, key=_MARKET_KEY)}
     return out

@@ -44,9 +44,6 @@ class MetricSeries:
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"metric value {value} outside [0,1]")
 
-    def periods(self) -> list[Period]:
-        return [p for p, _ in self.points]
-
     def values(self) -> list[Optional[float]]:
         return [v for _, v in self.points]
 
@@ -228,33 +225,15 @@ def a_aut(aut_values: Sequence[float]) -> tuple[float, float]:
     return mu, sigma
 
 
-@dataclass(frozen=True)
-class OverlapResult:
-    phi: float
-    total: int
-    matched: int
-    unlabeled: int
-
-
-def family_overlap_detail(
-    families: Sequence[Optional[str]], ref_families: Iterable[Optional[str]]
-) -> OverlapResult:
+def family_overlap(families: Sequence[Optional[str]], ref_families: Iterable[Optional[str]]) -> float:
     """Fraction of a slice's samples whose family already exists in the reference.
 
-    Samples without a family label cannot match and are reported separately.
+    Samples without a family label cannot match.
     """
     if not families:
         raise ValueError("family overlap of an empty slice")
     known = {f for f in ref_families if f is not None}
-    matched = sum(1 for f in families if f is not None and f in known)
-    unlabeled = sum(1 for f in families if f is None)
-    return OverlapResult(matched / len(families), len(families), matched, unlabeled)
-
-
-def family_overlap(
-    families: Sequence[Optional[str]], ref_families: Iterable[Optional[str]]
-) -> float:
-    return family_overlap_detail(families, ref_families).phi
+    return sum(1 for f in families if f is not None and f in known) / len(families)
 
 
 def malware_families_by_period(

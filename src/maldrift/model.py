@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -299,9 +299,8 @@ class Population:
 
     The columns (see COLUMNS) keep record order; markets and family are
     codes into the market_sets and families tables. Library functions read
-    the columns. ``Population(records)``, iteration, ``records``, ``by_sha``,
-    ``filter`` and ``union`` are a row view of ApkRecord objects for callers
-    that want rows.
+    the columns. ``Population(records)``, iteration, ``records`` and
+    ``by_sha`` are a row view of ApkRecord objects for callers that want rows.
     """
 
     sha256: np.ndarray
@@ -428,38 +427,16 @@ class Population:
         hit = np.array([bool(markets & tags) for markets in self.market_sets], dtype=bool)
         return hit[self.markets] if hit.size else np.zeros(len(self), dtype=bool)
 
-    def select(self, keep: np.ndarray, provenance: str = "", snapshot_date: Optional[datetime] = None) -> "Population":
-        """The records under the boolean mask keep, in order; provenance and
-        snapshot_date default to this population's."""
+    def select(self, keep: np.ndarray, snapshot_date: Optional[datetime] = None) -> "Population":
+        """The records under the boolean mask keep, in order, with this
+        population's provenance; snapshot_date defaults to its own."""
         rank = np.cumsum(keep) - 1
         sha_order = rank[self.sha_order[keep[self.sha_order]]]
         return Population.from_columns(
             {name: column[keep] for name, column in self.columns().items()},
             self.market_sets,
             self.families,
-            provenance or self.provenance,
+            self.provenance,
             snapshot_date if snapshot_date is not None else self.snapshot_date,
             sha_order,
         )
-
-    def filter(self, predicate: Callable[[ApkRecord], bool], provenance: str = "") -> "Population":
-        keep = np.fromiter((bool(predicate(rec)) for rec in self.records), dtype=bool, count=len(self))
-        return self.select(keep, provenance)
-
-    def union(self, other: "Population") -> "Population":
-        """Disjoint union; duplicate hashes are an error."""
-        overlap = np.intersect1d(self.sha256, other.sha256)
-        if overlap.size:
-            raise ValueError(f"union would duplicate {overlap.size} hashes (e.g. {overlap[0].decode()})")
-        snap = None
-        if self.snapshot_date is not None and other.snapshot_date is not None:
-            snap = max(self.snapshot_date, other.snapshot_date)
-        provenance = " + ".join(p for p in (self.provenance, other.provenance) if p)
-        market_sets = {m: i for i, m in enumerate(self.market_sets)}
-        families = {f: i for i, f in enumerate(self.families)}
-        market_codes = np.array([market_sets.setdefault(m, len(market_sets)) for m in other.market_sets] or [0])
-        family_codes = np.array([families.setdefault(f, len(families)) for f in other.families] + [-1])
-        columns = {name: np.concatenate([column, getattr(other, name)]) for name, column in self.columns().items()}
-        columns["markets"] = np.concatenate([self.markets, market_codes[other.markets]])
-        columns["family"] = np.concatenate([self.family, family_codes[other.family]])
-        return Population.from_columns(columns, tuple(market_sets), tuple(families), provenance, snap)

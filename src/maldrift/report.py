@@ -69,7 +69,6 @@ def evaluate_manifest(
     window_months: int,
     metric: str = "f1",
     lenient: bool = False,
-    allow_partial_last: bool = False,
 ) -> EvaluationReport:
     """Rolling-window evaluation of prediction sets against a manifest.
 
@@ -82,7 +81,7 @@ def evaluate_manifest(
     periods, _ = manifest._periods()
     if any(p.granularity is not Granularity.MONTH for p in periods):
         raise ValueError("temporal evaluation requires a monthly manifest")
-    plan = rolling_splits(periods[0], periods[-1], window_months, allow_partial_last)
+    plan = rolling_splits(periods[0], periods[-1], window_months)
     by_month = np.argsort(manifest.period, kind="stable")  # entry order within a month
     months = manifest.period[by_month]
 

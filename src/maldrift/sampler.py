@@ -23,7 +23,6 @@ from .ingest import _hashes, _replacing, _spans, _write_chunks
 from .jsonstream import read_object
 from .labeling import (
     CLASSES,
-    DEFAULT_MARKET_PRIORITY,
     GREYWARE,
     MALWARE,
     LabelRule,
@@ -296,7 +295,6 @@ def stratified_sample(
     sizing: SizingResult,
     seed: int,
     market_filter: Optional[frozenset[str]] = None,
-    created: Optional[str] = None,
 ) -> DatasetManifest:
     """Draw the per-stratum counts of a sizing result as a reproducible manifest.
 
@@ -354,7 +352,7 @@ def stratified_sample(
         pop.market_sets,
         pop.families,
         spec=spec,
-        created=created if created is not None else _default_created(pop),
+        created=_default_created(pop),
         strata=tuple(fills),
     )
 
@@ -429,7 +427,7 @@ def verify_constraints(
 
     try:
         consistency = _coded_market_consistency(
-            manifest.markets, manifest.label, manifest.market_sets, market_threshold, DEFAULT_MARKET_PRIORITY
+            manifest.markets, manifest.label, manifest.market_sets, market_threshold
         )
         checks.append(
             CheckResult(
@@ -504,19 +502,19 @@ def market_scenario(
     rule: LabelRule,
     policy: TimestampPolicy,
     seed: int,
-    gp_tags: frozenset[str] = DEFAULT_GP_TAGS,
 ) -> tuple[DatasetManifest, DatasetManifest]:
     """Build one of the fixed train/test market-composition experiments.
 
-    Records carrying any gp_tag form the GP group; all others are third-party
-    (3PM). Train and test are drawn disjointly from one shuffle per cell.
+    Records carrying any of DEFAULT_GP_TAGS form the GP group; all others are
+    third-party (3PM). Train and test are drawn disjointly from one shuffle
+    per cell.
     """
     if name not in MARKET_SCENARIOS:
         raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
     train_cells, test_cells = MARKET_SCENARIOS[name]
     rows, classes, dates = _candidates(pop, rule, policy)
     months = period_indices(dates, Granularity.MONTH)
-    gp = pop.carrying_any(gp_tags)[rows]
+    gp = pop.carrying_any(DEFAULT_GP_TAGS)[rows]
 
     cell_order = [
         (ClassLabel.GOODWARE, "GP", train_cells[0], test_cells[0]),
@@ -560,7 +558,7 @@ def market_scenario(
             seed,
             pop.snapshot_date,
             None,
-            extra={"scenario": name, "split": split, "gp_tags": sorted(gp_tags)},
+            extra={"scenario": name, "split": split, "gp_tags": sorted(DEFAULT_GP_TAGS)},
         )
         return DatasetManifest._from_columns(
             columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills)
@@ -570,7 +568,7 @@ def market_scenario(
 
 
 def _manifest_head(manifest: DatasetManifest) -> dict:
-    """manifest_to_dict without the entries."""
+    """The manifest's JSON object without the entries."""
     return {
         "spec": manifest.spec,
         "created": manifest.created,
@@ -590,22 +588,6 @@ def _manifest_head(manifest: DatasetManifest) -> dict:
     }
 
 
-def manifest_to_dict(manifest: DatasetManifest) -> dict:
-    return {
-        **_manifest_head(manifest),
-        "entries": [
-            {
-                "sha256": e.sha256,
-                "label": e.label.value,
-                "period": str(e.period),
-                "markets": sorted(e.markets),
-                "family": e.family,
-            }
-            for e in manifest.entries
-        ],
-    }
-
-
 def _pair_texts(manifest: DatasetManifest, render) -> Callable[[slice], list[str]]:
     """A function of a slice of the entries that gives render(label, period)
     of each entry in it; each distinct (label, period) pair is rendered once."""
@@ -622,7 +604,9 @@ def _pair_texts(manifest: DatasetManifest, render) -> Callable[[slice], list[str
 
 
 def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> None:
-    """Write json.dumps(manifest_to_dict(manifest), indent=2) and a newline.
+    """Write the manifest as JSON: json.dumps(head, indent=2) and a newline,
+    where head is _manifest_head(manifest) plus an "entries" list of objects
+    with sha256, label, period, sorted markets and family.
 
     Each table value and each (label, period) pair is rendered with json.dumps
     once; the entries join their renderings a chunk at a time. The file is
@@ -671,48 +655,28 @@ def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
     The file is read a block of ingest._BLOCK_CHARS characters at a time and
     its entries are decoded and checked ingest._WRITE_ROWS at a time (see
     jsonstream.read_object), so what a read holds besides the manifest follows
-    those sizes, not the file's. The manifest, or the error, is the one
-    json.loads of the whole text and manifest_from_dict give.
+    those sizes, not the file's. The manifest, or the error, is the one a
+    json.loads of the whole text would give. Faults are raised in one order:
+    the top-level keys, then the first bad entry, then the spec, then the
+    strata.
     """
+    where = str(path)
     data, entries = read_object(
-        path, "entries", lambda: _Entries(f"{path}: entries"), ingest._BLOCK_CHARS, ingest._WRITE_ROWS
+        path, "entries", lambda: _Entries(f"{where}: entries"), ingest._BLOCK_CHARS, ingest._WRITE_ROWS
     )
-    return _manifest_of(data, entries, str(path))
-
-
-def manifest_from_dict(data: dict, where: str = "manifest") -> DatasetManifest:
-    """The manifest of a manifest_to_dict() dict, such as decoded manifest JSON.
-
-    Every value it reads is checked; a fault is a FormatError naming where
-    (the file), the entry or stratum, and the key.
-    """
-    entries = None
-    if isinstance(data, dict) and isinstance(data.get("entries"), list):
-        entries = _Entries(f"{where}: entries")
-        for at in range(0, len(data["entries"]), ingest._WRITE_ROWS):
-            entries.add(data["entries"][at : at + ingest._WRITE_ROWS])
-    return _manifest_of(data, entries, where)
-
-
-def _manifest_of(data, entries: Optional["_Entries"], where: str) -> DatasetManifest:
-    """The manifest of decoded manifest JSON whose entries list went into entries.
-
-    Faults are raised in one order: the top-level keys, then the first bad
-    entry, then the spec, then the strata.
-    """
     if not isinstance(data, dict):
         raise FormatError(f"{where}: manifest must be a JSON object, not {type(data).__name__}")
     _require_keys(data, ("spec", "created", "entries"), f"{where}: manifest")
     if not isinstance(data["spec"], dict) or not isinstance(data["entries"], list):
         raise FormatError(f"{where}: manifest 'spec' must be an object and 'entries' a list")
-    columns, market_sets, families = entries.columns()
+    columns = entries.columns()
     _check_spec(data["spec"], f"{where}: spec")
     strata = _strata_of(data.get("strata", []), f"{where}: strata")
     try:
         return DatasetManifest._from_columns(
             columns,
-            market_sets,
-            families,
+            tuple(entries.market_sets),
+            tuple(entries.families),
             spec=data["spec"],
             created=data["created"],
             strata=strata,
@@ -726,11 +690,10 @@ def _manifest_of(data, entries: Optional["_Entries"], where: str) -> DatasetMani
 class _Entries:
     """Entry columns built from decoded JSON entries, a chunk at a time.
 
-    Each chunk is checked and coded by _entry_columns_of, and its market-set
-    and family tables are merged into the manifest's in first-seen order, so
-    codes and tables are those of one pass over all entries. The columns grow
-    in bytearrays that the manifest's arrays then view, so no column is ever
-    held twice. After the first bad entry no chunk is coded; columns() raises
+    Each chunk is checked by _entry_columns_of, which codes its market sets
+    and families into the manifest's tables in first-seen order. The columns
+    grow in bytearrays that the manifest's arrays then view, so no column is
+    ever held twice. After the first bad entry no chunk is coded; columns() raises
     that entry's FormatError.
     """
 
@@ -745,27 +708,18 @@ class _Entries:
     def add(self, entries: list) -> None:
         if entries and self.fault is None:
             try:
-                columns, market_sets, families = _entry_columns_of(entries, self.where, self.count)
+                columns = _entry_columns_of(entries, self.where, self.count, self.market_sets, self.families)
             except FormatError as exc:
                 self.fault = exc
             else:
-                columns["markets"] = _merged(self.market_sets, market_sets)[columns["markets"]]
-                columns["family"] = _merged(self.families, families)[columns["family"]]
                 for name, dtype in _ENTRY_COLUMNS.items():
                     self.data[name].extend(np.ascontiguousarray(columns[name], dtype=dtype))
         self.count += len(entries)
 
-    def columns(self) -> tuple[dict, tuple, tuple]:
+    def columns(self) -> dict[str, np.ndarray]:
         if self.fault is not None:
             raise self.fault
-        columns = {name: np.frombuffer(self.data[name], dtype=dtype) for name, dtype in _ENTRY_COLUMNS.items()}
-        return columns, tuple(self.market_sets), tuple(self.families)
-
-
-def _merged(table: dict, values: tuple) -> np.ndarray:
-    """The codes in table of a chunk's table values, each new value added in
-    order, and -1 last, so code -1 (no family) stays -1."""
-    return np.array([table.setdefault(value, len(table)) for value in values] + [-1], dtype=np.int64)
+        return {name: np.frombuffer(self.data[name], dtype=dtype) for name, dtype in _ENTRY_COLUMNS.items()}
 
 
 _MISSING = object()
@@ -773,11 +727,13 @@ _ENTRY_KEYS = ("sha256", "label", "period", "markets")
 _LABEL_CODES = {label.value: code for code, label in enumerate(CLASSES)}
 
 
-def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, tuple, tuple]:
-    """Entry columns and value tables of decoded JSON entries, the first of
-    which is entry number first. Each value check runs over all entries, and
-    the first entry failing any is named in the FormatError. A missing key or
-    a non-object entry fails a value check too."""
+def _entry_columns_of(entries: list, where: str, first: int, market_sets: dict, families: dict) -> dict:
+    """Entry columns of decoded JSON entries, the first of which is entry
+    number first; market sets and families are coded into the market_sets
+    and families tables, each new value added in first-seen order. Each value
+    check runs over all entries, and the first entry failing any is named in
+    the FormatError. A missing key or a non-object entry fails a value check
+    too."""
     try:
         rows = entries
         values = [[row[key] for row in rows] for key in _ENTRY_KEYS]
@@ -792,7 +748,6 @@ def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, 
     sha256, sha_ok = _hashes(*spans)
     label = _codes(labels, lambda v: _LABEL_CODES.get(v, -1) if isinstance(v, str) else -1)
     keys = _codes(periods, lambda v: _period_key(v) if isinstance(v, str) else -1)
-    market_sets: dict[frozenset[str], int] = {}
 
     def market_code(tags) -> int:
         if not isinstance(tags, tuple) or not all(isinstance(t, str) for t in tags):
@@ -805,7 +760,6 @@ def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, 
     else:
         tag_lists = [tuple(v) if isinstance(v, list) else v for v in markets]
     market = _codes(tag_lists, market_code)
-    families: dict[str, int] = {}
     family = _codes(
         [row.get("family") for row in rows],
         lambda v: -1 if v is None else families.setdefault(v, len(families)) if isinstance(v, str) else -2,
@@ -826,7 +780,7 @@ def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, 
         _require_keys(entry, _ENTRY_KEYS, at)
         describe = next(describe for mask, describe in faults if mask[i])
         raise FormatError(f"{at}{describe(entry)}")
-    columns = {
+    return {
         "sha256": sha256,
         "label": label,
         "period": keys // len(_GRANULARITIES),
@@ -834,7 +788,6 @@ def _entry_columns_of(entries: list, where: str, first: int = 0) -> tuple[dict, 
         "markets": market,
         "family": family,
     }
-    return columns, tuple(market_sets), tuple(families)
 
 
 def _codes(values: list, code_of) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import gzip
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +680,17 @@ _GZIP_FAULTS = {
 }
 
 
+def _whole_rows(data: bytes) -> int:
+    """The data rows (lines after the header) held whole by the text that gzip
+    data decodes to before its fault; the CRC and size trailer, the last 8
+    bytes, is checked last."""
+    decoder = zlib.decompressobj(31)
+    text = decoder.decompress(data[:-8])
+    with contextlib.suppress(zlib.error):
+        text += decoder.decompress(data[-8:])
+    return max(text.count(b"\n") - 1, 0)
+
+
 @pytest.mark.parametrize("fault", sorted(_GZIP_FAULTS))
 @pytest.mark.parametrize("broken", ["metadata", "families", "predictions"])
 def test_unreadable_gzip_names_the_file(good_manifest, tmp_path, capsys, broken, fault):
@@ -689,6 +702,7 @@ def test_unreadable_gzip_names_the_file(good_manifest, tmp_path, capsys, broken,
     damage, reason = _GZIP_FAULTS[fault]
     bad = {"metadata": src, "families": families, "predictions": preds}[broken]
     bad.write_bytes(damage(bad.read_bytes()))
+    rows = _whole_rows(bad.read_bytes())
     if broken == "predictions":
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(good_manifest))
@@ -697,7 +711,26 @@ def test_unreadable_gzip_names_the_file(good_manifest, tmp_path, capsys, broken,
         argv = ["ingest", "--input", src, "--families", families, "--out", tmp_path / "cache"]
     assert run(argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: {re.escape(str(bad))}: unreadable gzip data after row \d+ \({reason}\)\n", err), err
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: unreadable gzip data after row {rows} \({reason}\)\n", err), err
+
+
+@pytest.mark.parametrize("fault", sorted(_GZIP_FAULTS))
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_unreadable_gzip_counts_every_whole_row(tmp_path, capsys, fault, quoted):
+    """A listing of several parse blocks, read in bulk or (with a quote in its
+    first row) by csv.reader: the pointer counts every row before the fault."""
+    lines = [f"{sha_of(i)},2014-01-15 10:00:00,{i % 30},anzhi|mi.com,2014-02-01 00:00:00,,{1000 + i},f{i % 50}"
+             for i in range(12_000)]
+    if quoted:
+        lines[0] = lines[0].replace("anzhi|mi.com", '"anzhi|mi.com"')
+    src = tmp_path / "meta.csv.gz"
+    damage, reason = _GZIP_FAULTS[fault]
+    src.write_bytes(damage(gzip.compress("\n".join([",".join(ingest.CANONICAL_COLUMNS), *lines, ""]).encode())))
+    rows = _whole_rows(src.read_bytes())
+    assert 0 < rows <= 12_000
+    assert run(["ingest", "--input", src, "--out", tmp_path / "cache"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(src))}: unreadable gzip data after row {rows} \({reason}\)\n", err), err
 
 
 @pytest.mark.parametrize(
@@ -871,18 +904,69 @@ def test_config_errors_name_the_file(ingested, tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("evaluate", "metric = auc", "metric = 'auc': not one of f1, fpr, precision, recall, tpr"),
+        ("stats", "vtt_values = 1,x", "vtt_values = '1,x': invalid literal for int() with base 10: 'x'"),
+        ("stats", "ref_period = 19x", "ref_period = '19x': unparseable period: '19x'"),
+        ("sample", "snapshot = yesterday", "snapshot = 'yesterday': unparseable timestamp: 'yesterday'"),
+    ],
+    ids=["metric", "vtt-values", "ref-period", "snapshot"],
+)
+def test_config_values_are_cast(ingested, good_manifest, tmp_path, capsys, command, text, message):
+    config = tmp_path / "maldrift.ini"
+    config.write_text(f"[{command}]\n{text}\n")
+    if command == "evaluate":
+        manifest, preds = tmp_path / "manifest.json", tmp_path / "preds.csv"
+        manifest.write_text(json.dumps(good_manifest))
+        preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"]))
+        argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}"]
+    elif command == "stats":
+        argv = ["stats", "--population", ingested / "population.csv.gz", "--vtt-curve", "--overlap"]
+    else:
+        argv = ["sample", "--population", ingested / "population.csv.gz"]
+    assert run([*argv, "--config", config, "--out", tmp_path / "out"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {config}: [{command}] {message}\n"
+    assert not (tmp_path / "out" / "run_config.json").exists()
+
+
+def test_config_values_read_as_their_flags(ingested, tmp_path, capsys):
+    config = tmp_path / "maldrift.ini"
+    config.write_text("[stats]\nvtt_values = 4, 10\nref_period = 2014\n[sample]\nsnapshot = 2030-01-01\n")
+    argv = ["stats", "--population", ingested / "population.csv.gz", "--vtt-curve", "--overlap", "--config", config]
+    assert run([*argv, "--out", tmp_path / "stats"]) == 0
+    heatmap = (tmp_path / "stats" / "vtt_market_heatmap.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in heatmap[1:]} == {"4", "10"}
+    assert run([*argv, "--ref-period", "2015", "--out", tmp_path / "flag"]) == 0
+    overlap = (tmp_path / "flag" / "family_overlap.csv").read_text()
+    assert "2015," not in overlap and "2014," in overlap
+    argv = ["sample", "--population", ingested / "population.csv.gz", "--allow-violations", "--config", config]
+    assert run([*argv, "--out", tmp_path / "sample"]) == 0
+    assert json.loads((tmp_path / "sample" / "run_config.json").read_text())["config"]["snapshot"] == "2030-01-01"
+
+
+@pytest.mark.parametrize(
     "table, message",
     [
         ("drebin,0.573,0.488\nhcc,0.62,zz\n", ":2: could not convert string to float: 'zz'"),
         (f"drebin,0.573,0.488\nhcc,0.62,{LONG}\n", ":2: field larger than field limit (131072)"),
+        ("drebin,0.573,0.488\nhcc,nan,0.5\n", ":2: AUT value 'nan' is not a number in [0, 1]"),
+        ("drebin,0.573,0.488\nhcc,0.5,inf\n", ":2: AUT value 'inf' is not a number in [0, 1]"),
+        ("drebin,1.5,0.488\nhcc,0.62,0.5\n", ":1: AUT value '1.5' is not a number in [0, 1]"),
+        ("classifier,split1,split2\ndrebin,0.573,0.488\nhcc,-0.1,0.5\n", ":3: AUT value '-0.1' is not a number in [0, 1]"),
+        ("drebin,0.573,0.488\n\nhcc,0.62\n", ":3: width 1 differs from the first row's 2 AUT values"),
+        ("drebin\nhcc,0.62\n", ":1: no AUT values"),
+        ("", ":1: empty AUT table"),
+        ("classifier,split1\n", ":2: empty AUT table"),
     ],
-    ids=["not-a-number", "long-field"],
+    ids=["not-a-number", "long-field", "nan", "inf", "above-one", "negative", "ragged", "no-values", "empty", "header-only"],
 )
 def test_aut_table_errors_name_the_line(tmp_path, capsys, table, message):
     path = tmp_path / "auts.csv"
     path.write_text(table)
     assert run(["evaluate", "--aut-table", path, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def test_aut_table_not_utf8_names_the_line(tmp_path, capsys):

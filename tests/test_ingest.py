@@ -106,7 +106,7 @@ def test_parse_families_join():
     assert joined.by_sha[sha_of(1)].family == "dowgin"
     assert joined.by_sha[sha_of(2)].family is None
     assert stats.matched == 1
-    assert stats.unmatched == (sha_of(9),)
+    assert stats.unmatched == 1
 
 
 def test_parse_families_empty_family_kept_absent():
@@ -195,14 +195,11 @@ def test_snapshot_piecewise_emulation():
         make_record("l5", dex="2017-01-01", crawl="2017-02-01"),
     ]
     pop = make_population(early + late)
-    phase1 = snapshot_filter(
-        pop.filter(lambda r: 2014 <= r.dex_date.year <= 2016), parse_timestamp("2017-06-30")
-    ).population
-    phase2 = snapshot_filter(
-        pop.filter(lambda r: 2017 <= r.dex_date.year <= 2018), parse_timestamp("2019-01-31")
-    ).population
-    union = phase1.union(phase2)
-    assert {r.sha256 for r in union} == {sha_of(t) for t in ("e1", "e3", "e5", "l1", "l3", "l5")}
+    years = pop.dex_date.astype("datetime64[Y]").astype(int) + 1970
+    phase1 = snapshot_filter(pop.select((years >= 2014) & (years <= 2016)), parse_timestamp("2017-06-30")).population
+    phase2 = snapshot_filter(pop.select((years >= 2017) & (years <= 2018)), parse_timestamp("2019-01-31")).population
+    union = {r.sha256 for r in phase1} | {r.sha256 for r in phase2}
+    assert union == {sha_of(t) for t in ("e1", "e3", "e5", "l1", "l3", "l5")}
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=30, unique=True))

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maldrift.labeling import (
+    DEFAULT_MARKET_PRIORITY,
     LabelRule,
     TimestampKind,
     TimestampPolicy,
-    attribute_market,
     label,
     market_composition,
     market_consistency,
+    market_sort_key,
     timeline_date,
     timestamp_lag_stats,
     tv_distance,
@@ -168,8 +169,9 @@ def test_market_consistency_empty_class():
 
 
 def test_attribute_market_priority():
-    assert attribute_market(frozenset({"VirusShare", "anzhi"})) == "anzhi"
-    assert attribute_market(frozenset({"zzz-market", "unknown"})) == "unknown"
+    key = market_sort_key(DEFAULT_MARKET_PRIORITY)
+    assert min(frozenset({"VirusShare", "anzhi"}), key=key) == "anzhi"
+    assert min(frozenset({"zzz-market", "unknown"}), key=key) == "unknown"
 
 
 @given(

@@ -11,7 +11,6 @@ from maldrift.metrics import (
     aut,
     confusion_metrics,
     family_overlap,
-    family_overlap_detail,
     malware_families_by_period,
     overlap_series,
     rolling_splits,
@@ -224,9 +223,7 @@ def test_family_overlap_examples():
 
 
 def test_family_overlap_absent_families():
-    detail = family_overlap_detail(["a", None, None], ["a"])
-    assert detail.phi == pytest.approx(1 / 3)
-    assert detail.unlabeled == 2
+    assert family_overlap(["a", None, None], ["a"]) == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         family_overlap([], ["a"])
 

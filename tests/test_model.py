@@ -113,14 +113,6 @@ def test_population_snapshot_invariant():
         Population((make_record("nocrawl"),), snapshot_date=parse_timestamp("2016-06-01"))
 
 
-def test_population_union_disjoint():
-    a = make_population([make_record(1)])
-    b = make_population([make_record(2)])
-    assert len(a.union(b)) == 2
-    with pytest.raises(ValueError):
-        a.union(a)
-
-
 def test_timestamp_parsing_forms():
     assert parse_timestamp("2014-01-15") == datetime(2014, 1, 15)
     assert parse_timestamp("2014-01-15 10:22:03") == datetime(2014, 1, 15, 10, 22, 3)
@@ -155,9 +147,9 @@ def test_population_row_view_round_trips_columns():
 def test_population_select_keeps_tables_and_sha_order():
     pop = make_population([make_record(t, family=f"f{t % 2}") for t in range(8)])
     keep = [t % 3 != 0 for t in range(8)]
-    picked = pop.select(np.array(keep), provenance="picked")
+    picked = pop.select(np.array(keep))
     assert picked.records == tuple(r for r, k in zip(pop.records, keep) if k)
-    assert picked.provenance == "picked"
+    assert picked.provenance == pop.provenance == "test"
     assert picked.sha256[picked.sha_order].tolist() == sorted(picked.sha256.tolist())
     assert picked.positions([sha_of(1), sha_of(3), "ab", "Z" * 64]).tolist() == [0, -1, -1, -1]
 
@@ -207,15 +199,9 @@ def test_duplicate_names_the_smallest_repeated_hash():
         make_population([make_record(t) for t in (5, 9, 2, 5, 2)])
 
 
-def test_population_carrying_any_and_union_tables():
+def test_population_carrying_any():
     a = make_population([make_record(1, markets=("anzhi",), family="x"), make_record(2)])
-    b = make_population([make_record(3, markets=("anzhi", "mi.com"), family="y"), make_record(4, family="x")])
     assert a.carrying_any(frozenset({"anzhi", "slideme"})).tolist() == [True, False]
-    joined = a.union(b)
-    assert joined.records == a.records + b.records
-    assert joined.families == ("x", "y")
-    assert len(joined.market_sets) == 3
-    assert joined.sha256[joined.sha_order].tolist() == sorted(joined.sha256.tolist())
 
 
 def test_population_columns_are_read_only():

@@ -460,7 +460,7 @@ def test_crlf_input_stays_on_the_bulk_path(parse, text, calls):
 
 @functools.lru_cache(maxsize=None)
 def _sampled_manifest() -> dict:
-    """manifest_to_dict of a yearly spatial sample of a small synth population:
+    """The JSON object of a yearly spatial sample of a small synth population:
     about 150 entries over a few market sets and families."""
     config = synth.SynthConfig(
         months=24, per_month=60, malware_fraction=0.3, family_pool=6,
@@ -469,7 +469,7 @@ def _sampled_manifest() -> dict:
     pop = synth.generate(config)[0]
     rule, policy = LabelRule(4), TimestampPolicy(TimestampKind.CREATION_DEX)
     plan = sizing.plan_sizes(pop, rule, policy, SizingPlan(PlanMode.YEARLY, spatial=True), SizingParams(0.9, 0.2))
-    return sampler.manifest_to_dict(sampler.stratified_sample(pop, rule, policy, plan, seed=1))
+    return oracle.manifest_to_dict(sampler.stratified_sample(pop, rule, policy, plan, seed=1))
 
 
 _BAD_VALUES = {

@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
+from maldrift.labeling import GOODWARE, LabelRule, TimestampKind, TimestampPolicy
 from maldrift.metrics import overlap_series
 from maldrift.model import ClassLabel, Period, Population
 from maldrift.sampler import (
-    manifest_from_dict,
-    manifest_to_dict,
     market_scenario,
+    read_manifest_json,
     stratified_sample,
     verify_constraints,
     write_manifest_csv,
+    write_manifest_json,
 )
 from maldrift.sizing import PlanMode, SizingParams, SizingPlan, plan_sizes
 from maldrift.synth import SynthConfig, generate, scenario_presets
@@ -161,32 +161,7 @@ def test_verify_c2_fails_when_class_missing():
     pop = one_month_pool(goodware=40, malware=10)
     sizing = spatial_sizing(pop)
     manifest = stratified_sample(pop, RULE, DEX, sizing, seed=0)
-    gw_only = manifest_from_dict(
-        {
-            "spec": manifest.spec,
-            "created": manifest.created,
-            "strata": [
-                {
-                    "period": str(f.period),
-                    "label": f.label.value if f.label else None,
-                    "requested": f.requested,
-                    "sampled": f.sampled,
-                }
-                for f in manifest.strata
-            ],
-            "entries": [
-                {
-                    "sha256": e.sha256,
-                    "label": e.label.value,
-                    "period": str(e.period),
-                    "markets": sorted(e.markets),
-                    "family": e.family,
-                }
-                for e in manifest.entries
-                if e.label is ClassLabel.GOODWARE
-            ],
-        }
-    )
+    gw_only = manifest._replace(rows=manifest.label == GOODWARE)
     checks = {c.name: c for c in verify_constraints(gw_only)}
     assert not checks["C2"].passed
 
@@ -282,11 +257,12 @@ def test_unknown_scenario():
         market_scenario(_scenario_population(), "D_NOPE", RULE, DEX, seed=0)
 
 
-def test_manifest_json_round_trip():
+def test_manifest_json_round_trip(tmp_path):
     pop = one_month_pool(goodware=30, malware=10)
     sizing = spatial_sizing(pop)
     manifest = stratified_sample(pop, RULE, DEX, sizing, seed=0)
-    assert manifest_from_dict(manifest_to_dict(manifest)) == manifest
+    write_manifest_json(manifest, tmp_path / "manifest.json")
+    assert read_manifest_json(tmp_path / "manifest.json") == manifest
 
 
 def test_manifest_csv_shape():
