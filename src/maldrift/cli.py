@@ -52,7 +52,7 @@ class Settings:
 
     A config file that is not UTF-8 or that configparser cannot read, or a
     value its cast refuses, is a FormatError naming the file and the line, or
-    the section and the key.
+    the section and the key; a flag's value that a _Checked cast refuses names the flag.
     """
 
     def __init__(self, args: argparse.Namespace, section: str):
@@ -78,21 +78,17 @@ class Settings:
                 raise FormatError(f"{where}: {exc.message.splitlines()[0]}") from None
 
     def get(self, key: str, default=None, cast=None):
-        value = self.args.get(key)
+        value, raw = self.args.get(key), None
         if value is None and key in self.section:
-            raw = self.section[key]
+            raw, where = self.section[key], f"{self.config_path}: [{self.name}] {key} ="
+        elif value is not None and isinstance(cast, _Checked):  # a flag's text, which argparse took as it is
+            raw, where = value, f"--{key.replace('_', '-')}"
+        if raw is not None:
             try:
-                if cast is bool:
-                    value = raw.strip().lower() in ("1", "true", "yes", "on")
-                elif cast is not None:
-                    value = cast(raw)
-                else:
-                    value = raw
+                value = raw.strip().lower() in ("1", "true", "yes", "on") if cast is bool else cast(raw) if cast else raw
             except (ValueError, KeyError) as exc:
-                raise FormatError(f"{self.config_path}: [{self.name}] {key} = {raw!r}: {exc}") from None
-        if value is None:
-            return default
-        return value
+                raise FormatError(f"{where} {raw!r}: {exc}") from None
+        return default if value is None else value
 
     def given(self, **casts) -> dict:
         """The settings among casts' keys that a flag or the config file gives, each read with its cast."""
@@ -110,15 +106,17 @@ def _one_of(names) -> Callable[[str], str]:
     return cast
 
 
-def _checked(parse) -> Callable[[str], str]:
-    """The cast of a config value that parse must read; the value keeps its text, and an empty one stays unset."""
+class _Checked:
+    """The cast of a setting that parse must read, from a flag or the config file;
+    the value keeps its text, and an empty one stays unset."""
 
-    def cast(text: str) -> str:
+    def __init__(self, parse: Callable[[str], object]):
+        self.parse = parse
+
+    def __call__(self, text: str) -> str:
         if text:
-            parse(text)
+            self.parse(text)
         return text
-
-    return cast
 
 
 def _ints(text: str) -> list[int]:
@@ -311,7 +309,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if not slices:
             raise ValueError("no datable malware records for overlap statistics")
         periods = sorted(slices, key=lambda p: p.index)
-        ref_raw = settings.get("ref_period", None, _checked(Period.parse))
+        ref_raw = settings.get("ref_period", None, _Checked(Period.parse))
         ref = Period.parse(str(ref_raw)) if ref_raw else periods[0]
         tests = [p for p in periods if p != ref]
         series = metrics.overlap_series(slices, ref, tests)
@@ -360,7 +358,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     allow_violations = settings.get("allow_violations", False, bool)
     rule, policy, plan, params = _sizing_inputs(settings)
     pop = _load_population(args.population)
-    snapshot_raw = settings.get("snapshot", None, _checked(parse_timestamp))
+    snapshot_raw = settings.get("snapshot", None, _Checked(parse_timestamp))
     if snapshot_raw:
         snap = ingest_mod.snapshot_filter(pop, parse_timestamp(snapshot_raw))
         pop = snap.population

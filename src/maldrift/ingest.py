@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError
 from .model import (
@@ -141,13 +140,13 @@ _PAD = bytes(_TEXT_BYTES)
 # Text that csv.reader reads otherwise than a split on "\n" and ",".
 _SPECIAL = ('"', "\r", "\0")
 
-_HEX_BYTE = np.zeros(256, dtype=bool)
-_HEX_BYTE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = True
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
-_CLOCK_DIGITS = [11, 12, 14, 15, 17, 18]
 _FIRST_SECOND = np.datetime64(f"{MIN_YEAR}-01-01", "s").astype(np.int64)
 _END_SECOND = np.datetime64(f"{MAX_YEAR + 1}-01-01", "s").astype(np.int64)
+# by month number: its days in a common year, and the day it starts on in a year counted from 1 March
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 243, dtype=np.uint8)
+_MARCH_DAY = np.array([0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275] + [0] * 243, dtype=np.int32)
+# the window of any width from _TEXT_BYTES - n on: 0xFF in the first n bytes, then 0
+_KEEP = np.repeat(np.array([0xFF, 0], dtype=np.uint8), _TEXT_BYTES)
 
 # The field kernels read spans (start, end) of a uint8 buffer that ends in _PAD;
 # each returns the values and a mask of the spans in canonical form. Values
@@ -155,34 +154,46 @@ _END_SECOND = np.datetime64(f"{MAX_YEAR + 1}-01-01", "s").astype(np.int64)
 
 
 def _windows(buf: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
-    """The `width` bytes from each start, as an (n, width) uint8 array."""
-    return sliding_window_view(buf, width)[start]
+    """The `width` bytes from each start, as an (n, width) uint8 array; numpy
+    copies each window as one item of an overlapping void view."""
+    items = np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+    return items[start].view(np.uint8).reshape(len(start), width)
 
 
-def _number(digits: np.ndarray, positions: list[int]) -> np.ndarray:
-    """The decimal value of the digit values at positions, as int64."""
-    value = digits[:, positions[0]].astype(np.int64)
-    for position in positions[1:]:
-        value = value * 10 + digits[:, position]
-    return value
+def _nonzero_rows(words: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D uint64 array holds a word other than 0."""
+    return np.bitwise_or.reduce(np.ascontiguousarray(words.T), axis=0) != 0
+
+
+def _planes(buf: np.ndarray, start: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `width` bytes from each start as a (width, n) array, one row per position, and the
+    same minus ord("0"): a digit reads as its value and any other byte as 10 or more."""
+    chars = np.ascontiguousarray(_windows(buf, start, width).T)
+    return chars, chars - np.uint8(ord("0"))
 
 
 def _hashes(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S64 of spans of 64 lowercase hex digits, and a mask of those spans."""
     chars = _windows(buf, start, 64)
-    return chars.view("S64").ravel(), (end - start == 64) & _HEX_BYTE[chars].all(axis=1)
+    ok = end - start == 64
+    for at in range(0, len(chars), _WRITE_ROWS):  # a mask of every byte at once is as large as the hashes
+        part = chars[at : at + _WRITE_ROWS]
+        # True for a byte outside "0".."9" (48..57) and "a".."f" (97..102)
+        odd = (part - np.uint8(ord("0")) >= 10) & (part - np.uint8(ord("a")) >= 6)
+        ok[at : at + _WRITE_ROWS] &= ~_nonzero_rows(odd.view(np.uint64))
+    return chars.view("S64").ravel(), ok
 
 
 def _naturals(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool) -> tuple[np.ndarray, np.ndarray]:
     """int64 of spans of 1-18 ASCII digits, and a mask of those spans; an optional empty span is 0."""
     lengths = end - start
     width = int(np.clip(lengths.max(initial=1), 1, 18))  # a longer span is not read
-    digits = _windows(buf, start, width) - np.uint8(ord("0"))  # a non-digit wraps to 10 or more
-    inside = np.arange(width) < lengths[:, None]
-    ok = (lengths >= 1) & (lengths <= width) & ((digits < 10) | ~inside).all(axis=1)
-    # read the digits zero-filled to `width` places, then drop the places past the span
-    value = np.where(inside, digits, 0).astype(np.int64) @ _POW10[width - 1 :: -1]
-    value //= _POW10[np.clip(width - lengths, 0, width)]
+    value = np.zeros(len(start), dtype=np.int64)
+    ok = (lengths >= 1) & (lengths <= width)
+    for at, digit in enumerate(_planes(buf, start, width)[1]):
+        inside = lengths > at
+        ok &= (digit < 10) | ~inside
+        value = np.where(inside, value * 10 + digit, value)
     return value, ok if required else ok | (lengths == 0)
 
 
@@ -195,36 +206,32 @@ def _stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool)
     (HH <= 23, MM <= 59), converted to UTC; the UTC time must fall in the years
     MIN_YEAR..MAX_YEAR. fromisoformat reads these forms alike from Python 3.10
     on; other forms (a date with an offset, other fraction widths) are
-    parse_timestamp's to judge.
+    parse_timestamp's to judge. Dates are checked and counted in integers, from 1 March of year 0.
     """
     lengths = end - start
-    chars = _windows(buf, start, 32)
-    digits = chars - np.uint8(ord("0"))
-    is_digit = digits < 10
-    tail = _windows(buf, np.maximum(end - 6, 0), 6)  # "+HH:MM", or ending in "Z"
-    tail_digits = tail - np.uint8(ord("0"))
-    zulu = tail[:, 5] == ord("Z")
-    offset = ((tail[:, 0] == ord("+")) | (tail[:, 0] == ord("-"))) & (tail[:, 3] == ord(":"))
-    offset &= (tail_digits[:, [1, 2, 4, 5]] < 10).all(axis=1)
-    fraction = lengths - 19 - np.where(zulu, 1, np.where(offset, 6, 0))  # "." and its digits
-    hour, minute, second = (_number(digits, [at, at + 1]) for at in (11, 14, 17))
-    zone_hour, zone_minute = _number(tail_digits, [1, 2]), _number(tail_digits, [4, 5])
-    clock = (lengths >= 19) & ((chars[:, 10] == ord(" ")) | (chars[:, 10] == ord("T")))
-    clock &= (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":")) & is_digit[:, _CLOCK_DIGITS].all(axis=1)
-    clock &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    clock &= (fraction == 0) | (((fraction == 4) | (fraction == 7)) & (chars[:, 19] == ord(".")))
-    clock &= (is_digit[:, 20:26] | (np.arange(20, 26) >= 19 + fraction[:, None])).all(axis=1)
+    c, d = _planes(buf, start, 26)
+    tail, t = _planes(buf, np.maximum(end - 6, 0), 6)  # "+HH:MM", or ending in "Z"
+    zone_hour, zone_minute = t[1] * np.uint8(10) + t[2], t[4] * np.uint8(10) + t[5]
+    offset = ((tail[0] == ord("+")) | (tail[0] == ord("-"))) & (tail[3] == ord(":")) & (np.maximum.reduce(t[[1, 2, 4, 5]]) < 10)
+    fraction = lengths - np.where(tail[5] == ord("Z"), 20, np.where(offset, 25, 19))  # "." and its digits
+    hour, minute, second = (d[at] * np.uint8(10) + d[at + 1] for at in (11, 14, 17))
+    clock = (lengths >= 19) & ((c[10] == ord(" ")) | (c[10] == ord("T"))) & (c[13] == ord(":")) & (c[16] == ord(":"))
+    clock &= (np.maximum.reduce(d[[11, 12, 14, 15, 17, 18]]) < 10) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    digits3, digits6 = np.maximum.reduce(d[20:23]) < 10, np.maximum.reduce(d[20:26]) < 10
+    clock &= (fraction == 0) | ((c[19] == ord(".")) & (((fraction == 4) & digits3) | ((fraction == 7) & digits6)))
     clock &= ~offset | ((zone_hour <= 23) & (zone_minute <= 59))
-    zone = np.where(offset, (zone_hour * 3600 + zone_minute * 60) * np.where(tail[:, 0] == ord("-"), -1, 1), 0)
-    ok = ((lengths == 10) | clock) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
-    ok &= is_digit[:, _DATE_DIGITS].all(axis=1)
-    year, month, day = _number(digits, [0, 1, 2, 3]), _number(digits, [5, 6]), _number(digits, [8, 9])
-    ok &= (month >= 1) & (month <= 12) & (day >= 1)
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
-    ok &= days.astype("datetime64[M]") == months  # no 30 February
-    seconds = days.astype("datetime64[s]").astype(np.int64)
-    seconds += np.where(clock, hour * 3600 + minute * 60 + second - zone, 0)
+    year = ((d[0].astype(np.int32) * 10 + d[1]) * 10 + d[2]) * 10 + d[3]
+    month, day = d[5] * np.uint8(10) + d[6], d[8] * np.uint8(10) + d[9]
+    leap = (year & 3 == 0) & ((year % 100 != 0) | (year & 15 == 0))
+    ok = ((lengths == 10) | clock) & (c[4] == ord("-")) & (c[7] == ord("-"))
+    ok &= np.maximum.reduce(d[[0, 1, 2, 3, 5, 6, 8, 9]]) < 10
+    ok &= (day >= 1) & (day <= _MONTH_DAYS[month] + ((month == 2) & leap))  # no month 13, no 30 February
+    march_year = year - (month <= 2)  # years from 1 March: 0000-03-01 is day -719468 from 1970-01-01
+    century = march_year // 100
+    days = march_year * 365 + (march_year >> 2) - century + (century >> 2) + _MARCH_DAY[month] + day - 719469
+    zone = np.where(offset, (zone_hour.astype(np.int32) * 60 + zone_minute) * np.where(tail[0] == ord("-"), -1, 1), 0)
+    minutes = hour.astype(np.int32) * 60 + minute - zone
+    seconds = days.astype(np.int64) * 86400 + np.where(clock, minutes * 60 + second, 0)
     ok &= (seconds >= _FIRST_SECOND) & (seconds < _END_SECOND)
     stamps = seconds.view("datetime64[s]")
     stamps[lengths == 0] = np.datetime64("NaT")
@@ -238,8 +245,12 @@ def _span_chars(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndar
     lengths = end[rows] - start[rows]
     width = -(-int(np.clip(lengths.max(initial=1), 1, _TEXT_BYTES)) // 8) * 8
     chars = _windows(buf, start[rows], width)
-    chars *= np.arange(width) < lengths[:, None]  # zero past the span
-    read = (lengths <= _TEXT_BYTES) & (np.count_nonzero(chars, axis=1) == lengths)
+    kept = np.minimum(lengths, width)
+    keep = _windows(_KEEP, _TEXT_BYTES - kept, width)
+    chars &= keep  # zero past the span
+    read = lengths <= _TEXT_BYTES
+    if np.count_nonzero(chars) < kept.sum():  # a span holds a NUL
+        read &= ~_nonzero_rows(((chars == 0) & (keep != 0)).view(np.uint64))
     ok[rows[~read]] = False
     return rows[read], chars[read]
 
@@ -252,7 +263,7 @@ def _text_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndar
     order = np.lexsort(words.T)  # stable: each text's first row leads its run
     ordered = words[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new[1:] = _nonzero_rows(ordered[1:] ^ ordered[:-1])
     text_of = np.empty(len(order), dtype=np.int64)
     text_of[order] = np.cumsum(new) - 1
     firsts = order[new]
@@ -376,29 +387,29 @@ def _fields(line: str) -> Union[list[str], csv.Error]:
 def _block_chunk(text: str, width: int) -> tuple:
     """The rows of whole lines of text free of quotes, CR and NUL: numpy finds the
     line ends and commas, and the rows of `width` fields are read as spans."""
-    data = text.encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(data + _PAD, dtype=np.uint8)
-    body = buf[: len(data)]
-    ends = np.flatnonzero(body == ord("\n"))
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + _PAD, dtype=np.uint8)
+    size = len(buf) - len(_PAD)
+    mark = buf[:size] == ord(",")  # one mask at a time: it is as large as the text
+    mark |= buf[:size] == ord("\n")
+    marks = np.append(np.flatnonzero(mark), size)  # the end ends a line
+    line_end = np.flatnonzero(buf[marks] != ord(","))  # at a "\n", or at the end (the pad's 0)
+    first = np.concatenate(([0], line_end[:-1] + 1))  # each line's first mark
+    ends = marks[line_end]
     starts = np.concatenate(([0], ends[:-1] + 1))
     filled = ends > starts  # blank lines are skipped and not counted, as csv.DictReader does
-    starts, ends = starts[filled], ends[filled]
-    commas = np.append(np.flatnonzero(body == ord(",")), len(data))  # the end stops a short row
-    first, last = np.searchsorted(commas, starts), len(commas) - 1
-    regular = (np.searchsorted(commas, ends) - first == width - 1) & (ends - starts <= csv.field_size_limit())
-    nothing = np.zeros(len(starts), dtype=np.int64)
+    starts, ends, first, line_end = starts[filled], ends[filled], first[filled], line_end[filled]
+    regular = (line_end - first == width - 1) & (ends - starts <= csv.field_size_limit())  # width - 1 commas
+    every, last, nothing = regular.all(), len(marks) - 1, np.zeros(len(starts), dtype=np.int64)
 
     def span(at: Optional[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if at is None:
             return buf, nothing, nothing
-        start = starts if at == 0 else commas[np.minimum(first + at - 1, last)] + 1
-        end = ends if at == width - 1 else commas[np.minimum(first + at, last)]
-        return buf, np.where(regular, start, 0), np.where(regular, end, 0)
+        start = starts if at == 0 else marks[np.minimum(first + at - 1, last)] + 1
+        end = marks[np.minimum(first + at, last)]
+        return (buf, start, end) if every else (buf, np.where(regular, start, 0), np.where(regular, end, 0))
 
     def row(k: int) -> Union[list[str], csv.Error]:
-        return _fields(data[starts[k] : ends[k]].decode("utf-8", "surrogatepass"))
+        return _fields(buf[starts[k] : ends[k]].tobytes().decode("utf-8", "surrogatepass"))
 
     return len(starts), span, regular, row
 
@@ -579,7 +590,7 @@ class _Columns(_Rows):
         size, size_ok = _naturals(*span(at.get("apk_size")), required=False)
         ok &= regular & dex_ok & vt_ok & crawl_ok & scan_ok & size_ok
         markets = _text_codes(*span(at.get("markets")), ok, self._market_code)
-        family = _text_codes(*span(at.get("family")), ok, self._family_code)
+        family = _text_codes(*span(at["family"]), ok, self._family_code) if "family" in at else np.full(n, -1, np.int32)
         valid = ok.copy()
         for k, rec in self.fallback(~ok, row, _parse_row):
             valid[k] = True
@@ -610,8 +621,8 @@ class _Columns(_Rows):
         first = order[starts]  # the stable sort puts a hash's first row first
         last = order[np.append(starts[1:], len(sha))[: len(starts)] - 1]
         del order, new, starts
-        kept = np.sort(first)
-        sha_order = np.searchsorted(kept, first)
+        by_row = np.argsort(first)
+        kept, sha_order = first[by_row], np.argsort(by_row)  # kept rows in file order, each hash's rank in them
         stats.duplicates = len(sha) - len(kept)
         if stats.duplicates:
             moved = first != last

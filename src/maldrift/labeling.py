@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -118,23 +117,22 @@ class LagStats:
 def timestamp_lag_stats(pop: Population, a: TimestampKind, b: TimestampKind) -> LagStats:
     dates_a, dates_b = getattr(pop, _FIELD_BY_KIND[a]), getattr(pop, _FIELD_BY_KIND[b])
     both = ~np.isnat(dates_a) & ~np.isnat(dates_b)
-    lags = (dates_b[both] - dates_a[both]).astype(np.int64) / 86400.0
+    lags = np.sort((dates_b[both] - dates_a[both]).astype(np.int64) / 86400.0)
     if not lags.size:
         raise ValueError("no records carry both timestamps")
-    values = lags.tolist()
-    if len(values) >= 2:
-        q1, _, q3 = statistics.quantiles(values, n=4)
-    else:
-        q1 = q3 = values[0]
+    q1, median, q3 = (_quartile(lags, i) for i in (1, 2, 3)) if len(lags) > 1 else lags.tolist() * 3
     days, counts = np.unique(np.floor(lags).astype(np.int64), return_counts=True)
-    return LagStats(
-        count=len(values),
-        excluded=len(pop) - len(values),
-        median_days=statistics.median(values),
-        q1_days=q1,
-        q3_days=q3,
-        histogram=dict(zip(days.tolist(), counts.tolist())),
-    )
+    return LagStats(len(lags), len(pop) - len(lags), median, q1, q3, dict(zip(days.tolist(), counts.tolist())))
+
+
+def _quartile(ordered: np.ndarray, i: int) -> float:
+    """Cut point i of 4 of two or more sorted values, with the integer steps and float operations
+    of statistics.quantiles(values, n=4), whose middle cut is statistics.median(values)."""
+    n = len(ordered)
+    j = min(max(i * (n + 1) // 4, 1), n - 1)
+    delta = i * (n + 1) - j * 4
+    low, high = ordered[j - 1 : j + 1].tolist()
+    return (low * (4 - delta) + high * delta) / 4
 
 
 def market_sort_key(priority: tuple[str, ...]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -86,6 +86,7 @@ def _check_year(year: int) -> None:
         raise ValueError(f"timestamp year {year} outside supported range {MIN_YEAR}-{MAX_YEAR}")
 
 
+@total_ordering  # <=, > and >= from < and the dataclass ==
 @dataclass(frozen=True)
 class Period:
     """A calendar month or year, indexed as an integer offset from 1970."""
@@ -127,18 +128,6 @@ class Period:
     def __lt__(self, other: "Period") -> bool:
         self._check_same(other)
         return self.index < other.index
-
-    def __le__(self, other: "Period") -> bool:
-        self._check_same(other)
-        return self.index <= other.index
-
-    def __gt__(self, other: "Period") -> bool:
-        self._check_same(other)
-        return self.index > other.index
-
-    def __ge__(self, other: "Period") -> bool:
-        self._check_same(other)
-        return self.index >= other.index
 
     def shifted(self, offset: int) -> "Period":
         return Period(self.granularity, self.index + offset)

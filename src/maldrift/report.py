@@ -9,6 +9,7 @@ ties broken by std ascending.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
@@ -147,14 +148,17 @@ def evaluate_manifest(
 def report_from_aut_table(
     rows: Sequence[tuple[str, Sequence[float]]], window_months: int = 12
 ) -> EvaluationReport:
-    """Aggregate already-computed per-split AUT values into the report grid."""
+    """Aggregate already-computed per-split AUT values, each a number in [0, 1], into the report grid."""
     if not rows:
         raise ValueError("empty AUT table")
     width = len(rows[0][1])
     if width == 0 or any(len(auts) != width for _, auts in rows):
         raise ValueError("all rows must carry the same non-zero number of AUT values")
     results = []
-    for name, auts in rows:
+    for row, (name, auts) in enumerate(rows, 1):
+        for column, value in enumerate(auts, 1):
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):  # false for NaN
+                raise ValueError(f"AUT table row {row} ({name}), split{column}: {value!r} is not a number in [0, 1]")
         mu, sigma = a_aut(list(auts))
         results.append(PredsetResult(name, tuple(auts), mu, sigma))
     labels = tuple(f"split{i + 1}" for i in range(width))

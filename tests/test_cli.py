@@ -930,6 +930,22 @@ def test_config_values_are_cast(ingested, good_manifest, tmp_path, capsys, comma
     assert not (tmp_path / "out" / "run_config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", "--overlap", "--ref-period", "19x"], "--ref-period '19x': unparseable period: '19x'"),
+        (["sample", "--snapshot", "yesterday"], "--snapshot 'yesterday': unparseable timestamp: 'yesterday'"),
+    ],
+    ids=["ref-period", "snapshot"],
+)
+def test_flag_values_name_the_flag(ingested, tmp_path, capsys, argv, message):
+    command, *flags = argv
+    argv = [command, "--population", ingested / "population.csv.gz", *flags, "--out", tmp_path / "out"]
+    assert run(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "run_config.json").exists()
+
+
 def test_config_values_read_as_their_flags(ingested, tmp_path, capsys):
     config = tmp_path / "maldrift.ini"
     config.write_text("[stats]\nvtt_values = 4, 10\nref_period = 2014\n[sample]\nsnapshot = 2030-01-01\n")

@@ -1,8 +1,11 @@
 import os
+import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,9 +25,9 @@ from maldrift.labeling import (
     vtt_coverage,
     vtt_market_heatmap,
 )
-from maldrift.model import ClassLabel
+from maldrift.model import COLUMNS, ClassLabel, Population
 
-from helpers import make_population, make_record
+from helpers import make_population, make_record, sha_of
 
 
 @pytest.mark.parametrize(
@@ -105,6 +108,37 @@ def test_lag_stats_excludes_missing():
             TimestampKind.CREATION_DEX,
             TimestampKind.PUBLICATION_CRAWL,
         )
+
+
+def _lag_population(lag_seconds: list[int]) -> Population:
+    """Records whose crawl date follows the dex date by the given seconds."""
+    n = len(lag_seconds)
+    dex = np.datetime64("2015-06-01", "s") + np.arange(n) * 3600
+    columns = {name: np.zeros(n, dtype=dtype) for name, dtype in COLUMNS.items()}
+    columns.update(sha256=np.array([sha_of(i) for i in range(n)], dtype="S64"), dex_date=dex,
+                   crawl_date=dex + np.array(lag_seconds), vt_scan_date=np.full(n, np.datetime64("NaT"), "M8[s]"))
+    return Population.from_columns(columns, (frozenset({"play.google.com"}),), ())
+
+
+def _seeded_lags(n: int, seed: int) -> list[int]:
+    """n lags in seconds, from -3 to 30 days, with ties (draws from a small pool) and negative lags."""
+    rng = random.Random(seed)
+    pool = [rng.randint(-3 * 86400, 30 * 86400) for _ in range(n // 4 + 1)]
+    return [rng.choice(pool) if rng.random() < 0.4 else rng.randint(-3 * 86400, 30 * 86400) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 5000])
+def test_lag_quartiles_equal_statistics(n):
+    for seed in range(30 if n < 10 else 1):
+        seconds = _seeded_lags(n, seed)
+        stats = timestamp_lag_stats(_lag_population(seconds), TimestampKind.CREATION_DEX, TimestampKind.PUBLICATION_CRAWL)
+        lags = [s / 86400.0 for s in seconds]
+        q1, _, q3 = statistics.quantiles(lags, n=4) if n > 1 else [lags[0]] * 3
+        assert (stats.q1_days, stats.median_days, stats.q3_days) == (q1, statistics.median(lags), q3)
+        assert all(type(v) is float for v in (stats.q1_days, stats.median_days, stats.q3_days))
+    stats = timestamp_lag_stats(_lag_population([86400, 2 * 86400]), TimestampKind.CREATION_DEX,
+                                TimestampKind.PUBLICATION_CRAWL)
+    assert stats.q1_days == 0.75  # statistics.quantiles clamps the cut below the first of two values
 
 
 def test_market_composition_single_class():

@@ -49,42 +49,42 @@ _canonical_stamp = st.one_of(
     ),
     st.builds("{:04d}-{:02d}-{:02d}".format, st.integers(2013, 2016), st.integers(1, 12), st.integers(1, 31)),
 )
-_odd_stamp = st.sampled_from(
-    [
-        "2014-03-05T10:00:00Z",
-        "2014-03-31 23:30:00+02:00",
-        "2015-01-01 00:30:00+02:00",
-        "2014-06-30T22:00:00-03:00",
-        "2014-07-01 12:00:00.750",
-        "2014-07-01T12:00:00",
-        " 2014-08-02 ",
-        "20140809",
-        "2014-02-29",
-        "2016-02-29 08:00:00",
-        "2014-01",
-        "NaT",
-        "2015-13-45",
-        "2014-05-01 24:00:00",
-        "1601-01-01",
-        "2101-03-01 10:00:00",
-        "2014-05-01 10:60:00",
-        "２０１４-01-01",
-        "not a date",
-        "2014-03-05 10:00:00.123456",
-        "2014-03-05T10:00:00.5Z",
-        "2014-03-05T10:00:00-00:00",
-        "2014-03-05 10:00:00+23:59",
-        "2014-03-05 10:00:00+24:00",
-        "2014-03-05T10:00:00+0200",
-        "2014-03-05t10:00:00",
-        "2014-03-05T10:00:00z",
-        "2014-03-05+02:00",
-        "2100-12-31T23:30:00-02:00",
-        "1970-01-01 01:00:00+02:00",
-        "1969-12-31T23:30:00-02:00",
-        "9999-12-31T23:30:00-02:00",
-    ]
-)
+# timestamps the field kernels leave to the row parser, or read only at an edge
+ODD_STAMPS = [
+    "2014-03-05T10:00:00Z",
+    "2014-03-31 23:30:00+02:00",
+    "2015-01-01 00:30:00+02:00",
+    "2014-06-30T22:00:00-03:00",
+    "2014-07-01 12:00:00.750",
+    "2014-07-01T12:00:00",
+    " 2014-08-02 ",
+    "20140809",
+    "2014-02-29",
+    "2016-02-29 08:00:00",
+    "2014-01",
+    "NaT",
+    "2015-13-45",
+    "2014-05-01 24:00:00",
+    "1601-01-01",
+    "2101-03-01 10:00:00",
+    "2014-05-01 10:60:00",
+    "２０１４-01-01",
+    "not a date",
+    "2014-03-05 10:00:00.123456",
+    "2014-03-05T10:00:00.5Z",
+    "2014-03-05T10:00:00-00:00",
+    "2014-03-05 10:00:00+23:59",
+    "2014-03-05 10:00:00+24:00",
+    "2014-03-05T10:00:00+0200",
+    "2014-03-05t10:00:00",
+    "2014-03-05T10:00:00z",
+    "2014-03-05+02:00",
+    "2100-12-31T23:30:00-02:00",
+    "1970-01-01 01:00:00+02:00",
+    "1969-12-31T23:30:00-02:00",
+    "9999-12-31T23:30:00-02:00",
+]
+_odd_stamp = st.sampled_from(ODD_STAMPS)
 
 
 def _mostly(good, odd):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from maldrift.errors import MissingPredictionsError
@@ -119,3 +121,11 @@ def test_window_series_populated():
     series = report.window_series[("clf", 0)]
     assert set(series) == {"f1", "fpr", "tpr", "precision", "recall"}
     assert len(series["f1"].points) == 12
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, -0.1, "0.5", None])
+def test_aut_table_refuses_values_outside_unit_interval(value):
+    rows = [("good", [0.5, 0.6]), ("bad", [0.5, value])]
+    with pytest.raises(ValueError, match=rf"^AUT table row 2 \(bad\), split2: {re.escape(repr(value))} is not a number in \[0, 1\]$"):
+        report_from_aut_table(rows)
+    assert report_from_aut_table([("edges", [0, 1.0])]).results[0].auts == (0, 1.0)
