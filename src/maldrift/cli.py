@@ -119,6 +119,18 @@ class _Checked:
         return text
 
 
+def _period_at(granularity: Granularity) -> Callable[[str], Period]:
+    """The cast of a --ref-period, which must be of the --granularity of the overlap series."""
+
+    def parse(text: str) -> Period:
+        period = Period.parse(text)
+        if period.granularity is not granularity:
+            raise ValueError(f"a {period.granularity.value} period, while --granularity is {granularity.value}")
+        return period
+
+    return parse
+
+
 def _ints(text: str) -> list[int]:
     """A comma-separated list of integers read from a config file."""
     return [int(v) for v in text.split(",")]
@@ -282,9 +294,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         wrote += ["market_composition.csv", "market_consistency.json"]
     if args.timestamps:
-        a = _TIMESTAMP_KINDS[settings.get("lag_from", "dex", _timestamp_name)]
-        b = _TIMESTAMP_KINDS[settings.get("lag_to", "crawl", _timestamp_name)]
-        lag = labeling.timestamp_lag_stats(pop, a, b)
+        lag = labeling.timestamp_lag_stats(pop, _TIMESTAMP_KINDS["dex"], _TIMESTAMP_KINDS["crawl"])
         ingest_mod.write_csv(
             out / "timestamp_lag.csv",
             ("stat", "value"),
@@ -309,7 +319,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if not slices:
             raise ValueError("no datable malware records for overlap statistics")
         periods = sorted(slices, key=lambda p: p.index)
-        ref_raw = settings.get("ref_period", None, _Checked(Period.parse))
+        ref_raw = settings.get("ref_period", None, _Checked(_period_at(gran)))
         ref = Period.parse(str(ref_raw)) if ref_raw else periods[0]
         tests = [p for p in periods if p != ref]
         series = metrics.overlap_series(slices, ref, tests)
@@ -368,20 +378,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         )
     markets_raw = settings.get("markets")
     market_filter = frozenset(m.strip() for m in markets_raw.split(",") if m.strip()) if markets_raw else None
-    pool = pop.select(pop.carrying_any(market_filter)) if market_filter else pop
+    if market_filter:
+        pop = pop.select(pop.carrying_any(market_filter))
 
-    plan_result = sizing.plan_sizes(pool, rule, policy, plan, params)
+    plan_result = sizing.plan_sizes(pop, rule, policy, plan, params)
     for warning in plan_result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    manifest = sampler.stratified_sample(
-        pool, rule, policy, plan_result, seed=seed, market_filter=market_filter
-    )
-    checks = sampler.verify_constraints(
-        manifest,
-        population=pool,
-        c3_tolerance=settings.get("c3_tolerance", 1, int),
-        market_threshold=settings.get("consistency_threshold", 0.10, float),
-    )
+    manifest = sampler.stratified_sample(pop, rule, policy, plan_result, seed=seed, market_filter=market_filter)
+    checks = sampler.verify_constraints(manifest, population=pop)
     failures = [c for c in checks if not c.passed]
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
@@ -440,12 +444,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     settings = Settings(args, "verify")
     manifest = sampler.read_manifest_json(args.manifest)
     pop = _load_population(args.population) if args.population else None
-    checks = sampler.verify_constraints(
-        manifest,
-        population=pop,
-        c3_tolerance=settings.get("c3_tolerance", 1, int),
-        market_threshold=settings.get("consistency_threshold", 0.10, float),
-    )
+    checks = sampler.verify_constraints(manifest, population=pop)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
     if args.out:
@@ -465,8 +464,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     settings = Settings(args, "split")
     window = settings.get("window", 12, int)
     plan = metrics.rolling_splits(
-        Period.parse(args.start),
-        Period.parse(args.end),
+        Period.parse(settings.get("start", None, _Checked(Period.parse))),
+        Period.parse(settings.get("end", None, _Checked(Period.parse))),
         window,
         allow_partial_last=settings.get("allow_partial", False, bool),
     )

@@ -460,6 +460,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 pending += text
                 continue
             block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
+            ended = not text
+            del text  # the block holds its lines; the read is not kept while they are parsed
             if "\r" in block and block.count("\r") == block.count("\r\n") and '"' not in block and "\0" not in block:
                 # csv.reader reads CRLF line ends as LF; a block with a quote keeps
                 # its CRs, as a quoted field's CRLF is text
@@ -492,7 +494,7 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 reader.add(*_block_chunk(block, len(reader.header)))
             if error:
                 raise error
-            if not text:
+            if ended:
                 break
         if reader is None:
             raise FormatError(f"empty {kind.what} input")

@@ -102,6 +102,14 @@ def timeline_dates(pop: Population, policy: TimestampPolicy) -> np.ndarray:
     return dates
 
 
+def eligible(pop: Population, rule: LabelRule, policy: TimestampPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask of the records a sample may hold (not greyware, and dated under
+    policy), with every record's class code and timeline date."""
+    classes = class_codes(pop, rule)
+    dates = timeline_dates(pop, policy)
+    return (classes != GREYWARE) & ~np.isnat(dates), classes, dates
+
+
 @dataclass(frozen=True)
 class LagStats:
     """Distribution of (b - a) in days over records carrying both timestamps."""
@@ -184,6 +192,10 @@ def market_composition(pop: Population, rule: LabelRule) -> list[MarketShare]:
     return rows
 
 
+# market consistency passes at a TV distance of at most this
+MARKET_THRESHOLD = 0.10
+
+
 @dataclass(frozen=True)
 class ConsistencyResult:
     tv_distance: float
@@ -219,7 +231,6 @@ def _coded_market_consistency(
     markets: np.ndarray,
     classes: np.ndarray,
     market_sets: tuple[frozenset[str], ...],
-    threshold: float,
 ) -> ConsistencyResult:
     """Total-variation distance between the goodware and malware market
     distributions of market-set codes into market_sets and class codes.
@@ -234,11 +245,11 @@ def _coded_market_consistency(
     attributed = {code: min(market_sets[code], key=_MARKET_KEY) for code in used}
     p = _attributed_dist(markets[goodware], attributed)
     q = _attributed_dist(markets[malware], attributed)
-    return _consistency(p, q, threshold)
+    return _consistency(p, q, MARKET_THRESHOLD)
 
 
-def market_consistency(pop: Population, rule: LabelRule, threshold: float = 0.10) -> ConsistencyResult:
-    return _coded_market_consistency(pop.markets, class_codes(pop, rule), pop.market_sets, threshold)
+def market_consistency(pop: Population, rule: LabelRule) -> ConsistencyResult:
+    return _coded_market_consistency(pop.markets, class_codes(pop, rule), pop.market_sets)
 
 
 def vtt_coverage(pop: Population, vtt: int) -> float:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import MissingPredictionsError
-from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
+from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
 from .model import ClassLabel, Granularity, Period, Population, period_indices
 
 if TYPE_CHECKING:  # the CLI loads this module for every command; these load where they run
@@ -246,8 +246,8 @@ def malware_families_by_period(
 
     Periods come in order of their first record, and each list in record order.
     """
-    dates = timeline_dates(pop, policy)
-    rows = np.flatnonzero((class_codes(pop, rule) == MALWARE) & ~np.isnat(dates))
+    pool, classes, dates = eligible(pop, rule, policy)
+    rows = np.flatnonzero(pool & (classes == MALWARE))
     periods = period_indices(dates[rows], granularity)
     names = np.array([*pop.families, None], dtype=object)  # code -1 picks the None
     families = names[pop.family[rows]]

@@ -23,13 +23,13 @@ from .ingest import _hashes, _replacing, _spans, _write_chunks
 from .jsonstream import read_object
 from .labeling import (
     CLASSES,
-    GREYWARE,
     MALWARE,
+    MARKET_THRESHOLD,
     LabelRule,
     TimestampKind,
     TimestampPolicy,
     _coded_market_consistency,
-    class_codes,
+    eligible,
     timeline_dates,
 )
 from .model import ClassLabel, Granularity, Period, Population, _sorted_neighbours, format_timestamp, period_indices
@@ -38,6 +38,8 @@ from .version import __version__
 
 _CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}
 _GLOBAL_PERIOD_CODE = 10**6
+# C3 passes when each period's malware count is within this of round(n * ratio)
+C3_TOLERANCE = 1
 
 
 @dataclass(frozen=True)
@@ -244,14 +246,12 @@ def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], 
 def _candidates(
     pop: Population, rule: LabelRule, policy: TimestampPolicy, keep: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the labeled, datable records (within keep) in ascending sha256
-    order, with their class codes and timeline dates."""
-    classes = class_codes(pop, rule)
-    dates = timeline_dates(pop, policy)
-    eligible = (classes != GREYWARE) & ~np.isnat(dates)
+    """Rows of the eligible records (within keep) in ascending sha256 order,
+    with their class codes and timeline dates."""
+    pool, classes, dates = eligible(pop, rule, policy)
     if keep is not None:
-        eligible &= keep
-    rows = pop.sha_order[eligible[pop.sha_order]]
+        pool &= keep
+    rows = pop.sha_order[pool[pop.sha_order]]
     return rows, classes[rows], dates[rows]
 
 
@@ -260,21 +260,6 @@ def _take(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
     if count >= size:
         return np.arange(size)
     return rng.permutation(size)[:count]
-
-
-def _entry_columns(
-    pop: Population, rows: np.ndarray, classes: np.ndarray, periods: np.ndarray, granularity: Granularity
-) -> dict[str, np.ndarray]:
-    """Manifest entry columns for the given rows, their class codes and period indices;
-    markets and family stay codes into the population's tables."""
-    return {
-        "sha256": pop.sha256[rows],
-        "label": classes,
-        "period": periods,
-        "granularity": np.full(len(rows), _GRANULARITIES.index(granularity)),
-        "markets": pop.markets[rows],
-        "family": pop.family[rows],
-    }
 
 
 def _default_created(pop: Population) -> str:
@@ -286,6 +271,36 @@ def _default_created(pop: Population) -> str:
     crawled = pop.crawl_date[~np.isnat(pop.crawl_date)]
     stamps = np.concatenate([crawled, pop.dex_date])
     return format_timestamp(stamps.max().item()) if stamps.size else "1970-01-01 00:00:00"
+
+
+def _manifest(
+    pop: Population,
+    rows: np.ndarray,
+    classes: np.ndarray,
+    periods: np.ndarray,
+    granularity: Granularity,
+    chosen: list[np.ndarray],
+    spec: dict,
+    fills: list[StratumFill],
+) -> DatasetManifest:
+    """The manifest of the candidates at the positions in chosen, candidates
+    being pop's records at rows (sha-sorted) with their class codes and period
+    indices. Entries are in period, label name (goodware < malware) and sha256
+    order; markets and family stay codes into the population's tables."""
+    picked = np.concatenate([np.zeros(0, dtype=np.int64), *chosen])
+    picked = picked[np.lexsort((picked, classes[picked], periods[picked]))]
+    at = rows[picked]
+    columns = {
+        "sha256": pop.sha256[at],
+        "label": classes[picked],
+        "period": periods[picked],
+        "granularity": np.full(len(at), _GRANULARITIES.index(granularity)),
+        "markets": pop.markets[at],
+        "family": pop.family[at],
+    }
+    return DatasetManifest._from_columns(
+        columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills)
+    )
 
 
 def stratified_sample(
@@ -318,7 +333,7 @@ def stratified_sample(
     sorted_keys = keys[by_key]
 
     fills: list[StratumFill] = []
-    chosen: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    chosen: list[np.ndarray] = []
     for stratum in sizing.strata:
         if plan.spatial:
             # echo the uncapped plan request so shortfalls stay visible here
@@ -340,21 +355,8 @@ def stratified_sample(
             picks = by_key[lo:hi][_take(requested, int(hi - lo), rng)]
             fills.append(StratumFill(period, cls, requested, len(picks)))
             chosen.append(picks)
-    picked = np.concatenate(chosen)
-    # manifest order: period, label name (goodware < malware), sha256 (candidates are sha-sorted)
-    picked = picked[np.lexsort((picked, classes[picked], periods[picked]))]
-    columns = _entry_columns(pop, rows[picked], classes[picked], periods[picked], stratum_gran)
-    spec = build_spec_echo(
-        rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter
-    )
-    return DatasetManifest._from_columns(
-        columns,
-        pop.market_sets,
-        pop.families,
-        spec=spec,
-        created=_default_created(pop),
-        strata=tuple(fills),
-    )
+    spec = build_spec_echo(rule, policy, plan, sizing.params, seed, pop.snapshot_date, market_filter)
+    return _manifest(pop, rows, classes, periods, stratum_gran, chosen, spec, fills)
 
 
 @dataclass(frozen=True)
@@ -364,18 +366,13 @@ class CheckResult:
     evidence: str
 
 
-def verify_constraints(
-    manifest: DatasetManifest,
-    population: Optional[Population] = None,
-    c3_tolerance: int = 1,
-    market_threshold: float = 0.10,
-) -> list[CheckResult]:
+def verify_constraints(manifest: DatasetManifest, population: Optional[Population] = None) -> list[CheckResult]:
     """Check a manifest against the temporal/spatial/market constraints.
 
     C2: any period holding one class must hold the other (unless the plan
-    requested zero). C3: per-period malware count within c3_tolerance of
+    requested zero). C3: per-period malware count within C3_TOLERANCE of
     round(n * ratio). Market consistency: TV distance between class market
-    distributions at most market_threshold. Timestamp policy: entries map
+    distributions at most MARKET_THRESHOLD. Timestamp policy: entries map
     into their recorded periods (full check needs the source population).
     """
     plan = manifest.spec.get("plan") or {}
@@ -413,27 +410,25 @@ def verify_constraints(
     c3_bad = []
     for period, n, mw in zip(periods, totals, malware):
         expected = round_half_up(n * ratio)
-        if abs(mw - expected) > c3_tolerance:
-            c3_bad.append(f"{period}: {mw} malware, expected {expected}±{c3_tolerance}")
+        if abs(mw - expected) > C3_TOLERANCE:
+            c3_bad.append(f"{period}: {mw} malware, expected {expected}±{C3_TOLERANCE}")
     checks.append(
         CheckResult(
             "C3",
             not c3_bad,
-            f"per-period malware within ±{c3_tolerance} of round(n·{ratio})"
+            f"per-period malware within ±{C3_TOLERANCE} of round(n·{ratio})"
             if not c3_bad
             else "; ".join(c3_bad[:5]),
         )
     )
 
     try:
-        consistency = _coded_market_consistency(
-            manifest.markets, manifest.label, manifest.market_sets, market_threshold
-        )
+        consistency = _coded_market_consistency(manifest.markets, manifest.label, manifest.market_sets)
         checks.append(
             CheckResult(
                 "market_consistency",
                 consistency.passed,
-                f"tv_distance={consistency.tv_distance:.4f} (threshold {market_threshold})",
+                f"tv_distance={consistency.tv_distance:.4f} (threshold {MARKET_THRESHOLD})",
             )
         )
     except ValueError as exc:
@@ -522,8 +517,8 @@ def market_scenario(
         (ClassLabel.MALWARE, "GP", train_cells[2], test_cells[2]),
         (ClassLabel.MALWARE, "3PM", train_cells[3], test_cells[3]),
     ]
-    train_picks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    test_picks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    train_picks: list[np.ndarray] = []
+    test_picks: list[np.ndarray] = []
     train_fills: list[StratumFill] = []
     test_fills: list[StratumFill] = []
     for cls, group, n_train, n_test in cell_order:
@@ -544,27 +539,12 @@ def market_scenario(
         train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
         test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
 
-    def entries_of(chosen: list[np.ndarray]) -> dict[str, np.ndarray]:
-        picked = np.concatenate(chosen)
-        picked = picked[np.lexsort((picked, classes[picked], months[picked]))]
-        return _entry_columns(pop, rows[picked], classes[picked], months[picked], Granularity.MONTH)
+    def build(chosen: list[np.ndarray], fills: list[StratumFill], split: str) -> DatasetManifest:
+        extra = {"scenario": name, "split": split, "gp_tags": sorted(DEFAULT_GP_TAGS)}
+        spec = build_spec_echo(rule, policy, None, None, seed, pop.snapshot_date, None, extra=extra)
+        return _manifest(pop, rows, classes, months, Granularity.MONTH, chosen, spec, fills)
 
-    def build(columns: dict[str, np.ndarray], fills: list[StratumFill], split: str) -> DatasetManifest:
-        spec = build_spec_echo(
-            rule,
-            policy,
-            None,
-            None,
-            seed,
-            pop.snapshot_date,
-            None,
-            extra={"scenario": name, "split": split, "gp_tags": sorted(DEFAULT_GP_TAGS)},
-        )
-        return DatasetManifest._from_columns(
-            columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills)
-        )
-
-    return build(entries_of(train_picks), train_fills, "train"), build(entries_of(test_picks), test_fills, "test")
+    return build(train_picks, train_fills, "train"), build(test_picks, test_fills, "test")
 
 
 def _manifest_head(manifest: DatasetManifest) -> dict:

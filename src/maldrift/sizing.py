@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .labeling import GREYWARE, MALWARE, LabelRule, TimestampPolicy, class_codes, timeline_dates
+from .labeling import GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
 from .model import Granularity, Period, Population, period_indices
 
 
@@ -173,15 +173,12 @@ def _eligible(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Period index and malware mask of the eligible pool (datable, not greyware),
     and the undated and greyware counts it excludes."""
-    classes = class_codes(pop, rule)
-    dates = timeline_dates(pop, policy)
-    greyware = classes == GREYWARE
-    eligible = ~greyware & ~np.isnat(dates)
-    if not eligible.any():
+    pool, classes, dates = eligible(pop, rule, policy)
+    if not pool.any():
         raise ValueError("no records are datable under the timestamp policy")
-    undated = len(pop) - int(greyware.sum()) - int(eligible.sum())
-    periods = period_indices(dates[eligible], granularity)
-    return periods, classes[eligible] == MALWARE, undated, int(greyware.sum())
+    greyware = int(np.count_nonzero(classes == GREYWARE))
+    periods = period_indices(dates[pool], granularity)
+    return periods, classes[pool] == MALWARE, len(pop) - greyware - int(pool.sum()), greyware
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -9,8 +11,10 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -944,6 +948,98 @@ def test_flag_values_name_the_flag(ingested, tmp_path, capsys, argv, message):
     assert run(argv) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "granularity, ref, kind",
+    [("month", "2014", "year"), ("year", "2014-03", "month")],
+    ids=["year-for-month", "month-for-year"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ref_period_of_another_granularity_names_both(ingested, tmp_path, capsys, granularity, ref, kind, source):
+    argv = ["stats", "--population", ingested / "population.csv.gz", "--overlap", "--granularity", granularity]
+    if source == "flag":
+        argv += ["--ref-period", ref]
+        where = "--ref-period"
+    else:
+        config = tmp_path / "maldrift.ini"
+        config.write_text(f"[stats]\nref_period = {ref}\n")
+        argv += ["--config", config]
+        where = f"{config}: [stats] ref_period ="
+    assert run([*argv, "--out", tmp_path / "out"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {where} {ref!r}: a {kind} period, while --granularity is {granularity}\n"
+    assert not (tmp_path / "out" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--start", "--end"])
+def test_split_period_errors_name_the_flag(capsys, flag):
+    periods = {"--start": "2014-01", "--end": "2018-12", flag: "2014-13"}
+    assert run(["split", *[text for pair in periods.items() for text in pair]]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {flag} '2014-13': unparseable period: '2014-13'\n"
+
+
+def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, monkeypatch):
+    """After --markets, sample holds the selected records only: the population
+    it loaded is gone before plan_sizes runs."""
+    loaded, freed = [], []
+    load, plan_sizes = cli._load_population, cli.sizing.plan_sizes
+
+    def loading(path):
+        pop = load(path)
+        loaded.append(weakref.ref(pop))
+        return pop
+
+    def planning(pop, *args):
+        freed.append(loaded[0]() is None)
+        return plan_sizes(pop, *args)
+
+    monkeypatch.setattr(cli, "_load_population", loading)
+    monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
+    argv = ["sample", "--population", ingested / "population.csv.gz", "--markets", "play.google.com,anzhi"]
+    assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
+    assert freed == [True]
+
+
+def _settings_read(function: str, functions: dict) -> tuple[Optional[str], set[str]]:
+    """The config section a cli function opens (None for a helper) and the keys it
+    reads through settings.get and settings.given, with those of the helpers it
+    hands settings to."""
+    section, keys = None, set()
+    for node in ast.walk(functions[function]):
+        if not isinstance(node, ast.Call):
+            continue
+        call = node.func
+        if isinstance(call, ast.Name) and call.id == "Settings":
+            section = node.args[1].value
+        elif isinstance(call, ast.Attribute) and isinstance(call.value, ast.Name) and call.value.id == "settings":
+            keys |= {node.args[0].value} if call.attr == "get" else {kw.arg for kw in node.keywords if call.attr == "given"}
+        elif isinstance(call, ast.Name) and call.id in functions and any(
+            isinstance(arg, ast.Name) and arg.id == "settings" for arg in node.args
+        ):
+            keys |= _settings_read(call.id, functions)[1]
+    return section, keys
+
+
+def test_every_setting_is_a_flag_or_documented():
+    """A key a subcommand reads from its config section is one of its flags or is
+    named in README.md, so no setting is hidden."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    readme = (SRC.parent / "README.md").read_text()
+    sections, hidden = set(), []
+    for name in functions:
+        section, keys = _settings_read(name, functions)
+        if section is not None:
+            sections.add(section)
+            flags = commands[section]._option_string_actions
+            hidden += [
+                f"[{section}] {key}"
+                for key in sorted(keys)
+                if f"--{key.replace('_', '-')}" not in flags and not re.search(rf"\b{key}\b", readme)
+            ]
+    assert sections == set(commands)
+    assert not hidden
 
 
 def test_config_values_read_as_their_flags(ingested, tmp_path, capsys):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,6 +328,53 @@ def test_parse_memory_follows_block_size(tmp_path):
     _write_listing(small, 40_000)
     _write_listing(large, 160_000)
     assert abs(_bytes_beyond_columns(large) - _bytes_beyond_columns(small)) < 4_000_000
+
+
+class _Holding:
+    """A text stream that keeps its last read alive, as a reader holding the read would."""
+
+    def __init__(self, stream):
+        self.stream, self.last = stream, None
+
+    def read(self, size=-1):
+        self.last = self.stream.read(size)
+        return self.last
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+def _largest_add_reading(stream):
+    """The most traced memory on entry to _Columns.add while stream is parsed."""
+    readings = []
+    add = ingest._Columns.add
+
+    def spy(self, *args):
+        readings.append(tracemalloc.get_traced_memory()[0])
+        return add(self, *args)
+
+    with mock.patch.object(ingest._Columns, "add", spy):
+        tracemalloc.start()
+        try:
+            parse_metadata(stream)
+        finally:
+            tracemalloc.stop()
+    return max(readings)
+
+
+def test_parse_drops_each_read_before_its_block_is_parsed(tmp_path):
+    """While a block is parsed, the 1 MiB read it was cut from is gone: a
+    stream that keeps its last read alive raises the largest traced reading on
+    entry to _Columns.add by about a block. A gzipped listing is read in many
+    small decoded chunks, so open_text's stream keeps none of a read itself."""
+    plain, path = tmp_path / "listing.csv", tmp_path / "listing.csv.gz"
+    _write_listing(plain, 28_000)  # four full blocks and about 0.1 MiB
+    path.write_bytes(gzip.compress(plain.read_bytes()))
+    with ingest.open_text(path) as fh:
+        dropped = _largest_add_reading(fh)
+    with ingest.open_text(path) as fh:
+        held = _largest_add_reading(_Holding(fh))
+    assert held - dropped >= 800_000
 
 
 def _sidecar_bytes_beyond_columns(tmp_path, rows):

@@ -27,7 +27,7 @@ import oracle_rows as oracle
 from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing, synth
 from maldrift.errors import FormatError
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
-from maldrift.model import Granularity
+from maldrift.model import ClassLabel, Granularity
 from maldrift.sizing import PlanMode, SizingParams, SizingPlan
 
 from helpers import sha_of
@@ -265,6 +265,13 @@ _TINY = {"TINY": ((1, 1, 1, 0), (1, 0, 0, 1)), "TINY_GP": ((1, 0, 1, 0), (1, 0, 
 def test_population_functions_match_oracle(text, vtt, policy, plan, params, seed, market_filter, a, b, granularity):
     pop = ingest.parse_metadata(io.StringIO(text)).population
     rule = LabelRule(vtt)
+    pool, classes, dates = labeling.eligible(pop, rule, policy)
+    assert pool.tolist() == [
+        labeling.label(rec, rule) is not ClassLabel.GREYWARE and labeling.timeline_date(rec, policy) is not None
+        for rec in pop
+    ]
+    assert [labeling.CLASSES[code] for code in classes.tolist()] == [labeling.label(rec, rule) for rec in pop]
+    assert dates.tolist() == [labeling.timeline_date(rec, policy) for rec in pop]
     sizing_result = same(sizing.plan_sizes, oracle.plan_sizes, pop, rule, policy, plan, params)
     plans = [(plan, params), (SizingPlan(PlanMode.YEARLY, spatial=True), params), (SizingPlan(PlanMode.GLOBAL), params)]
     same(sizing.compare_plans, oracle.compare_plans, pop, rule, policy, plans)
