@@ -178,15 +178,6 @@ def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path)
     payload holds the config echo, the active families by period and the true
     class by sha256; the true classes are written a chunk at a time in sha256
     order, from the population's columns (hex hashes need no JSON escaping)."""
-    text = json.dumps(
-        {
-            "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
-            "config": config_echo,
-            "true_class": {},
-        },
-        indent=2,
-        sort_keys=True,
-    )
     classes = [json.dumps(cls.value) for cls in ClassLabel]
     sha256, order, codes = truth.true_class.pop.sha256, truth.true_class.pop.sha_order, truth.true_class.codes
 
@@ -194,16 +185,18 @@ def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path)
         at = order[rows]
         return (f'    "{sha.decode()}": {classes[code]}' for sha, code in zip(sha256[at].tolist(), codes[at].tolist()))
 
-    with ingest_mod._replacing(path) as fh:
-        fh.write(text[: -len("{}\n}")] + "{\n")  # "true_class" sorts last; generate gives at least one row
-        ingest_mod._write_chunks(fh, len(order), render, sep=",\n")
-        fh.write("\n  }\n}\n")
+    payload = {
+        "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
+        "config": config_echo,
+        "true_class": {},  # sorts last
+    }
+    ingest_mod._write_json(path, payload, len(order), render, sort_keys=True)
 
 
 def write_run_config(out: Path, command: str, config: dict) -> None:
     """Echo the fully-resolved run configuration next to the outputs."""
     payload = {"tool_version": __version__, "command": command, "config": config}
-    (out / "run_config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    ingest_mod._write_json(out / "run_config.json", payload, sort_keys=True)
 
 
 def _out_dir(settings: Settings, default: str) -> Path:
@@ -245,7 +238,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "per_dex_year": dict(sorted(per_year.items())),
         "families": family_info,
     }
-    (out / "ingest_stats.json").write_text(json.dumps(stats_payload, indent=2) + "\n")
+    ingest_mod._write_json(out / "ingest_stats.json", stats_payload)
     write_run_config(out, "ingest", {"input": args.input, "strict": strict})
     print(f"ingested {len(pop)} records -> {out / 'population.csv.gz'}")
     print(f"rows={stats.rows} malformed={stats.malformed} duplicates={stats.duplicates}")
@@ -281,16 +274,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             [(r.market, f"{r.goodware_pct:.4f}", f"{r.malware_pct:.4f}") for r in comp],
         )
         consistency = labeling.market_consistency(pop, rule)
-        (out / "market_consistency.json").write_text(
-            json.dumps(
-                {
-                    "tv_distance": round(consistency.tv_distance, 6),
-                    "passed": consistency.passed,
-                    "threshold": consistency.threshold,
-                },
-                indent=2,
-            )
-            + "\n"
+        ingest_mod._write_json(
+            out / "market_consistency.json",
+            {
+                "tv_distance": round(consistency.tv_distance, 6),
+                "passed": consistency.passed,
+                "threshold": consistency.threshold,
+            },
         )
         wrote += ["market_composition.csv", "market_consistency.json"]
     if args.timestamps:
@@ -386,9 +376,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     manifest = sampler.stratified_sample(pop, rule, policy, plan_result, seed=seed, market_filter=market_filter)
     checks = sampler.verify_constraints(manifest, population=pop)
+    results = _print_checks(checks)
     failures = [c for c in checks if not c.passed]
-    for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
     config_echo = {
         "population": args.population,
         "seed": seed,
@@ -409,13 +398,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         )
         return EXIT_CONSTRAINT
     manifest = manifest._replace(
-        checks=tuple(
-            {"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks
-        ),
-        violations=tuple({"check": c.name, "evidence": c.evidence} for c in failures),
+        checks=tuple(results), violations=tuple({"check": c.name, "evidence": c.evidence} for c in failures)
     )
     sampler.write_manifest_json(manifest, out / "manifest.json")
-    with ingest_mod._replacing(out / "manifest.csv", newline="") as fh:
+    with ingest_mod._replacing(out / "manifest.csv") as fh:
         sampler.write_manifest_csv(manifest, fh)
     ingest_mod.write_csv(
         out / "plan.csv",
@@ -438,6 +424,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_checks(checks) -> list[dict]:
+    """Print a PASS or FAIL line per check; the checks as name, passed and evidence dicts."""
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
+    return [{"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import sampler
 
@@ -445,17 +438,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     manifest = sampler.read_manifest_json(args.manifest)
     pop = _load_population(args.population) if args.population else None
     checks = sampler.verify_constraints(manifest, population=pop)
-    for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
+    results = _print_checks(checks)
     if args.out:
         out = _out_dir(settings, args.out)
-        (out / "verify.json").write_text(
-            json.dumps(
-                [{"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks],
-                indent=2,
-            )
-            + "\n"
-        )
+        ingest_mod._write_json(out / "verify.json", results)
         write_run_config(out, "verify", {"manifest": args.manifest, "population": args.population})
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CONSTRAINT
 
@@ -481,7 +467,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         print(split.label())
     if args.out:
         out = _out_dir(settings, args.out)
-        (out / "splits.json").write_text(json.dumps({"window_months": window, "splits": payload}, indent=2) + "\n")
+        ingest_mod._write_json(out / "splits.json", {"window_months": window, "splits": payload})
     return EXIT_OK
 
 
@@ -565,12 +551,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         }
     markdown = report.render_aut_markdown(result)
     print(markdown, end="")
-    (out / "report.md").write_text(markdown)
+    with ingest_mod._replacing(out / "report.md") as fh:
+        fh.write(markdown)
     header, rows = report.aut_table_rows(result)
     ingest_mod.write_csv(out / "aut_table.csv", header, rows)
-    (out / "report.json").write_text(json.dumps(report.report_to_dict(result), indent=2) + "\n")
+    ingest_mod._write_json(out / "report.json", report.report_to_dict(result))
     if result.window_series:
-        with open(out / "window_series.csv", "w", newline="") as fh:
+        with ingest_mod._replacing(out / "window_series.csv") as fh:
             report.write_window_series_csv(result, fh)
     write_run_config(out, "evaluate", config_echo)
     return EXIT_OK

@@ -12,6 +12,7 @@ import gzip
 import hashlib
 import io
 import itertools
+import json
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -688,11 +689,26 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
     _write_chunks(stream, len(pop), lines)
 
 
-def write_csv(path: Union[str, Path], header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _replacing(Path(path)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_json(path: Path, payload: Union[dict, list], n: int = 0, render=None, **dumps) -> None:
+    """Write json.dumps(payload, indent=2, **dumps) and a newline. With n rows,
+    payload's last member (its last after sort_keys) is an empty list or object
+    that is written holding the texts render gives for rows 0..n-1 (see
+    _write_chunks), one per line; each text carries its own indent."""
+    text = json.dumps(payload, indent=2, **dumps)
+    with _replacing(path) as fh:
+        if not n:
+            fh.write(text + "\n")
+            return
+        fh.write(text[: -len("]\n}")] + "\n")  # the text ends with "[]\n}" or "{}\n}"
+        _write_chunks(fh, n, render, sep=",\n")
+        fh.write(f"\n  {text[-3]}\n}}\n")
 
 
 def _write_chunks(stream: IO[str], n: int, render, sep: str = "") -> None:
@@ -703,13 +719,15 @@ def _write_chunks(stream: IO[str], n: int, render, sep: str = "") -> None:
 
 
 @contextlib.contextmanager
-def _replacing(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+def _replacing(path: Path, mode: str = "w") -> Iterator[IO]:
     """Open path's .part file for writing, and move it onto path when the
     block ends. On an error the .part file is removed, so path keeps what it
-    held and no reader sees a truncated output."""
+    held and no reader sees a truncated output. Text is UTF-8 with no newline
+    translation, whatever the locale. Every output file is written through here."""
     part = path.with_name(path.name + ".part")
+    text = "b" not in mode
     try:
-        with open(part, mode, **kwargs) as fh:
+        with open(part, mode, encoding="utf-8" if text else None, newline="" if text else None) as fh:
             yield fh
         part.replace(path)
     except BaseException:

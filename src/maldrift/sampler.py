@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ingest
 from .errors import FormatError
-from .ingest import _hashes, _replacing, _spans, _write_chunks
+from .ingest import _hashes, _spans, _write_chunks, _write_json
 from .jsonstream import read_object
 from .labeling import (
     CLASSES,
@@ -589,35 +589,28 @@ def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> No
     with sha256, label, period, sorted markets and family.
 
     Each table value and each (label, period) pair is rendered with json.dumps
-    once; the entries join their renderings a chunk at a time. The file is
-    written as path's .part file and then moved onto path.
+    once; the entries join their renderings a chunk at a time (see
+    ingest._write_json).
     """
-    text = json.dumps({**_manifest_head(manifest), "entries": []}, indent=2)
-    with _replacing(Path(path)) as fh:
-        if not len(manifest):
-            fh.write(text + "\n")
-            return
-        pairs = _pair_texts(
-            manifest,
-            lambda label, period: f'",\n      "label": {json.dumps(label)},\n      "period": {json.dumps(period)},'
-            '\n      "markets": ',
-        )
-        markets = [json.dumps(sorted(tags), indent=2).replace("\n", "\n      ") for tags in manifest.market_sets]
-        markets = np.array([f'{text},\n      "family": ' for text in markets], dtype=object)
-        families = np.array([f"{json.dumps(name)}\n    }}" for name in (*manifest.families, None)], dtype=object)
+    pairs = _pair_texts(
+        manifest,
+        lambda label, period: f'",\n      "label": {json.dumps(label)},\n      "period": {json.dumps(period)},'
+        '\n      "markets": ',
+    )
+    markets = [json.dumps(sorted(tags), indent=2).replace("\n", "\n      ") for tags in manifest.market_sets]
+    markets = np.array([f'{text},\n      "family": ' for text in markets], dtype=object)
+    families = np.array([f"{json.dumps(name)}\n    }}" for name in (*manifest.families, None)], dtype=object)
 
-        def entries(rows: slice) -> Iterator[str]:
-            return map("".join, zip(
-                repeat('    {\n      "sha256": "'),
-                manifest.sha256[rows].astype("U64").tolist(),
-                pairs(rows),
-                markets[manifest.markets[rows]].tolist(),
-                families[manifest.family[rows]].tolist(),  # code -1 picks the null
-            ))
+    def entries(rows: slice) -> Iterator[str]:
+        return map("".join, zip(
+            repeat('    {\n      "sha256": "'),
+            manifest.sha256[rows].astype("U64").tolist(),
+            pairs(rows),
+            markets[manifest.markets[rows]].tolist(),
+            families[manifest.family[rows]].tolist(),  # code -1 picks the null
+        ))
 
-        fh.write(text[: -len("[]\n}")] + "[\n")
-        _write_chunks(fh, len(manifest), entries, sep=",\n")
-        fh.write("\n  ]\n}\n")
+    _write_json(Path(path), {**_manifest_head(manifest), "entries": []}, len(manifest), entries)
 
 
 def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:

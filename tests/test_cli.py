@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import maldrift
-from maldrift import cli, ingest, sampler, synth
+from maldrift import cli, ingest, report, sampler, synth
 from maldrift.model import Period
 from maldrift.sampler import read_manifest_json
 
@@ -332,6 +332,104 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, name):
         _WRITERS[name](pop, truth, path)
     assert path.read_bytes() == b"earlier output\n"
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_failed_small_write_keeps_the_old_file(good_manifest, tmp_path, monkeypatch):
+    """write_csv, whose rows fail after the first, and window_series.csv, whose
+    writer fails after its header and a row, leave the file they would replace
+    byte-identical, and no .part file."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"earlier output\n")
+
+    def rows():
+        yield ("a", 1)
+        raise OSError("No space left on device")
+
+    with pytest.raises(OSError, match="No space left on device"):
+        ingest.write_csv(path, ("name", "n"), rows())
+    assert path.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    manifest, preds, out = tmp_path / "manifest.json", tmp_path / "preds.csv", tmp_path / "eval"
+    manifest.write_text(json.dumps(good_manifest))
+    preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"]))
+    out.mkdir()
+    (out / "window_series.csv").write_bytes(b"earlier output\n")
+    write_series, written = report.write_window_series_csv, []
+
+    class Failing:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def write(self, text):
+            if len(written) == 2:
+                raise OSError("No space left on device")
+            written.append(text)
+            return self.stream.write(text)
+
+    monkeypatch.setattr(report, "write_window_series_csv", lambda result, stream: write_series(result, Failing(stream)))
+    argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", out]
+    assert run(argv) == cli.EXIT_ERROR
+    assert written[0].startswith("predictions,split,period,metric,value")
+    assert (out / "window_series.csv").read_bytes() == b"earlier output\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".part")]
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, stats writes the same bytes as in
+    UTF-8 mode, a market tag outside ASCII included."""
+    src = tmp_path / "meta.csv"
+    src.write_text(CSV.replace("play.google.com", "märkte"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    locales = {
+        "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    written = {}
+    for name, settings in locales.items():
+        argv = ["stats", "--population", src, "--vtt-curve", "--markets", "--out", tmp_path / name]
+        result = subprocess.run(
+            [sys.executable, "-m", "maldrift.cli", *map(str, argv)], capture_output=True, env={**env, **settings}
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        written[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+    assert "märkte".encode() in written["c"]["market_composition.csv"]
+    assert written["c"] == written["utf8"]
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """The lines of the calls in tree that may write a file: .write_text and
+    .write_bytes, and open (read as the builtin) or an .open method (read as
+    Path.open) whose mode, the mode keyword or else the positional argument in
+    its place, is not absent or a string literal without w, a, x or +."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        method = isinstance(node.func, ast.Attribute)
+        name = node.func.attr if method else getattr(node.func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[0 if method else 1:][:1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set("wax+") & set(mode.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_file_is_written_through_replacing():
+    """No module of maldrift writes a file but through ingest._replacing, the
+    one place that opens a file for writing."""
+    found, allowed = [], []
+    for path in sorted((SRC / "maldrift").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if path.name == "ingest.py" and isinstance(node, ast.FunctionDef) and node.name == "_replacing":
+                allowed += _file_writes(node)
+        found += [f"{path.name}:{line}" for line in _file_writes(tree)]
+    assert len(allowed) == 1
+    assert found == [f"ingest.py:{allowed[0]}"]
 
 
 def test_synth_flags_override_a_preset(tmp_path):
