@@ -550,7 +550,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "threshold": threshold,
         }
     markdown = report.render_aut_markdown(result)
-    print(markdown, end="")
     with ingest_mod._replacing(out / "report.md") as fh:
         fh.write(markdown)
     header, rows = report.aut_table_rows(result)
@@ -560,6 +559,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with ingest_mod._replacing(out / "window_series.csv") as fh:
             report.write_window_series_csv(result, fh)
     write_run_config(out, "evaluate", config_echo)
+    # printed last, escaped where stdout's encoding cannot hold it, so the outputs never depend on the locale
+    encoding = sys.stdout.encoding or "utf-8"
+    sys.stdout.write(markdown.encode(encoding, "backslashreplace").decode(encoding))
     return EXIT_OK
 
 

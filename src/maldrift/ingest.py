@@ -31,6 +31,7 @@ from .model import (
     ApkRecord,
     Population,
     _WRITE_ROWS,
+    _hash_order,
     _sorted_neighbours,
     _sorted_positions,
     format_timestamps,
@@ -617,7 +618,7 @@ class _Columns(_Rows):
         """
         columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in COLUMNS.items()}
         sha = columns["sha256"]
-        order = np.argsort(sha, kind="stable")
+        order = _hash_order(sha)
         new = np.ones(len(sha), dtype=bool)  # order[i] holds another hash than order[i - 1]
         new[1:] = _sorted_neighbours(sha, order, np.not_equal, _CHUNK_ROWS)
         starts = np.flatnonzero(new)
@@ -625,7 +626,9 @@ class _Columns(_Rows):
         last = order[np.append(starts[1:], len(sha))[: len(starts)] - 1]
         del order, new, starts
         by_row = np.argsort(first)
-        kept, sha_order = first[by_row], np.argsort(by_row)  # kept rows in file order, each hash's rank in them
+        kept = first[by_row]  # kept rows in file order
+        sha_order = np.empty_like(by_row)  # each hash's rank in them
+        sha_order[by_row] = np.arange(len(by_row))
         stats.duplicates = len(sha) - len(kept)
         if stats.duplicates:
             moved = first != last
@@ -942,7 +945,7 @@ class PredictionSet:
         return preds
 
     def _init(self, name, sha256, score, label, threshold) -> None:
-        order = np.argsort(sha256, kind="stable")
+        order = _hash_order(sha256)
         self.name, self.threshold = name, threshold
         self.sha256, self.score, self.label = sha256[order], score[order], label[order]
         self.predicted_class = np.where(self.label >= 0, self.label, self.score >= threshold)
@@ -1023,7 +1026,7 @@ class _Predictions(_Rows):
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The hashes, scores and labels in ascending hash order, a hash's last row only."""
         sha, score, label = (_joined(part, dtype) for part, dtype in zip(self.parts, ("S64", np.float64, np.int64)))
-        order = np.argsort(sha, kind="stable")
+        order = _hash_order(sha)
         last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
         last[:-1] = _sorted_neighbours(sha, order, np.not_equal, _WRITE_ROWS)
         kept = order[last]

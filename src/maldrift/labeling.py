@@ -6,11 +6,11 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .model import ApkRecord, ClassLabel, Population
+from .model import ApkRecord, ClassLabel, Granularity, Population, period_indices
 
 # Market tags in the order used for single-market attribution (AndroZoo tag
 # names). Tags not listed sort after these, alphabetically.
@@ -88,26 +88,60 @@ def timeline_date(record: ApkRecord, policy: TimestampPolicy) -> Optional[dateti
     return ts
 
 
+def _once(pop: Population, key, derive: Callable):
+    """derive() of pop, computed on the first call per key and kept in pop.derived."""
+    if key not in pop.derived:
+        pop.derived[key] = derive()
+    return pop.derived[key]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def class_codes(pop: Population, rule: LabelRule) -> np.ndarray:
-    """label() of every record, as a code into CLASSES."""
+    """label() of every record, as a code into CLASSES: (d >= 1) + (d >= vtt)."""
     vt = pop.vt_detection
-    return np.where(vt == 0, GOODWARE, np.where(vt >= rule.vtt, MALWARE, GREYWARE)).astype(np.int8)
+    return _once(pop, rule, lambda: _read_only(np.add(vt != 0, vt >= rule.vtt, dtype=np.int8)))
 
 
 def timeline_dates(pop: Population, policy: TimestampPolicy) -> np.ndarray:
     """timeline_date() of every record, NaT where the record is undated."""
     dates = getattr(pop, _FIELD_BY_KIND[policy.kind])
-    if policy.fallback is not None:
-        dates = np.where(np.isnat(dates), getattr(pop, _FIELD_BY_KIND[policy.fallback]), dates)
-    return dates
+    if policy.fallback is None:
+        return dates
+    fallback = getattr(pop, _FIELD_BY_KIND[policy.fallback])
+    return _once(pop, policy, lambda: _read_only(np.where(np.isnat(dates), fallback, dates)))
 
 
-def eligible(pop: Population, rule: LabelRule, policy: TimestampPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mask of the records a sample may hold (not greyware, and dated under
-    policy), with every record's class code and timeline date."""
-    classes = class_codes(pop, rule)
-    dates = timeline_dates(pop, policy)
-    return (classes != GREYWARE) & ~np.isnat(dates), classes, dates
+class Eligible:
+    """The records a sample may hold under a rule and policy (not greyware, and
+    dated): the pool mask, every record's class code and timeline date, and
+    from their first use the pool's period indices per granularity.
+    Unpacks as (pool, classes, dates); every array is read-only."""
+
+    def __init__(self, pop: Population, rule: LabelRule, policy: TimestampPolicy):
+        self.classes = class_codes(pop, rule)
+        self.dates = timeline_dates(pop, policy)
+        self.pool = _read_only((self.classes != GREYWARE) & ~np.isnat(self.dates))
+        self._periods: dict[Granularity, np.ndarray] = {}
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter((self.pool, self.classes, self.dates))
+
+    def periods(self, granularity: Granularity) -> np.ndarray:
+        """Period index of each record in the pool, -1 for the others."""
+        if granularity not in self._periods:
+            index = np.full(len(self.pool), -1, dtype=np.int64)
+            index[self.pool] = period_indices(self.dates[self.pool], granularity)
+            self._periods[granularity] = _read_only(index)
+        return self._periods[granularity]
+
+
+def eligible(pop: Population, rule: LabelRule, policy: TimestampPolicy) -> Eligible:
+    """The Eligible view of pop under rule and policy, built once per population."""
+    return _once(pop, (rule, policy), lambda: Eligible(pop, rule, policy))
 
 
 @dataclass(frozen=True)

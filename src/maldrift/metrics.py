@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingPredictionsError
 from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
-from .model import ClassLabel, Granularity, Period, Population, period_indices
+from .model import ClassLabel, Granularity, Period, Population
 
 if TYPE_CHECKING:  # the CLI loads this module for every command; these load where they run
     from .ingest import PredictionSet
@@ -246,9 +246,9 @@ def malware_families_by_period(
 
     Periods come in order of their first record, and each list in record order.
     """
-    pool, classes, dates = eligible(pop, rule, policy)
-    rows = np.flatnonzero(pool & (classes == MALWARE))
-    periods = period_indices(dates[rows], granularity)
+    view = eligible(pop, rule, policy)
+    rows = np.flatnonzero(view.pool & (view.classes == MALWARE))
+    periods = view.periods(granularity)[rows]
     names = np.array([*pop.families, None], dtype=object)  # code -1 picks the None
     families = names[pop.family[rows]]
     seen, first, counts = np.unique(periods, return_index=True, return_counts=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -175,18 +175,32 @@ def period_of(ts: datetime, granularity: Granularity) -> Period:
     return Period(Granularity.YEAR, ts.year - MIN_YEAR)
 
 
+_SECONDS_PER_DAY = 86400
+
+
+@cache
+def _month_of_day() -> np.ndarray:
+    """The month index (months since 1970-01) of each day from MIN_YEAR-01-01
+    to MAX_YEAR-12-31, built on first use."""
+    months = (MAX_YEAR - MIN_YEAR + 1) * 12
+    starts = np.arange(months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    return np.repeat(np.arange(months, dtype=np.int16), np.diff(starts))
+
+
 def period_indices(dates: np.ndarray, granularity: Granularity) -> np.ndarray:
     """Period.index of each datetime64 value (no NaT), as period_of computes it.
 
-    The integer of datetime64[M] counts months since 1970-01 and that of
-    datetime64[Y] years since 1970, which is exactly Period.index.
+    A value's month index is read from _month_of_day by its day; its year
+    index is the month index // 12.
     """
-    unit, per_year = ("datetime64[M]", 12) if granularity is Granularity.MONTH else ("datetime64[Y]", 1)
-    index = dates.astype(unit).astype(np.int64)
-    outside = (index < 0) | (index >= (MAX_YEAR - MIN_YEAR + 1) * per_year)
+    table = _month_of_day()
+    days = dates.astype("datetime64[s]", copy=False).view(np.int64) // _SECONDS_PER_DAY
+    outside = days.view(np.uint64) >= len(table)  # a negative day wraps past the table
     if outside.any():
-        _check_year(MIN_YEAR + int(index[outside.argmax()]) // per_year)
-    return index
+        unit, per_year = ("datetime64[M]", 12) if granularity is Granularity.MONTH else ("datetime64[Y]", 1)
+        _check_year(MIN_YEAR + int(dates[outside.argmax()].astype(unit).astype(np.int64)) // per_year)
+    months = table[days].astype(np.int64)
+    return months if granularity is Granularity.MONTH else months // 12
 
 
 def period_range(start: Period, end: Period) -> list[Period]:
@@ -220,6 +234,24 @@ def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare, rows: int) -
         here = order[at - 1 : at + rows]
         out[at - 1 : at - 2 + len(here)] = compare(sha[here[1:]], sha[here[:-1]])
     return out
+
+
+def _hash_order(sha: np.ndarray) -> np.ndarray:
+    """np.argsort(sha, kind="stable") of an S64 array: a stable sort of each
+    hash's first 8 bytes read as a big-endian integer, with the runs of equal
+    prefixes ordered by the full hash."""
+    prefix = np.ascontiguousarray(sha).view(">u8")[::8].astype(np.uint64)
+    order = np.argsort(prefix, kind="stable")
+    same = _sorted_neighbours(prefix, order, np.equal, _WRITE_ROWS)  # order[i + 1] shares order[i]'s prefix
+    del prefix
+    if same.any():
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        # one stable sort of all tied rows keeps each run in its slots: the prefix leads the full hash
+        runs = order[tied]
+        order[tied] = runs[np.argsort(sha[runs], kind="stable")]
+    return order
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -354,6 +386,7 @@ class Population:
         self.provenance = provenance
         self.snapshot_date = snapshot_date
         if sha_order is None:
+            # not _hash_order: its 8-byte prefixes would add to synth's peak, where this sort sits
             sha_order = np.argsort(self.sha256, kind="stable")
             repeated = _sorted_neighbours(self.sha256, sha_order, np.equal, _WRITE_ROWS)
             if repeated.any():  # the first repeat in sorted order is the smallest repeated hash
@@ -398,6 +431,13 @@ class Population:
     @cached_property
     def by_sha(self) -> dict[str, ApkRecord]:
         return {rec.sha256: rec for rec in self.records}
+
+    @cached_property
+    def derived(self) -> dict:
+        """What labeling derives from the columns, kept for reuse and keyed by
+        what derives it: a label rule, a timestamp policy or both (see
+        labeling.eligible). Every array in it is read-only."""
+        return {}
 
     def positions(self, hashes: Union[Sequence[str], np.ndarray]) -> np.ndarray:
         """Row position of each hash (strings, or an S64 array), -1 where the population lacks it."""

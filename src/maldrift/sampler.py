@@ -32,7 +32,7 @@ from .labeling import (
     eligible,
     timeline_dates,
 )
-from .model import ClassLabel, Granularity, Period, Population, _sorted_neighbours, format_timestamp, period_indices
+from .model import ClassLabel, Granularity, Period, Population, _hash_order, _sorted_neighbours, format_timestamp, period_indices
 from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
 from .version import __version__
 
@@ -126,7 +126,7 @@ class DatasetManifest:
         self.families: tuple[str, ...] = families
         self.spec, self.created = spec, created
         self.strata, self.checks, self.violations = tuple(strata), tuple(checks), tuple(violations)
-        self._sha_order = np.argsort(self.sha256, kind="stable")
+        self._sha_order = _hash_order(self.sha256)
         repeated = _sorted_neighbours(self.sha256, self._sha_order, np.equal, ingest._WRITE_ROWS)
         repeats = self._sha_order[1:][repeated]  # every occurrence after a hash's first
         if repeats.size:
@@ -244,15 +244,18 @@ def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], 
 
 
 def _candidates(
-    pop: Population, rule: LabelRule, policy: TimestampPolicy, keep: Optional[np.ndarray] = None
+    pop: Population,
+    rule: LabelRule,
+    policy: TimestampPolicy,
+    granularity: Granularity,
+    keep: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the eligible records (within keep) in ascending sha256 order,
-    with their class codes and timeline dates."""
-    pool, classes, dates = eligible(pop, rule, policy)
-    if keep is not None:
-        pool &= keep
+    with their class codes and period indices under granularity."""
+    view = eligible(pop, rule, policy)
+    pool = view.pool if keep is None else view.pool & keep
     rows = pop.sha_order[pool[pop.sha_order]]
-    return rows, classes[rows], dates[rows]
+    return rows, view.classes[rows], view.periods(granularity)[rows]
 
 
 def _take(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -321,10 +324,9 @@ def stratified_sample(
     plan = sizing.plan
     stratum_gran = Granularity.YEAR if plan.mode is PlanMode.YEARLY else Granularity.MONTH
     keep = pop.carrying_any(market_filter) if market_filter else None
-    rows, classes, dates = _candidates(pop, rule, policy, keep)
+    rows, classes, periods = _candidates(pop, rule, policy, stratum_gran, keep)
     if not rows.size:
         raise ValueError("empty candidate pool: no labeled, datable records to sample")
-    periods = period_indices(dates, stratum_gran)
     pooled = plan.mode is PlanMode.GLOBAL
     # one key per stratum cell: its period (0 when global) and, when spatial, its class
     zeros = np.zeros_like(periods)
@@ -507,8 +509,7 @@ def market_scenario(
     if name not in MARKET_SCENARIOS:
         raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
     train_cells, test_cells = MARKET_SCENARIOS[name]
-    rows, classes, dates = _candidates(pop, rule, policy)
-    months = period_indices(dates, Granularity.MONTH)
+    rows, classes, months = _candidates(pop, rule, policy, Granularity.MONTH)
     gp = pop.carrying_any(DEFAULT_GP_TAGS)[rows]
 
     cell_order = [

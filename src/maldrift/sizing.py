@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .labeling import GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
-from .model import Granularity, Period, Population, period_indices
+from .model import Granularity, Period, Population
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,12 @@ def _eligible(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Period index and malware mask of the eligible pool (datable, not greyware),
     and the undated and greyware counts it excludes."""
-    pool, classes, dates = eligible(pop, rule, policy)
+    view = eligible(pop, rule, policy)
+    pool, classes = view.pool, view.classes
     if not pool.any():
         raise ValueError("no records are datable under the timestamp policy")
     greyware = int(np.count_nonzero(classes == GREYWARE))
-    periods = period_indices(dates[pool], granularity)
+    periods = view.periods(granularity)[pool]
     return periods, classes[pool] == MALWARE, len(pop) - greyware - int(pool.sum()), greyware
 
 

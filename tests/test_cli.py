@@ -397,6 +397,33 @@ def test_outputs_do_not_depend_on_the_locale(tmp_path):
     assert written["c"] == written["utf8"]
 
 
+
+def test_evaluate_outputs_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, evaluate writes the same bytes as in
+    UTF-8 mode and exits 0; the Markdown it prints escapes what ASCII cannot hold."""
+    table = tmp_path / "auts.csv"
+    table.write_text("Drebin-ü,0.573,0.488\nhcc,0.620,0.561\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    locales = {
+        "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    written, printed = {}, {}
+    for name, settings in locales.items():
+        argv = ["evaluate", "--aut-table", table, "--out", tmp_path / name]
+        result = subprocess.run(
+            [sys.executable, "-m", "maldrift.cli", *map(str, argv)], capture_output=True, env={**env, **settings}
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        written[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        printed[name] = result.stdout
+    assert set(written["c"]) == {"aut_table.csv", "report.json", "report.md", "run_config.json"}
+    assert "Drebin-ü".encode() in written["c"]["report.md"]
+    assert written["c"] == written["utf8"]
+    assert b"Drebin-\\xfc" in printed["c"]
+    assert printed["c"].decode("unicode_escape") == printed["utf8"].decode()
+
+
 def _file_writes(tree: ast.AST) -> list[int]:
     """The lines of the calls in tree that may write a file: .write_text and
     .write_bytes, and open (read as the builtin) or an .open method (read as
@@ -1096,6 +1123,23 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
     argv = ["sample", "--population", ingested / "population.csv.gz", "--markets", "play.google.com,anzhi"]
     assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
     assert freed == [True]
+
+
+
+def test_sample_builds_one_view(ingested, tmp_path, monkeypatch):
+    """plan_sizes, stratified_sample and verify_constraints share one derivation
+    of class codes, timeline dates and periods."""
+    builds, class_codes = [], cli.labeling.class_codes
+
+    def counting(pop, rule):
+        builds.append(rule)
+        return class_codes(pop, rule)
+
+    monkeypatch.setattr(cli.labeling, "class_codes", counting)
+    argv = ["sample", "--population", ingested / "population.csv.gz", "--timestamp-fallback", "dex",
+            "--markets", "play.google.com,anzhi", "--allow-violations", "--out", tmp_path / "sample"]
+    assert run(argv) == 0
+    assert len(builds) == 1
 
 
 def _settings_read(function: str, functions: dict) -> tuple[Optional[str], set[str]]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maldrift import cli, ingest, synth
+from maldrift import cli, ingest, model, synth
 from maldrift.errors import FormatError
 from maldrift.ingest import (
     join_families,
@@ -471,3 +471,29 @@ def test_manifest_json_read_memory_follows_chunk_size(tmp_path):
         peaks.append(_read_beyond_columns(path))
     assert peaks[1] - peaks[0] < 4_000_000
 
+
+
+def test_hash_order_is_a_stable_sort_of_the_hashes():
+    """Hashes sharing their first 16 hex characters, and repeated ones, sort as
+    np.argsort(kind="stable") sorts them."""
+    rng = np.random.default_rng(5)
+    hexes = rng.choice(list("0123456789abcdef"), size=(400, 64))
+    hexes[:300, :16] = list("0123456789abcdef")  # one shared prefix
+    hexes[300:350, :16] = list("fedcba9876543210")
+    hashes = np.array(["".join(h) for h in hexes], dtype="S64")
+    hashes = np.concatenate([hashes, hashes[rng.integers(0, 400, 100)]])
+    rng.shuffle(hashes)
+    assert np.array_equal(model._hash_order(hashes), np.argsort(hashes, kind="stable"))
+    assert np.array_equal(model._hash_order(hashes[:0]), np.zeros(0, dtype=np.int64))
+
+
+def test_parse_shared_prefixes_keep_first_seen_order_and_last_row():
+    prefix = "0123456789abcdef"
+    hashes = [prefix + sha_of(i)[16:] for i in range(6)]
+    rows = [f"{h},2014-01-15,{i},play.google.com,,,100,\n" for i, h in enumerate(hashes)]
+    rows += [f"{hashes[4]},2014-01-15,40,play.google.com,,,100,\n", f"{hashes[1]},2014-01-15,10,play.google.com,,,100,\n"]
+    rows += [f"{hashes[4]},2014-01-15,41,play.google.com,,,100,\n"]
+    pop = parse_metadata(_csv(rows)).population
+    assert [r.sha256 for r in pop] == hashes
+    assert [r.vt_detection for r in pop] == [0, 10, 2, 3, 41, 5]
+    assert np.array_equal(pop.sha_order, np.argsort(pop.sha256, kind="stable"))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maldrift import labeling
 from maldrift.labeling import (
     DEFAULT_MARKET_PRIORITY,
     LabelRule,
@@ -25,7 +26,9 @@ from maldrift.labeling import (
     vtt_coverage,
     vtt_market_heatmap,
 )
-from maldrift.model import COLUMNS, ClassLabel, Population
+from maldrift.model import COLUMNS, ClassLabel, Granularity, Population
+from maldrift.sampler import stratified_sample
+from maldrift.sizing import PlanMode, SizingParams, SizingPlan, compare_plans, plan_sizes
 
 from helpers import make_population, make_record, sha_of
 
@@ -281,3 +284,72 @@ def test_tv_distance_same_under_any_hash_seed():
         done = subprocess.run([sys.executable, "-c", _TV_PROBE], capture_output=True, text=True, env=env, check=True)
         outputs.add(done.stdout.strip())
     assert len(outputs) == 1, outputs
+
+
+# the shared Eligible view: built once per population, rule and policy
+_RULE = LabelRule(4)
+_FALLBACK = TimestampPolicy(TimestampKind.PUBLICATION_CRAWL, TimestampKind.CREATION_DEX)
+
+
+def _dated_population() -> Population:
+    return make_population(
+        make_record(
+            i,
+            dex=f"{2014 + i // 24}-{i % 12 + 1:02d}-15",
+            vt=(0, 0, 2, 7)[i % 4],
+            crawl=None if i % 5 == 0 else f"{2014 + i // 24}-{i % 12 + 1:02d}-20",
+            markets=(("play.google.com",), ("anzhi",), ("appchina", "anzhi"))[i % 3],
+        )
+        for i in range(96)
+    )
+
+
+def _counting_views(monkeypatch) -> list:
+    """The rules of the views built from now on (each build derives class codes once)."""
+    builds, class_codes = [], labeling.class_codes
+
+    def counting(pop, rule):
+        builds.append(rule)
+        return class_codes(pop, rule)
+
+    monkeypatch.setattr(labeling, "class_codes", counting)
+    return builds
+
+
+def test_compare_plans_builds_one_view(monkeypatch):
+    builds = _counting_views(monkeypatch)
+    moe, dada = SizingParams(), SizingParams(bonferroni_m=30)
+    plans = [(SizingPlan(mode, spatial), params) for mode in PlanMode for spatial, params in ((False, dada), (True, moe))]
+    assert len(compare_plans(_dated_population(), _RULE, _FALLBACK, plans)) == 6
+    assert builds == [_RULE]
+
+
+def test_eligible_view_is_shared_and_read_only():
+    pop = _dated_population()
+    view = labeling.eligible(pop, _RULE, _FALLBACK)
+    assert labeling.eligible(pop, _RULE, _FALLBACK) is view
+    assert labeling.timeline_dates(pop, _FALLBACK) is view.dates  # what verify_constraints reads
+    arrays = [*view, view.periods(Granularity.MONTH), view.periods(Granularity.YEAR)]
+    assert not any(array.flags.writeable for array in arrays)
+    assert view.periods(Granularity.MONTH)[~view.pool].tolist() == [-1] * int((~view.pool).sum())
+
+
+def test_market_filter_leaves_the_view_unchanged():
+    pop = _dated_population()
+    before = [array.copy() for array in labeling.eligible(pop, _RULE, _FALLBACK)]
+    result = plan_sizes(pop, _RULE, _FALLBACK, SizingPlan(PlanMode.GLOBAL), SizingParams())
+    manifest = stratified_sample(pop, _RULE, _FALLBACK, result, seed=1, market_filter=frozenset({"appchina"}))
+    assert 0 < len(manifest) < int(before[0].sum())
+    assert all(np.array_equal(a, b) for a, b in zip(before, labeling.eligible(pop, _RULE, _FALLBACK)))
+
+
+def test_a_selection_derives_afresh(monkeypatch):
+    pop = _dated_population()
+    view = labeling.eligible(pop, _RULE, _FALLBACK)
+    months = view.periods(Granularity.MONTH)
+    builds = _counting_views(monkeypatch)
+    keep = np.arange(len(pop)) % 3 != 1
+    fresh = labeling.eligible(pop.select(keep), _RULE, _FALLBACK)
+    assert builds == [_RULE]
+    assert all(np.array_equal(a, b[keep]) for a, b in zip(fresh, view))
+    assert np.array_equal(fresh.periods(Granularity.MONTH), months[keep])

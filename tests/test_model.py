@@ -222,3 +222,28 @@ def test_period_indices_out_of_range_like_period_of():
     values = np.array(["2014-01-01", "1969-12-31"], dtype="datetime64[s]")
     with pytest.raises(ValueError, match="year 1969 outside supported range"):
         period_indices(values, Granularity.MONTH)
+
+
+def _like_astype(values):
+    for granularity, unit in ((Granularity.MONTH, "datetime64[M]"), (Granularity.YEAR, "datetime64[Y]")):
+        assert np.array_equal(period_indices(values, granularity), values.astype(unit).astype(np.int64))
+
+
+def test_period_indices_like_astype_on_random_seconds():
+    end = np.datetime64("2101-01-01T00:00:00").astype(np.int64)
+    _like_astype(np.random.default_rng(17).integers(0, end, 10**6).view("datetime64[s]"))
+
+
+def test_period_indices_like_astype_at_month_edges():
+    starts = np.arange(np.datetime64("1970-01"), np.datetime64("2101-01")).astype("datetime64[s]")
+    lasts = starts[1:] - np.timedelta64(1, "s")
+    edges = np.concatenate([starts, lasts, [np.datetime64("2100-12-31T23:59:59")]])
+    _like_astype(edges)
+    _like_astype(np.array(["2000-02-29", "2100-02-28T23:59:59", "2100-12-31T23:59:59"], dtype="datetime64[s]"))
+
+
+def test_period_indices_first_out_of_range_value_names_its_year():
+    values = np.array(["2014-01-01", "2101-01-01", "1969-12-31T23:59:59"], dtype="datetime64[s]")
+    for granularity in Granularity:
+        with pytest.raises(ValueError, match="^timestamp year 2101 outside supported range 1970-2100$"):
+            period_indices(values, granularity)
