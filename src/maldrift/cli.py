@@ -146,6 +146,13 @@ def _policy_from(settings: Settings) -> labeling.TimestampPolicy:
     return labeling.TimestampPolicy(kind, fallback)
 
 
+def _say(text) -> None:
+    """Print text as a line to stdout, what its encoding cannot hold as backslash
+    escapes, so no command fails, or writes other files, under another locale."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(str(text).encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _load_population(path: str) -> Population:
     """The population of a .npz sidecar, or of a metadata CSV: read from the
     population.npz beside it when that records the digest of the CSV's bytes,
@@ -217,6 +224,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         with ingest_mod.open_text(args.families) as fh:
             mapping, malformed = ingest_mod.parse_families(fh)
         pop, join_stats = ingest_mod.join_families(pop, mapping)
+        del mapping  # not held through the writes
         family_info = {
             "mapped": join_stats.mapped,
             "matched": join_stats.matched,
@@ -240,8 +248,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     }
     ingest_mod._write_json(out / "ingest_stats.json", stats_payload)
     write_run_config(out, "ingest", {"input": args.input, "strict": strict})
-    print(f"ingested {len(pop)} records -> {out / 'population.csv.gz'}")
-    print(f"rows={stats.rows} malformed={stats.malformed} duplicates={stats.duplicates}")
+    _say(f"ingested {len(pop)} records -> {out / 'population.csv.gz'}")
+    _say(f"rows={stats.rows} malformed={stats.malformed} duplicates={stats.duplicates}")
     return EXIT_OK
 
 
@@ -323,14 +331,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print("nothing to do: pass at least one of --vtt-curve/--markets/--timestamps/--overlap", file=sys.stderr)
         return EXIT_USAGE
     write_run_config(out, "stats", {"population": args.population, "tables": wrote})
-    print(f"wrote {', '.join(wrote)} -> {out}")
+    _say(f"wrote {', '.join(wrote)} -> {out}")
     return EXIT_OK
 
 
 def cmd_sample_size(args: argparse.Namespace) -> int:
     settings = Settings(args, "sample-size")
     n = sizing.required_sample_size(args.population_size, _sizing_params(settings))
-    print(n)
+    _say(n)
     return EXIT_OK
 
 
@@ -362,7 +370,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if snapshot_raw:
         snap = ingest_mod.snapshot_filter(pop, parse_timestamp(snapshot_raw))
         pop = snap.population
-        print(
+        _say(
             f"snapshot {snapshot_raw}: kept {len(pop)}, dropped {snap.dropped_late} late,"
             f" {snap.dropped_missing_crawl} without crawl date"
         )
@@ -420,14 +428,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ],
     )
     write_run_config(out, "sample", config_echo)
-    print(f"manifest with {len(manifest)} entries -> {out / 'manifest.json'}")
+    _say(f"manifest with {len(manifest)} entries -> {out / 'manifest.json'}")
     return EXIT_OK
 
 
 def _print_checks(checks) -> list[dict]:
     """Print a PASS or FAIL line per check; the checks as name, passed and evidence dicts."""
     for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
+        _say(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.evidence}")
     return [{"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in checks]
 
 
@@ -464,7 +472,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         for s in plan.splits
     ]
     for split in plan.splits:
-        print(split.label())
+        _say(split.label())
     if args.out:
         out = _out_dir(settings, args.out)
         ingest_mod._write_json(out / "splits.json", {"window_months": window, "splits": payload})
@@ -495,7 +503,7 @@ def _aut_rows(path: str) -> list[tuple[str, list[float]]]:
     FormatErrors naming the file and the line."""
     rows: list[tuple[str, list[float]]] = []
     with ingest_mod.open_text(path) as fh:
-        reader = csv.reader(ingest_mod._utf8_lines(fh, fh))
+        reader = csv.reader(ingest_mod._lines(ingest_mod._blocks(fh)))
         try:
             for row in ingest_mod._csv_rows(reader):
                 if isinstance(row, csv.Error):
@@ -559,9 +567,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with ingest_mod._replacing(out / "window_series.csv") as fh:
             report.write_window_series_csv(result, fh)
     write_run_config(out, "evaluate", config_echo)
-    # printed last, escaped where stdout's encoding cannot hold it, so the outputs never depend on the locale
-    encoding = sys.stdout.encoding or "utf-8"
-    sys.stdout.write(markdown.encode(encoding, "backslashreplace").decode(encoding))
+    _say(markdown.removesuffix("\n"))  # printed last
     return EXIT_OK
 
 
@@ -586,7 +592,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     echo = dataclasses.asdict(config)
     _write_ground_truth(truth, echo, out / "ground_truth.json")
     write_run_config(out, "synth", echo | {"preset": args.preset})
-    print(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
+    _say(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
     return EXIT_OK
 
 

@@ -60,11 +60,11 @@ class ParseResult:
 def open_text(path: Union[str, Path]) -> IO[str]:
     """Open a possibly gzip-compressed UTF-8 text file for reading; a byte that is not
     UTF-8 reads as a lone surrogate, so a parser can name its row (_undecodable).
-    Gzip data that ends early or fails its check gives all the text before
-    the fault, and no line that the fault cut (see _GzipText)."""
+    Gzip data that ends early or fails its check reads as ending there once
+    (_GzipFile), so _blocks gives all the text before the fault."""
     path = str(path)
     if path.endswith(".gz"):
-        return _GzipText(_GzipFile(path, "rb"), encoding="utf-8", errors="surrogateescape", newline="")
+        return io.TextIOWrapper(_GzipFile(path, "rb"), encoding="utf-8", errors="surrogateescape", newline="")
     return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
 
 
@@ -82,22 +82,6 @@ class _GzipFile(gzip.GzipFile):
         except _GZIP_ERRORS as exc:
             self.fault = exc
             return b""
-
-
-class _GzipText(io.TextIOWrapper):
-    """The text of a _GzipFile. A read that finds no text, or a line without a
-    line end, may have stopped at a fault: it reads once more, which gives ""
-    at the end of whole data and raises the fault otherwise. So a line that a
-    fault cut is never returned."""
-
-    def read(self, size: Optional[int] = -1) -> str:
-        return super().read(size) or super().read(size)
-
-    def readline(self, size: int = -1) -> str:
-        line = super().readline(size)
-        if size < 0 and not line.endswith(("\n", "\r")):
-            super().readline()
-        return line
 
 
 def _market_tags(text: str) -> frozenset[str]:
@@ -327,15 +311,6 @@ def _undecodable(stream: IO[str], text: str) -> tuple[int, Optional[UnicodeDecod
     return -1, None
 
 
-def _utf8_lines(stream: IO[str], lines: Iterable[str]) -> Iterator[str]:
-    """The lines; one that holds a byte that is not UTF-8 raises its _undecodable
-    error when read, so csv.reader raises it at the row that holds the byte."""
-    for line in lines:
-        if not line.isascii() and (error := _undecodable(stream, line)[1]):
-            raise error
-        yield line
-
-
 def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError) -> FormatError:
     """The error for input that is not UTF-8, naming the file and the rows read before it."""
     name = getattr(stream, "name", None) or default
@@ -428,6 +403,45 @@ def _rows_chunk(rows: list, width: int) -> tuple:
     return len(rows), span, regular, rows.__getitem__
 
 
+def _blocks(stream: IO[str]) -> Iterator[str]:
+    """The stream's text in blocks of whole lines: each read of _BLOCK_CHARS is cut
+    after its last line end, and the rest starts the next block. Every CSV input
+    is read through here, so these rules hold for each:
+    - An empty read is read once more, which gives "" at the end of the data and
+      raises a fault of open_text's gzip data; so a line the fault cut is never given.
+    - A block whose every CR starts a CRLF has its CRLFs read as LF, as csv.reader
+      reads them, until the first quote: from there a CRLF may be a quoted field's text.
+    - A byte that is not UTF-8 (see _undecodable) ends its block before its line,
+      and its error is raised once the lines before it are taken."""
+    pending, quoted = "", False  # text after the last line end read
+    while True:
+        text = stream.read(_BLOCK_CHARS) or stream.read(_BLOCK_CHARS)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            pending += text
+            continue
+        block, pending, ended = pending + text[:cut], text[cut:], not text  # at the end, block is the last line
+        del text  # the block holds its lines; the read is not kept while they are parsed
+        at, error = _undecodable(stream, block)
+        if error:
+            block = block[: block.rfind("\n", 0, at) + 1]
+        quoted = quoted or '"' in block
+        if not quoted and "\r" in block and block.count("\r") == block.count("\r\n"):
+            block = block.replace("\r\n", "\n")
+        if block:
+            yield block
+        if error:
+            raise error
+        if ended:
+            return
+
+
+def _lines(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of the blocks as a newline="" stream gives them; csv.reader reads only these."""
+    for block in blocks:
+        yield from io.StringIO(block, newline="")
+
+
 def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, strict: bool) -> _Rows:
     """Read a CSV stream with a header into kind(header, stats, strict), a
     _Rows, whose add(n, span, regular, row) takes the rows chunk by chunk.
@@ -440,37 +454,20 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     and not counted, as csv.DictReader does. A chunk is an argument only, so
     its buffers are gone before the next block is read.
 
-    Text is read in blocks of _BLOCK_CHARS cut at a line end, each one chunk
-    that numpy splits into rows and fields. CRLF line ends are read as LF. The
-    first block that holds a quote, NUL or a CR outside a CRLF hands itself and
-    the rest of the stream to csv.reader, in chunks of _CHUNK_ROWS rows. Text
-    that is not UTF-8 is a FormatError naming the stream (else name) and the
-    stats.rows counted before it: the rows before its row, when open_text
-    opened the stream (see _undecodable). So is gzip data that ends early or
-    fails its check, after every row held whole before the fault, when
-    open_text opened the stream (see _GzipText). A header
-    kind refuses, or none, is a FormatError naming the stream, when it has a
-    name.
+    Each block of _blocks is one chunk that numpy splits into rows and fields.
+    The first block that holds a quote, NUL or CR hands itself and the rest of
+    the blocks to csv.reader, in chunks of _CHUNK_ROWS rows. A fault _blocks
+    raises is a FormatError naming the stream (else name) and the stats.rows
+    counted before it. A header kind refuses, or none, is a FormatError naming
+    the stream, when it has a name.
     """
     reader = None
-    pending = ""  # text after the last line end read
+    blocks = _blocks(stream)
     try:
-        while True:
-            text = stream.read(_BLOCK_CHARS)
-            cut = text.rfind("\n") + 1
-            if text and not cut:
-                pending += text
-                continue
-            block, pending = pending + text[:cut], text[cut:]  # at the end, block is the last line
-            ended = not text
-            del text  # the block holds its lines; the read is not kept while they are parsed
-            if "\r" in block and block.count("\r") == block.count("\r\n") and '"' not in block and "\0" not in block:
-                # csv.reader reads CRLF line ends as LF; a block with a quote keeps
-                # its CRs, as a quoted field's CRLF is text
-                block = block.replace("\r\n", "\n")
+        for block in blocks:
             if any(special in block for special in _SPECIAL):
-                lines = itertools.chain(io.StringIO(block, newline=""), _lines_after(pending, stream))
-                rows = _csv_rows(csv.reader(_utf8_lines(stream, lines)))
+                rows = _csv_rows(csv.reader(_lines(itertools.chain([block], blocks))))
+                del block
                 if reader is None:
                     reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
                 while True:
@@ -486,18 +483,11 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                         raise error
                     if not chunk:
                         return reader
-            at, error = _undecodable(stream, block)
-            if error:  # read the lines before its line, then raise it
-                block = block[: block.rfind("\n", 0, at) + 1]
-            if reader is None and block:
+            if reader is None:
                 line, _, block = block.partition("\n")
                 reader = kind(_fields(line), stats, strict)
-            if reader is not None and block:
+            if block:
                 reader.add(*_block_chunk(block, len(reader.header)))
-            if error:
-                raise error
-            if ended:
-                break
         if reader is None:
             raise FormatError(f"empty {kind.what} input")
     except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
@@ -507,20 +497,6 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
             raise  # a row's error, or a stream with no name
         raise FormatError(f"{stream.name}: {exc}") from None
     return reader
-
-
-def _lines_after(pending: str, stream: IO[str]) -> Iterator[str]:
-    """The lines of the stream's text after pending, the start of a line read
-    from it. The stream is read a block at a time as the lines are taken,
-    and each block's text is split up to its last line end."""
-    while text := stream.read(_BLOCK_CHARS):
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield from io.StringIO(pending + text[:cut], newline="")
-            pending = text[cut:]
-        else:
-            pending += text
-    yield from io.StringIO(pending, newline="")
 
 
 class _Rows:
@@ -876,7 +852,7 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
     mapping: dict[str, str] = {}
     malformed = rows = 0
     try:
-        for row in _csv_rows(csv.reader(_utf8_lines(stream, stream))):
+        for row in _csv_rows(csv.reader(_lines(_blocks(stream)))):
             if not row or row == ["sha256", "family"]:
                 continue
             rows += 1
@@ -964,8 +940,10 @@ class PredictionSet:
         }
 
     def predicted(self, sha: str) -> int:
-        at = int(_sorted_positions(self.sha256, np.array([sha], dtype="S64"))[0])
-        if at < 0:
+        """The predicted class of a hash; KeyError unless it is 64 ASCII characters (as
+        Population.positions reads one) and the set predicts it."""
+        at = int(_sorted_positions(self.sha256, np.array([sha], dtype="S64"))[0]) if sha.isascii() else -1
+        if at < 0 or len(sha) != 64:
             raise KeyError(sha)
         return int(self.predicted_class[at])
 

@@ -424,6 +424,41 @@ def test_evaluate_outputs_do_not_depend_on_the_locale(tmp_path):
     assert printed["c"].decode("unicode_escape") == printed["utf8"].decode()
 
 
+def test_sample_and_verify_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, sample and verify --out exit as in
+    UTF-8 mode and write the same bytes; the check lines they print escape the
+    "±" of the C3 evidence."""
+    population = tmp_path / "synth" / "population.csv.gz"
+    assert run(["synth", "--preset", "stable", "--months", 6, "--out", population.parent]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    locales = {
+        "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    commands = {
+        "sample": ["sample", "--population", population, "--mode", "monthly", "--allow-violations", "--out", "ds"],
+        "verify": ["verify", "--manifest", "ds/manifest.json", "--population", population, "--out", "vf"],
+    }
+    codes, printed, written = {}, {}, {}
+    for name, settings in locales.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        for command, argv in commands.items():
+            result = subprocess.run(
+                [sys.executable, "-m", "maldrift.cli", *map(str, argv)], capture_output=True, cwd=cwd,
+                env={**env, **settings},
+            )
+            codes[name, command], printed[name, command] = result.returncode, result.stdout
+        written[name] = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    assert codes["c", "sample"] == codes["utf8", "sample"] == 0
+    assert codes["c", "verify"] == codes["utf8", "verify"]
+    assert {"ds/manifest.json", "vf/verify.json"} <= set(written["c"])
+    assert written["c"] == written["utf8"]
+    for command in commands:
+        assert b"\\xb1" in printed["c", command]
+        assert printed["c", command].decode("unicode_escape") == printed["utf8", command].decode()
+
+
 def _file_writes(tree: ast.AST) -> list[int]:
     """The lines of the calls in tree that may write a file: .write_text and
     .write_bytes, and open (read as the builtin) or an .open method (read as

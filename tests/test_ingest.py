@@ -1,3 +1,4 @@
+import ast
 import gzip
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -132,6 +134,18 @@ def test_parse_predictions_raw_scores_need_label():
     preds, stats = parse_predictions(with_label)
     assert stats.malformed == 0
     assert preds.predicted(sha_of(1)) == 1
+
+
+@pytest.mark.parametrize(
+    "key", ["a" * 64 + "zzz", "a" * 63, "é" * 64, "a" * 63 + "é"], ids=["long", "short", "not-ascii", "ascii-prefix"]
+)
+def test_predicted_reads_only_whole_ascii_hashes(key):
+    """A key that is not 64 ASCII characters is a KeyError, as Population.positions
+    reads it: not the prediction of its first 64 characters, nor an encoding error."""
+    preds, _ = parse_predictions(io.StringIO(f"sha256,score\n{'a' * 64},0.9\n"))
+    assert preds.predicted("a" * 64) == 1
+    with pytest.raises(KeyError):
+        preds.predicted(key)
 
 
 @pytest.mark.parametrize("parse", [parse_metadata, parse_predictions], ids=["metadata", "predictions"])
@@ -317,6 +331,84 @@ def test_invalid_utf8_names_its_row(tmp_path, kind, suffix):
     with ingest.open_text(path) as fh, pytest.raises(FormatError) as err:
         parse(fh)
     assert str(err.value) == f"{path}: invalid UTF-8 after row 14999 (byte 0xff: invalid start byte)"
+
+
+def test_every_csv_reader_reads_the_block_lines():
+    """Every csv.reader in maldrift reads _lines(...), the lines of ingest._blocks,
+    so the block, UTF-8, gzip and CRLF rules of every CSV input are stated once."""
+    readers, found = 0, []
+    for path in sorted((SRC / "maldrift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "reader" and getattr(func.value, "id", None) == "csv":
+                readers += 1
+                source = node.args[0].func if node.args and isinstance(node.args[0], ast.Call) else None
+                if getattr(source, "id", getattr(source, "attr", None)) != "_lines":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert readers >= 3  # metadata and predictions, families, AUT tables
+    assert found == []
+
+
+def _families_of(path):
+    with ingest.open_text(path) as fh:
+        return parse_families(fh)
+
+
+_BLOCK_CASES = {
+    "families": (
+        "sha256,family\r\n",
+        lambda i: [f"{sha_of(i)},fam{i % 5}\r\n", f'{sha_of(i)},"fam, {i}"\n', "short\n", "\n",
+                   f"{sha_of(i).upper()},\n", f'{sha_of(i)},"three\r\nline\r\nfamily"\r\n'][i % 6],
+        _families_of,
+    ),
+    "aut-table": (
+        "classifier,aut1,aut2\r\n",
+        lambda i: [f"c{i},0.{i},0.5\r\n", "\n", f'"c, {i}",0.25,0.{i}\n', f'"c\r\n{i}\r\n",1,0\r\n'][i % 4],
+        lambda path: cli._aut_rows(str(path)),
+    ),
+}
+
+
+def _gzip_cut(data: bytes) -> bytes:
+    """gzip data that holds data whole, then ends without its end-of-stream marker."""
+    packer = zlib.compressobj(wbits=31)
+    return packer.compress(data) + packer.flush(zlib.Z_SYNC_FLUSH)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("form", ["whole", "cut", "not-utf8"])
+@pytest.mark.parametrize("kind", sorted(_BLOCK_CASES))
+def test_line_inputs_read_alike_at_any_block_size(tmp_path, kind, form, suffix):
+    """Family files and --aut-table files, plain or gzipped, whole, cut inside a
+    line or holding a byte that is not UTF-8, give the same result or error
+    text whatever the block size: a line a fault cut is never read, and the
+    lines before a byte that is not UTF-8 are."""
+    header, line, read = _BLOCK_CASES[kind]
+    data = (header + "".join(line(i) for i in range(1, 40))).encode()
+    if form == "not-utf8":
+        data = data[:300] + b"\xff" + data[300:]
+    if form == "cut":
+        data = data[: data.index(b"\n", 300) - 3]
+    path = tmp_path / f"{kind}.csv{suffix}"
+    path.write_bytes(data if not suffix else _gzip_cut(data) if form == "cut" else gzip.compress(data))
+    expected = _outcome(read, path)
+    if form == "not-utf8":
+        assert "invalid UTF-8" in expected
+    elif form == "cut" and suffix:
+        assert "unreadable gzip data" in expected
+    else:  # a quoted field's CRLFs are its text
+        texts = expected[0].values() if kind == "families" else [name for name, _ in expected]
+        assert any(text.count("\r\n") == 2 for text in texts)
+    for block in (1, 7, 37):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            assert _outcome(read, path) == expected, block
 
 
 def test_parse_memory_follows_block_size(tmp_path):
