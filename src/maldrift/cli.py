@@ -25,7 +25,7 @@ import numpy as np
 from . import ingest as ingest_mod
 from . import labeling, metrics, sizing
 from .errors import FormatError, MissingPredictionsError
-from .model import MIN_YEAR, ClassLabel, Granularity, Period, Population, parse_timestamp
+from .model import MIN_YEAR, ClassLabel, Granularity, Period, Population, _key_texts, parse_timestamp
 from .version import __version__
 
 if TYPE_CHECKING:
@@ -190,7 +190,7 @@ def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path)
 
     def render(rows: slice):
         at = order[rows]
-        return (f'    "{sha.decode()}": {classes[code]}' for sha, code in zip(sha256[at].tolist(), codes[at].tolist()))
+        return (f'    "{sha}": {classes[code]}' for sha, code in zip(_key_texts(sha256[at]), codes[at].tolist()))
 
     payload = {
         "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},

@@ -26,14 +26,17 @@ import numpy as np
 from .errors import FormatError
 from .model import (
     COLUMNS,
+    HEX_DTYPE,
+    KEY_DTYPE,
     MAX_YEAR,
     MIN_YEAR,
     ApkRecord,
+    KeyedTable,
     Population,
     _WRITE_ROWS,
-    _hash_order,
-    _sorted_neighbours,
-    _sorted_positions,
+    _is_key_order,
+    _key_runs,
+    _key_texts,
     format_timestamps,
     parse_timestamp,
 )
@@ -159,7 +162,7 @@ def _planes(buf: np.ndarray, start: np.ndarray, width: int) -> tuple[np.ndarray,
 
 
 def _hashes(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S64 of spans of 64 lowercase hex digits, and a mask of those spans."""
+    """The keys (KEY_DTYPE) of spans of 64 lowercase hex digits, and a mask of those spans."""
     chars = _windows(buf, start, 64)
     ok = end - start == 64
     for at in range(0, len(chars), _WRITE_ROWS):  # a mask of every byte at once is as large as the hashes
@@ -167,7 +170,7 @@ def _hashes(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
         # True for a byte outside "0".."9" (48..57) and "a".."f" (97..102)
         odd = (part - np.uint8(ord("0")) >= 10) & (part - np.uint8(ord("a")) >= 6)
         ok[at : at + _WRITE_ROWS] &= ~_nonzero_rows(odd.view(np.uint64))
-    return chars.view("S64").ravel(), ok
+    return chars.view(KEY_DTYPE).ravel(), ok
 
 
 def _naturals(buf: np.ndarray, start: np.ndarray, end: np.ndarray, required: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -593,19 +596,12 @@ class _Columns(_Rows):
         step holds, besides the columns, index arrays only.
         """
         columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in COLUMNS.items()}
-        sha = columns["sha256"]
-        order = _hash_order(sha)
-        new = np.ones(len(sha), dtype=bool)  # order[i] holds another hash than order[i - 1]
-        new[1:] = _sorted_neighbours(sha, order, np.not_equal, _CHUNK_ROWS)
-        starts = np.flatnonzero(new)
-        first = order[starts]  # the stable sort puts a hash's first row first
-        last = order[np.append(starts[1:], len(sha))[: len(starts)] - 1]
-        del order, new, starts
+        first, last = _key_runs(columns["sha256"])
         by_row = np.argsort(first)
         kept = first[by_row]  # kept rows in file order
         sha_order = np.empty_like(by_row)  # each hash's rank in them
         sha_order[by_row] = np.arange(len(by_row))
-        stats.duplicates = len(sha) - len(kept)
+        stats.duplicates = len(columns["sha256"]) - len(kept)
         if stats.duplicates:
             moved = first != last
             for column in columns.values():
@@ -655,7 +651,7 @@ def write_metadata_csv(pop: Population, stream: IO[str]) -> None:
 
     def lines(rows: slice) -> Iterator[str]:
         return map(",".join, zip(
-            pop.sha256[rows].astype("U64").tolist(),
+            _key_texts(pop.sha256[rows]),
             format_timestamps(pop.dex_date[rows]),
             pop.vt_detection[rows].astype("U20").tolist(),
             markets[pop.markets[rows]].tolist(),
@@ -805,16 +801,16 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
     schema = int(read("schema", np.dtype(np.int64), ()))
     if schema != _SIDECAR_SCHEMA:
         raise FormatError(f"{path}: array 'schema' is {schema}, expected {_SIDECAR_SCHEMA}")
-    if csv_sha256 is not None and str(read("csv_sha256", np.dtype("U64"), ())) != csv_sha256:
+    if csv_sha256 is not None and str(read("csv_sha256", np.dtype(HEX_DTYPE), ())) != csv_sha256:
         return None
-    n = len(read("sha256", np.dtype("S64")))
+    n = len(read("sha256", np.dtype(KEY_DTYPE)))
     arrays = {name: read(name, np.dtype(dtype), (n,)) for name, dtype in COLUMNS.items()}
     arrays["sha_order"] = read("sha_order", np.dtype(np.int64), (n,))
     for name in ("market_sets", "families"):
         arrays[name] = read(name, "U")
         if arrays[name].ndim != 1:
             raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected one dimension")
-    if str(read("content_sha256", np.dtype("U64"), ())) != _content_digest(arrays):
+    if str(read("content_sha256", np.dtype(HEX_DTYPE), ())) != _content_digest(arrays):
         raise FormatError(f"{path}: array 'content_sha256' does not match the content digest")
     order = arrays["sha_order"]
     in_range = {
@@ -825,7 +821,7 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
     for name, (low, high) in in_range.items():
         if n and not low <= arrays[name].min() <= arrays[name].max() < high:
             raise FormatError(f"{path}: array {name!r} holds a value outside {low}..{high - 1}")
-    if not _sorted_neighbours(arrays["sha256"], order, np.greater, _WRITE_ROWS).all():
+    if not _is_key_order(arrays["sha256"], order):
         raise FormatError(f"{path}: array 'sha_order' does not sort 'sha256' into unique ascending hashes")
     return Population.from_columns(
         {name: arrays[name] for name in COLUMNS},
@@ -885,7 +881,7 @@ def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population,
     stats.unmatched = int(np.count_nonzero(rows < 0))
     columns = pop.columns() | {"family": family}
     joined = Population.from_columns(
-        columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, pop.sha_order
+        columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, sha_order=pop.sha_order
     )
     return joined, stats
 
@@ -897,60 +893,44 @@ class PredictionRow:
     predicted_label: Optional[int] = None
 
 
-class PredictionSet:
-    """One classifier's predictions, held as columns in ascending sha256 order:
-    ``sha256`` (S64), ``score``, the explicit ``label`` (-1 where absent) and
-    the ``predicted_class`` they give at threshold. ``PredictionSet(name,
-    rows)`` and ``rows`` are a row view of PredictionRow objects.
+class PredictionSet(KeyedTable):
+    """One classifier's predictions as columns in the order given (parsed ones
+    in hash order): ``sha256``, ``score`` and the explicit ``label`` (-1 where
+    absent), and the ``predicted_class`` they give at threshold.
+    ``PredictionSet(name, rows)`` and ``rows`` are a row view of PredictionRow
+    objects.
     """
 
+    _COLUMNS = {"sha256": KEY_DTYPE, "score": np.float64, "label": np.int64}
+    _FIELDS = ("name", "threshold")
+    _WHAT = "prediction set"
+
     def __init__(self, name: str, rows: dict[str, PredictionRow], threshold: float = 0.5):
-        labels = (-1 if row.predicted_label is None else row.predicted_label for row in rows.values())
-        self._init(
-            name,
-            np.array(list(rows), dtype="S64"),
-            np.fromiter((row.score for row in rows.values()), dtype=np.float64, count=len(rows)),
-            np.fromiter(labels, dtype=np.int64, count=len(rows)),
-            threshold,
-        )
+        columns = {
+            "sha256": list(rows),
+            "score": [row.score for row in rows.values()],
+            "label": [-1 if row.predicted_label is None else row.predicted_label for row in rows.values()],
+        }
+        self._init(columns, name, threshold)
 
-    @classmethod
-    def _from_columns(cls, name: str, sha256, score, label, threshold: float) -> "PredictionSet":
-        preds = cls.__new__(cls)
-        preds._init(name, sha256, score, label, threshold)
-        return preds
-
-    def _init(self, name, sha256, score, label, threshold) -> None:
-        order = _hash_order(sha256)
-        self.name, self.threshold = name, threshold
-        self.sha256, self.score, self.label = sha256[order], score[order], label[order]
-        self.predicted_class = np.where(self.label >= 0, self.label, self.score >= threshold)
-        self._given = np.argsort(order)  # where each row of the given order went
-
-    def __len__(self) -> int:
-        return len(self.sha256)
+    @cached_property
+    def predicted_class(self) -> np.ndarray:
+        return np.where(self.label >= 0, self.label, self.score >= self.threshold)
 
     @cached_property
     def rows(self) -> dict[str, PredictionRow]:
-        """The predictions by hash, in the order given (parsed ones in hash order)."""
-        columns = (self.sha256.astype("U64"), self.score, self.label)
+        """The predictions by hash, in row order."""
         return {
             sha: PredictionRow(sha, score, None if label < 0 else label)
-            for sha, score, label in zip(*(column[self._given].tolist() for column in columns))
+            for sha, score, label in zip(_key_texts(self.sha256), self.score.tolist(), self.label.tolist())
         }
 
     def predicted(self, sha: str) -> int:
-        """The predicted class of a hash; KeyError unless it is 64 ASCII characters (as
-        Population.positions reads one) and the set predicts it."""
-        at = int(_sorted_positions(self.sha256, np.array([sha], dtype="S64"))[0]) if sha.isascii() else -1
-        if at < 0 or len(sha) != 64:
+        """The predicted class of a hash; KeyError unless the set predicts it (see KeyedTable.positions)."""
+        at = int(self.positions([sha])[0])
+        if at < 0:
             raise KeyError(sha)
         return int(self.predicted_class[at])
-
-    def _classes_of(self, hashes: np.ndarray) -> np.ndarray:
-        """The predicted class of each S64 hash, -1 where the set has no prediction."""
-        at = _sorted_positions(self.sha256, hashes)
-        return np.where(at >= 0, self.predicted_class[np.maximum(at, 0)], -1) if len(self) else at
 
 
 def parse_predictions(
@@ -964,11 +944,12 @@ def parse_predictions(
     """
     stats = ParseStats()
     columns = _read_csv(stream, name, _Predictions, stats, strict).columns()
-    return PredictionSet._from_columns(name, *columns, threshold), stats
+    sha_order = np.arange(len(columns["sha256"]))  # the columns are in hash order
+    return PredictionSet._from_columns(columns, name, threshold, sha_order=sha_order), stats
 
 
 class _Predictions(_Rows):
-    """The well-formed rows of a prediction CSV as parts of S64 hashes, scores and labels (-1: none)."""
+    """The well-formed rows of a prediction CSV as parts of keys, scores and labels (-1: none)."""
 
     what = "prediction"
 
@@ -976,7 +957,7 @@ class _Predictions(_Rows):
         super().__init__(header, stats, strict)
         if "sha256" not in self.position or "score" not in self.position:
             raise FormatError("prediction input must have columns sha256,score[,label]")
-        self.parts: tuple[list, list, list] = ([], [], [])
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in PredictionSet._COLUMNS}
 
     def add(self, n: int, span, regular: np.ndarray, row) -> None:
         """Parse a chunk of _read_csv, as _Columns.add does, with _prediction_row."""
@@ -998,18 +979,15 @@ class _Predictions(_Rows):
             ok[k], label[k] = True, -1 if predicted is None else predicted
         self.stats.rows += n
         self.stats.parsed += int(ok.sum())
-        for part, column in zip(self.parts, (sha, score, label)):
+        for part, column in zip(self.parts.values(), (sha, score, label)):
             part.append(column[ok])
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def columns(self) -> dict[str, np.ndarray]:
         """The hashes, scores and labels in ascending hash order, a hash's last row only."""
-        sha, score, label = (_joined(part, dtype) for part, dtype in zip(self.parts, ("S64", np.float64, np.int64)))
-        order = _hash_order(sha)
-        last = np.ones(len(sha), dtype=bool)  # a hash's last row ends its run
-        last[:-1] = _sorted_neighbours(sha, order, np.not_equal, _WRITE_ROWS)
-        kept = order[last]
-        self.stats.duplicates = len(sha) - len(kept)
-        return sha[kept], score[kept], label[kept]
+        columns = {name: _joined(self.parts[name], dtype) for name, dtype in PredictionSet._COLUMNS.items()}
+        _, kept = _key_runs(columns["sha256"])
+        self.stats.duplicates = len(columns["sha256"]) - len(kept)
+        return {name: column[kept] for name, column in columns.items()}
 
 
 def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingPredictionsError
 from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
-from .model import ClassLabel, Granularity, Period, Population
+from .model import ClassLabel, Granularity, Period, Population, _key_texts, _keys
 
 if TYPE_CHECKING:  # the CLI loads this module for every command; these load where they run
     from .ingest import PredictionSet
@@ -98,7 +98,7 @@ def confusion_metrics(
         periods, period_of = truth._periods()
     else:
         rows = list(truth)
-        hashes = np.array([sha for sha, _, _ in rows], dtype="S64")
+        hashes = _keys([sha for sha, _, _ in rows], strict=True)[0]
         classes = np.array([CLASSES.index(cls) for _, cls, _ in rows], dtype=np.int8)
         periods = list(dict.fromkeys(period for _, _, period in rows))
         position = {period: k for k, period in enumerate(periods)}
@@ -112,9 +112,10 @@ def confusion_metrics(
     rank = {p: k for k, p in enumerate(ordered)}
     period_of = np.array([rank[p] for p in periods], dtype=np.int64)[period_of]
 
-    predicted = preds._classes_of(hashes)
+    found = preds.positions(hashes)
+    predicted = np.where(found >= 0, preds.predicted_class[found], -1) if len(preds) else found
     scored = predicted >= 0
-    missing = hashes[~scored].astype("U64").tolist()
+    missing = _key_texts(hashes[~scored])
     if missing and not lenient:
         shown = ", ".join(missing[:10])
         raise MissingPredictionsError(

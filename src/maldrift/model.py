@@ -3,7 +3,8 @@
 All timestamps are stored tz-naive at second resolution and mean UTC;
 date-only inputs are interpreted as midnight UTC. Every type here is
 immutable after construction. A population holds its records as numpy
-columns; ApkRecord is its row view.
+columns; ApkRecord is its row view. KeyedTable, its base, holds the sha256
+key format that the manifest and the prediction set share too.
 """
 from __future__ import annotations
 
@@ -212,12 +213,26 @@ def period_range(start: Period, end: Period) -> list[Period]:
     return [Period(start.granularity, i) for i in range(start.index, end.index + 1)]
 
 
-def _sorted_positions(values: np.ndarray, keys: np.ndarray, sorter: Optional[np.ndarray] = None) -> np.ndarray:
-    """Position of each key in values (in sorter, if given: values[sorter] is ascending), -1 if absent."""
-    if not len(values):
-        return np.full(len(keys), -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(values, keys, sorter=sorter), len(values) - 1)
-    return np.where(values[at if sorter is None else sorter[at]] == keys, at, -1)
+# The in-memory key of a sha256, and its text.
+KEY_DTYPE = "S64"
+HEX_DTYPE = "U64"
+
+
+def _keys(hashes: Sequence, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The key of each hash and a mask of the hashes that are 64 ASCII characters.
+    Any other hash keys as b"", or raises ValueError naming it when strict. A
+    KEY_DTYPE array holds keys already."""
+    if isinstance(hashes, np.ndarray) and hashes.dtype == KEY_DTYPE:
+        return hashes, np.ones(len(hashes), dtype=bool)
+    valid = np.array([len(h) == 64 and h.isascii() for h in hashes], dtype=bool)
+    if strict and not valid.all():
+        raise ValueError(f"sha256 key {hashes[valid.argmin()]!r} is not 64 ASCII characters")
+    return np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype=KEY_DTYPE), valid
+
+
+def _key_texts(keys: np.ndarray) -> list[str]:
+    """The hex text of each key (decoding each is faster than astype(HEX_DTYPE), and makes no array of it)."""
+    return list(map(bytes.decode, keys.tolist()))
 
 
 # Rows per chunk of the writers (ingest._write_chunks) and of the duplicate and
@@ -226,12 +241,12 @@ def _sorted_positions(values: np.ndarray, keys: np.ndarray, sorter: Optional[np.
 _WRITE_ROWS = 1 << 10
 
 
-def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare, rows: int) -> np.ndarray:
-    """compare(sha[order[i]], sha[order[i - 1]]) for i in 1..n-1, taken rows
-    at a time, so no sorted copy of the hashes is made."""
+def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare) -> np.ndarray:
+    """compare(sha[order[i]], sha[order[i - 1]]) for i in 1..n-1, taken
+    _WRITE_ROWS at a time, so no sorted copy of the hashes is made."""
     out = np.empty(max(len(order) - 1, 0), dtype=bool)
-    for at in range(1, len(order), rows):
-        here = order[at - 1 : at + rows]
+    for at in range(1, len(order), _WRITE_ROWS):
+        here = order[at - 1 : at + _WRITE_ROWS]
         out[at - 1 : at - 2 + len(here)] = compare(sha[here[1:]], sha[here[:-1]])
     return out
 
@@ -242,7 +257,7 @@ def _hash_order(sha: np.ndarray) -> np.ndarray:
     prefixes ordered by the full hash."""
     prefix = np.ascontiguousarray(sha).view(">u8")[::8].astype(np.uint64)
     order = np.argsort(prefix, kind="stable")
-    same = _sorted_neighbours(prefix, order, np.equal, _WRITE_ROWS)  # order[i + 1] shares order[i]'s prefix
+    same = _sorted_neighbours(prefix, order, np.equal)  # order[i + 1] shares order[i]'s prefix
     del prefix
     if same.any():
         tied = np.zeros(len(order), dtype=bool)
@@ -252,6 +267,21 @@ def _hash_order(sha: np.ndarray) -> np.ndarray:
         runs = order[tied]
         order[tied] = runs[np.argsort(sha[runs], kind="stable")]
     return order
+
+
+def _key_runs(sha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last row of each distinct key's run of equal keys, in ascending key order."""
+    order = _hash_order(sha)
+    new = np.ones(len(sha), dtype=bool)  # order[i] holds another key than order[i - 1]
+    new[1:] = _sorted_neighbours(sha, order, np.not_equal)
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(sha))[: len(starts)]
+    return order[starts], order[ends - 1]  # the stable sort puts a key's first row first
+
+
+def _is_key_order(sha: np.ndarray, order: np.ndarray) -> bool:
+    """Whether order sorts sha into unique ascending keys."""
+    return bool(_sorted_neighbours(sha, order, np.greater).all())
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -294,7 +324,7 @@ class ApkRecord:
 
 # column name -> dtype; the names are ApkRecord's fields
 COLUMNS = {
-    "sha256": "S64",
+    "sha256": KEY_DTYPE,
     "dex_date": "datetime64[s]",
     "crawl_date": "datetime64[s]",
     "vt_scan_date": "datetime64[s]",
@@ -315,7 +345,91 @@ def _seconds(values: Iterable[Optional[datetime]], count: int) -> np.ndarray:
     return np.fromiter(ints, dtype=np.int64, count=count).view("datetime64[s]")
 
 
-class Population:
+class KeyedTable:
+    """Numpy columns in row order with one sha256 key per row, no key twice.
+
+    A subclass declares its columns (_COLUMNS: name -> dtype), the code tables
+    they index (_TABLES), its other attributes (_FIELDS, a class attribute
+    giving the default of an optional one), its name in the duplicate error
+    (_WHAT) and its row view. The columns are read-only, and sha_order holds
+    the row positions in ascending key order. A constructor refuses a hash
+    that is not 64 ASCII characters, and positions finds none (see _keys).
+    """
+
+    _COLUMNS: dict
+    _TABLES: tuple[str, ...] = ()
+    _FIELDS: tuple[str, ...] = ()
+    _WHAT: str
+
+    sha256: np.ndarray
+    sha_order: np.ndarray
+
+    @classmethod
+    def _from_columns(cls, columns: dict, *values, sha_order: Optional[np.ndarray] = None, **fields):
+        table = cls.__new__(cls)
+        table._init(columns, *values, sha_order=sha_order, **fields)
+        return table
+
+    from_columns = _from_columns  # Population.from_columns is public
+
+    def _init(self, columns: dict, *values, sha_order: Optional[np.ndarray] = None, **fields) -> None:
+        """Set the columns, then the tables and fields, given in _TABLES and
+        _FIELDS order or by name; sha_order, when known, spares the sort and
+        the duplicate check."""
+        names = self._TABLES + self._FIELDS
+        given = dict(zip(names, values)) | fields
+        required = {name for name in names if not hasattr(type(self), name)}  # no class default
+        if len(values) > len(names) or not required <= given.keys() <= set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}, not {len(values)} values and {fields}")
+        for name, dtype in self._COLUMNS.items():
+            array = _keys(columns[name], strict=True)[0] if name == "sha256" else np.asarray(columns[name], dtype=dtype)
+            array.flags.writeable = False
+            setattr(self, name, array)
+        for name, value in given.items():
+            setattr(self, name, tuple(value) if name in self._TABLES else value)
+        if sha_order is None:
+            # not _hash_order: its 8-byte prefixes would add to synth's peak, where this sort sits
+            sha_order = np.argsort(self.sha256, kind="stable")
+            repeated = _sorted_neighbours(self.sha256, sha_order, np.equal)
+            if repeated.any():  # the first repeat in sorted order is the smallest repeated hash
+                raise ValueError(f"duplicate sha256 in {self._WHAT}: {self.sha256[sha_order[repeated.argmax()]].decode()}")
+        sha_order.flags.writeable = False
+        self.sha_order = sha_order
+        self._check()
+
+    def _check(self) -> None:
+        """A subclass's check of a new table."""
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._COLUMNS}
+
+    def __len__(self) -> int:
+        return len(self.sha256)
+
+    def positions(self, hashes: Union[Sequence[str], np.ndarray]) -> np.ndarray:
+        """Row position of each hash (strings, or a KEY_DTYPE array), -1 where the table lacks it."""
+        keys, valid = _keys(hashes)
+        if not len(self):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = self.sha_order[np.minimum(np.searchsorted(self.sha256, keys, sorter=self.sha_order), len(self) - 1)]
+        return np.where(valid & (self.sha256[at] == keys), at, -1)
+
+    def _replace(self, rows=None, **fields):
+        """This table with the given fields changed, and only the rows at rows (a
+        mask, a slice or distinct positions, taken in that order) when given."""
+        columns, sha_order = self.columns(), self.sha_order
+        if rows is not None:
+            at = np.arange(len(self))[rows]
+            rank = np.full(len(self), -1, dtype=np.int64)  # each row's position in at
+            rank[at] = np.arange(len(at))
+            sha_order = rank[sha_order]
+            sha_order = sha_order[sha_order >= 0]
+            columns = {name: column[at] for name, column in columns.items()}
+        fields = {name: getattr(self, name) for name in self._TABLES + self._FIELDS} | fields
+        return self._from_columns(columns, sha_order=sha_order, **fields)
+
+
+class Population(KeyedTable):
     """An immutable set of records, unique by sha256, held as numpy columns.
 
     The columns (see COLUMNS) keep record order; markets and family are
@@ -324,14 +438,12 @@ class Population:
     ``by_sha`` are a row view of ApkRecord objects for callers that want rows.
     """
 
-    sha256: np.ndarray
-    dex_date: np.ndarray
-    crawl_date: np.ndarray
-    vt_scan_date: np.ndarray
-    vt_detection: np.ndarray
-    apk_size: np.ndarray
-    markets: np.ndarray
-    family: np.ndarray
+    _COLUMNS = COLUMNS
+    _TABLES = ("market_sets", "families")
+    _FIELDS = ("provenance", "snapshot_date")
+    _WHAT = "population"
+    provenance: str = ""
+    snapshot_date: Optional[datetime] = None
 
     def __init__(
         self,
@@ -344,66 +456,23 @@ class Population:
         market_sets: dict[frozenset[str], int] = {}
         families: dict[str, int] = {}
         columns = {
-            "sha256": np.fromiter((r.sha256 for r in records), dtype="S64", count=n),
+            "sha256": [r.sha256 for r in records],
             "dex_date": _seconds((r.dex_date for r in records), n),
             "crawl_date": _seconds((r.crawl_date for r in records), n),
             "vt_scan_date": _seconds((r.vt_scan_date for r in records), n),
-            "vt_detection": np.fromiter((r.vt_detection for r in records), dtype=np.int64, count=n),
-            "apk_size": np.fromiter((r.apk_size for r in records), dtype=np.int64, count=n),
-            "markets": np.fromiter(
-                (market_sets.setdefault(r.markets, len(market_sets)) for r in records), dtype=np.int32, count=n
-            ),
-            "family": np.fromiter(
-                (-1 if r.family is None else families.setdefault(r.family, len(families)) for r in records),
-                dtype=np.int32,
-                count=n,
-            ),
+            "vt_detection": [r.vt_detection for r in records],
+            "apk_size": [r.apk_size for r in records],
+            "markets": [market_sets.setdefault(r.markets, len(market_sets)) for r in records],
+            "family": [-1 if r.family is None else families.setdefault(r.family, len(families)) for r in records],
         }
-        self._init(columns, tuple(market_sets), tuple(families), provenance, snapshot_date)
+        self._init(columns, market_sets, families, provenance, snapshot_date)
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: dict,
-        market_sets: Sequence[frozenset[str]],
-        families: Sequence[str],
-        provenance: str = "",
-        snapshot_date: Optional[datetime] = None,
-        sha_order: Optional[np.ndarray] = None,
-    ) -> "Population":
-        """A population over ready columns; sha_order, when known, spares the sort."""
-        pop = cls.__new__(cls)
-        pop._init(columns, tuple(market_sets), tuple(families), provenance, snapshot_date, sha_order)
-        return pop
-
-    def _init(self, columns, market_sets, families, provenance, snapshot_date, sha_order=None) -> None:
-        for name, dtype in COLUMNS.items():
-            array = np.asarray(columns[name], dtype=dtype)
-            array.flags.writeable = False
-            setattr(self, name, array)
-        self.market_sets: tuple[frozenset[str], ...] = market_sets
-        self.families: tuple[str, ...] = families
-        self.provenance = provenance
-        self.snapshot_date = snapshot_date
-        if sha_order is None:
-            # not _hash_order: its 8-byte prefixes would add to synth's peak, where this sort sits
-            sha_order = np.argsort(self.sha256, kind="stable")
-            repeated = _sorted_neighbours(self.sha256, sha_order, np.equal, _WRITE_ROWS)
-            if repeated.any():  # the first repeat in sorted order is the smallest repeated hash
-                raise ValueError(f"duplicate sha256 in population: {self.sha256[sha_order[repeated.argmax()]].decode()}")
-        sha_order.flags.writeable = False
-        self.sha_order = sha_order  # row positions in ascending sha256 order
-        if snapshot_date is not None:
-            late = np.isnat(self.crawl_date) | (self.crawl_date > np.datetime64(snapshot_date))
+    def _check(self) -> None:
+        if self.snapshot_date is not None:
+            late = np.isnat(self.crawl_date) | (self.crawl_date > np.datetime64(self.snapshot_date))
             if late.any():
                 sha = self.sha256[late.argmax()].decode()
-                raise ValueError(f"record {sha} violates snapshot_date {snapshot_date}")
-
-    def columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in COLUMNS}
-
-    def __len__(self) -> int:
-        return len(self.sha256)
+                raise ValueError(f"record {sha} violates snapshot_date {self.snapshot_date}")
 
     def __iter__(self) -> Iterator[ApkRecord]:
         return iter(self.records)
@@ -415,9 +484,9 @@ class Population:
     def records(self) -> tuple[ApkRecord, ...]:
         families = (*self.families, None)  # code -1 picks the None
         return tuple(
-            ApkRecord(sha.decode(), dex, vt, crawl, scan, self.market_sets[m], size, families[f])
+            ApkRecord(sha, dex, vt, crawl, scan, self.market_sets[m], size, families[f])
             for sha, dex, vt, crawl, scan, m, size, f in zip(
-                self.sha256.tolist(),
+                _key_texts(self.sha256),
                 self.dex_date.tolist(),
                 self.vt_detection.tolist(),
                 self.crawl_date.tolist(),
@@ -439,18 +508,6 @@ class Population:
         labeling.eligible). Every array in it is read-only."""
         return {}
 
-    def positions(self, hashes: Union[Sequence[str], np.ndarray]) -> np.ndarray:
-        """Row position of each hash (strings, or an S64 array), -1 where the population lacks it."""
-        if isinstance(hashes, np.ndarray):
-            keys, valid = hashes, True
-        else:
-            valid = np.array([len(h) == 64 and h.isascii() for h in hashes], dtype=bool)
-            keys = np.array([h if ok else "" for h, ok in zip(hashes, valid.tolist())], dtype="S64")
-        if not len(self):
-            return np.full(len(keys), -1, dtype=np.int64)
-        at = _sorted_positions(self.sha256, keys, self.sha_order)
-        return np.where(valid & (at >= 0), self.sha_order[at], -1)
-
     def carrying_any(self, tags: frozenset[str]) -> np.ndarray:
         """Mask of the records sharing at least one market tag with tags."""
         hit = np.array([bool(markets & tags) for markets in self.market_sets], dtype=bool)
@@ -459,13 +516,4 @@ class Population:
     def select(self, keep: np.ndarray, snapshot_date: Optional[datetime] = None) -> "Population":
         """The records under the boolean mask keep, in order, with this
         population's provenance; snapshot_date defaults to its own."""
-        rank = np.cumsum(keep) - 1
-        sha_order = rank[self.sha_order[keep[self.sha_order]]]
-        return Population.from_columns(
-            {name: column[keep] for name, column in self.columns().items()},
-            self.market_sets,
-            self.families,
-            self.provenance,
-            snapshot_date if snapshot_date is not None else self.snapshot_date,
-            sha_order,
-        )
+        return self._replace(keep, snapshot_date=self.snapshot_date if snapshot_date is None else snapshot_date)

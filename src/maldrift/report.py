@@ -25,7 +25,7 @@ from .metrics import (
     confusion_metrics,
     rolling_splits,
 )
-from .model import Granularity, Period, _sorted_positions
+from .model import Granularity, Period, _key_texts
 from .sampler import DatasetManifest
 
 
@@ -108,8 +108,8 @@ def evaluate_manifest(
     results = []
     window_series: dict[tuple[str, int], dict[str, MetricSeries]] = {}
     for preds in predsets:
-        unknown = _sorted_positions(manifest.sha256, preds.sha256, manifest._sha_order) < 0
-        extras = preds.sha256[unknown].astype("U64").tolist()
+        unknown = manifest.positions(preds.sha256) < 0
+        extras = _key_texts(preds.sha256[preds.sha_order[unknown[preds.sha_order]]])  # in hash order
         if extras and not lenient:
             shown = ", ".join(extras[:10])
             raise MissingPredictionsError(

@@ -32,7 +32,7 @@ from .labeling import (
     eligible,
     timeline_dates,
 )
-from .model import ClassLabel, Granularity, Period, Population, _hash_order, _sorted_neighbours, format_timestamp, period_indices
+from .model import KEY_DTYPE, ClassLabel, Granularity, KeyedTable, Period, Population, _key_texts, format_timestamp, period_indices
 from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
 from .version import __version__
 
@@ -68,7 +68,7 @@ class StratumFill:
 _GRANULARITIES = (Granularity.MONTH, Granularity.YEAR)
 # entry column -> dtype; the names follow ManifestEntry's fields
 _ENTRY_COLUMNS = {
-    "sha256": "S64",
+    "sha256": KEY_DTYPE,
     "label": np.int8,  # code into CLASSES
     "period": np.int64,  # Period.index
     "granularity": np.int8,  # code into _GRANULARITIES
@@ -77,7 +77,7 @@ _ENTRY_COLUMNS = {
 }
 
 
-class DatasetManifest:
+class DatasetManifest(KeyedTable):
     """The reproducible output of a sampling run: entries plus full parameter echo.
 
     The entries are numpy columns in manifest order (see _ENTRY_COLUMNS);
@@ -85,6 +85,14 @@ class DatasetManifest:
     ``DatasetManifest(entries, ...)``, ``entries``, ``by_period()`` and
     ``hashes()`` are a row view of ManifestEntry objects.
     """
+
+    _COLUMNS = _ENTRY_COLUMNS
+    _TABLES = ("market_sets", "families")
+    _FIELDS = ("spec", "created", "strata", "checks", "violations")
+    _WHAT = "manifest"
+    strata: tuple[StratumFill, ...] = ()
+    checks: tuple[dict, ...] = ()
+    violations: tuple[dict, ...] = ()
 
     def __init__(
         self,
@@ -106,46 +114,7 @@ class DatasetManifest:
             "markets": [market_sets.setdefault(frozenset(e.markets), len(market_sets)) for e in entries],
             "family": [-1 if e.family is None else families.setdefault(e.family, len(families)) for e in entries],
         }
-        self._init(columns, tuple(market_sets), tuple(families), spec, created, strata, checks, violations)
-
-    @classmethod
-    def _from_columns(
-        cls, columns: dict, market_sets: tuple, families: tuple, spec: dict, created: str,
-        strata=(), checks=(), violations=(),
-    ) -> "DatasetManifest":
-        manifest = cls.__new__(cls)
-        manifest._init(columns, market_sets, families, spec, created, strata, checks, violations)
-        return manifest
-
-    def _init(self, columns, market_sets, families, spec, created, strata, checks, violations) -> None:
-        for name, dtype in _ENTRY_COLUMNS.items():
-            array = np.asarray(columns[name], dtype=dtype)
-            array.flags.writeable = False
-            setattr(self, name, array)
-        self.market_sets: tuple[frozenset[str], ...] = market_sets
-        self.families: tuple[str, ...] = families
-        self.spec, self.created = spec, created
-        self.strata, self.checks, self.violations = tuple(strata), tuple(checks), tuple(violations)
-        self._sha_order = _hash_order(self.sha256)
-        repeated = _sorted_neighbours(self.sha256, self._sha_order, np.equal, ingest._WRITE_ROWS)
-        repeats = self._sha_order[1:][repeated]  # every occurrence after a hash's first
-        if repeats.size:
-            raise ValueError(f"duplicate sha256 in manifest: {self.sha256[repeats.min()].decode()}")
-
-    def _columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _ENTRY_COLUMNS}
-
-    def _replace(self, rows: Optional[np.ndarray] = None, **fields) -> "DatasetManifest":
-        """This manifest with the given fields changed, and only the entries at rows when given."""
-        fields = {
-            "spec": self.spec, "created": self.created, "strata": self.strata,
-            "checks": self.checks, "violations": self.violations, **fields,
-        }
-        columns = self._columns() if rows is None else {k: v[rows] for k, v in self._columns().items()}
-        return DatasetManifest._from_columns(columns, self.market_sets, self.families, **fields)
-
-    def __len__(self) -> int:
-        return len(self.sha256)
+        self._init(columns, market_sets, families, spec, created, tuple(strata), tuple(checks), tuple(violations))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatasetManifest):
@@ -163,9 +132,9 @@ class DatasetManifest:
         families = (*self.families, None)  # code -1 picks the None
         periods, period_of_entry = self._periods()
         return tuple(
-            ManifestEntry(sha.decode(), CLASSES[label], periods[p], self.market_sets[m], families[f])
+            ManifestEntry(sha, CLASSES[label], periods[p], self.market_sets[m], families[f])
             for sha, label, p, m, f in zip(
-                self.sha256.tolist(),
+                _key_texts(self.sha256),
                 self.label.tolist(),
                 period_of_entry.tolist(),
                 self.markets.tolist(),
@@ -174,7 +143,7 @@ class DatasetManifest:
         )
 
     def hashes(self) -> set[str]:
-        return set(self.sha256.astype("U64").tolist())
+        return set(_key_texts(self.sha256))
 
     def by_period(self) -> dict[Period, list[ManifestEntry]]:
         out: dict[Period, list[ManifestEntry]] = {}
@@ -605,7 +574,7 @@ def write_manifest_json(manifest: DatasetManifest, path: Union[str, Path]) -> No
     def entries(rows: slice) -> Iterator[str]:
         return map("".join, zip(
             repeat('    {\n      "sha256": "'),
-            manifest.sha256[rows].astype("U64").tolist(),
+            _key_texts(manifest.sha256[rows]),
             pairs(rows),
             markets[manifest.markets[rows]].tolist(),
             families[manifest.family[rows]].tolist(),  # code -1 picks the null
@@ -619,7 +588,7 @@ def write_manifest_csv(manifest: DatasetManifest, stream: IO[str]) -> None:
     stream.write("sha256,label,period\n")
     pairs = _pair_texts(manifest, lambda label, period: f",{label},{period}\n")
     _write_chunks(
-        stream, len(manifest), lambda rows: map("".join, zip(manifest.sha256[rows].astype("U64").tolist(), pairs(rows)))
+        stream, len(manifest), lambda rows: map("".join, zip(_key_texts(manifest.sha256[rows]), pairs(rows)))
     )
 
 

@@ -548,7 +548,7 @@ def _read_beyond_columns(path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - sum(column.nbytes for column in manifest._columns().values()) - manifest._sha_order.nbytes
+    return peak - sum(column.nbytes for column in manifest.columns().values()) - manifest.sha_order.nbytes
 
 
 def test_manifest_json_read_memory_follows_chunk_size(tmp_path):
@@ -563,6 +563,18 @@ def test_manifest_json_read_memory_follows_chunk_size(tmp_path):
         peaks.append(_read_beyond_columns(path))
     assert peaks[1] - peaks[0] < 4_000_000
 
+
+
+def test_manifest_duplicate_names_the_smallest_repeated_hash(tmp_path):
+    """As a population's duplicate error does, even when the larger hash repeats first in row order."""
+    low, high = sorted([sha_of(1), sha_of(2)])
+    entry = {"label": "malware", "period": "2014-01", "markets": ["play.google.com"]}
+    data = {"spec": {"policy": {"kind": "creation_dex"}}, "created": "",
+            "entries": [{"sha256": sha, **entry} for sha in (high, low, high, low)]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=f"^{path}: ValueError: duplicate sha256 in manifest: {low}$"):
+        read_manifest_json(path)
 
 
 def test_hash_order_is_a_stable_sort_of_the_hashes():

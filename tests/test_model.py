@@ -1,14 +1,23 @@
+import ast
+import re
 import tracemalloc
 from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import maldrift
+from maldrift import model
+from maldrift.ingest import PredictionRow, PredictionSet
+from maldrift.metrics import confusion_metrics
 from maldrift.model import (
     COLUMNS,
     ApkRecord,
+    ClassLabel,
     Granularity,
     Period,
     Population,
@@ -19,6 +28,7 @@ from maldrift.model import (
     period_of,
     period_range,
 )
+from maldrift.sampler import DatasetManifest, ManifestEntry
 
 from helpers import make_population, make_record, sha_of
 
@@ -197,6 +207,75 @@ def test_duplicate_names_the_smallest_repeated_hash():
     smallest = min(sha_of(2), sha_of(5))
     with pytest.raises(ValueError, match=f"^duplicate sha256 in population: {smallest}$"):
         make_population([make_record(t) for t in (5, 9, 2, 5, 2)])
+
+
+_MONTH = Period.parse("2014-01")
+
+
+def _predictions_of(key):
+    return PredictionSet("clf", {key: PredictionRow(key, 0.9)})
+
+
+def _manifest_of(key):
+    return DatasetManifest([ManifestEntry(key, ClassLabel.MALWARE, _MONTH, frozenset({"play.google.com"}))], {}, "")
+
+
+def _truth_of(key):
+    return confusion_metrics([(key, ClassLabel.MALWARE, _MONTH)], _predictions_of("a" * 64))
+
+
+@pytest.mark.parametrize("build", [_predictions_of, _manifest_of, _truth_of])
+@pytest.mark.parametrize("key", ["a" * 64 + "zz", "é" * 64], ids=["66-characters", "non-ascii"])
+def test_row_constructors_refuse_a_key_that_is_not_64_ascii_characters(build, key):
+    """A longer key is not cut to 64 bytes (where it would score against
+    another app's prediction), and a non-ASCII one is named, not encoded."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sha256 key {key!r} is not 64 ASCII characters')}$"):
+        build(key)
+
+
+def test_a_row_subset_by_positions_keeps_sha_order():
+    pop = make_population([make_record(t) for t in range(8)])
+    rows = np.array([5, 0, 7, 2])
+    picked = pop._replace(rows)
+    assert picked.sha256.tolist() == pop.sha256[rows].tolist()
+    assert picked.sha256[picked.sha_order].tolist() == sorted(picked.sha256.tolist())
+    assert picked.positions([sha_of(t) for t in (0, 2, 5, 7, 1)]).tolist() == [1, 3, 0, 2, -1]
+
+
+_KEY_CODE = {"S64", "U64", "_hash_order", "_sorted_neighbours", "_sorted_positions"}
+
+
+def test_the_key_format_lives_in_model():
+    """The key dtypes and the calls of the key sort, neighbour and lookup
+    helpers appear in model.py only: every other module goes through it."""
+    found = []
+    for path in sorted(Path(maldrift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in _KEY_CODE and path.name != "model.py":
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_key_runs_and_checks_across_chunk_edges(rows):
+    """The neighbour comparisons behind the equal-key runs, the duplicate check
+    and the sort-order check give the same answers at any chunk size."""
+    rng = np.random.default_rng(rows)
+    sha = np.array([sha_of(t) for t in rng.integers(0, 9, 40)], dtype="S64")
+    with mock.patch.object(model, "_WRITE_ROWS", rows):
+        first, last = model._key_runs(sha)
+        unique, at, counts = np.unique(sha, return_index=True, return_counts=True)
+        assert first.tolist() == at.tolist()
+        assert last.tolist() == [len(sha) - 1 - sha[::-1].tolist().index(key) for key in unique.tolist()]
+        assert model._is_key_order(sha, first) and not model._is_key_order(sha, np.argsort(sha, kind="stable"))
+        with pytest.raises(ValueError, match=f"^duplicate sha256 in population: {unique[counts > 1][0].decode()}$"):
+            Population.from_columns({**{n: np.zeros(len(sha), d) for n, d in COLUMNS.items()}, "sha256": sha}, [], [])
 
 
 def test_population_carrying_any():

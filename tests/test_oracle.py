@@ -590,7 +590,7 @@ def test_streamed_manifest_read_matches_whole_text_read(raw, block, rows):
         assert got == want
         return
     assert isinstance(got, sampler.DatasetManifest)
-    for name, column in want._columns().items():
+    for name, column in want.columns().items():
         assert getattr(got, name).dtype == column.dtype
         assert getattr(got, name).tobytes() == column.tobytes()
     assert (got.market_sets, got.families) == (want.market_sets, want.families)
