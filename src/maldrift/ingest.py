@@ -62,18 +62,31 @@ class ParseResult:
 
 def open_text(path: Union[str, Path]) -> IO[str]:
     """Open a possibly gzip-compressed UTF-8 text file for reading; a byte that is not
-    UTF-8 reads as a lone surrogate, so a parser can name its row (_undecodable).
-    Gzip data that ends early or fails its check reads as ending there once
-    (_GzipFile), so _blocks gives all the text before the fault."""
+    UTF-8 reads as a lone surrogate. The parsers read its binary layer (_blocks),
+    so they can name the row of such a byte. Gzip data that ends early or fails
+    its check reads as ending there once (_GzipFile), so _blocks gives all the
+    text before the fault."""
     path = str(path)
-    if path.endswith(".gz"):
-        return io.TextIOWrapper(_GzipFile(path, "rb"), encoding="utf-8", errors="surrogateescape", newline="")
-    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    binary = _GzipFile(path, "rb") if path.endswith(".gz") else open(path, "rb")
+    return _Text(binary, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+class _Text(io.TextIOWrapper):
+    """A text stream open_text made: _blocks reads the bytes of its binary layer."""
+
+    def unread(self) -> Optional[IO[bytes]]:
+        """The binary layer, while the text layer has read none of it; None once
+        it has, or when the layer cannot tell its place (a pipe)."""
+        try:
+            return self.buffer if self.buffer.tell() == 0 else None
+        except OSError:
+            return None
 
 
 class _GzipFile(gzip.GzipFile):
-    """A GzipFile whose read1 returns the data decoded before a fault: the
-    fault reads as the end of the data once, and every read1 after raises it."""
+    """A GzipFile whose read1 and readinto1 return the data decoded before a
+    fault: the fault reads as the end of the data once, and every read after
+    raises it."""
 
     fault: Optional[Exception] = None
 
@@ -85,6 +98,11 @@ class _GzipFile(gzip.GzipFile):
         except _GZIP_ERRORS as exc:
             self.fault = exc
             return b""
+
+    def readinto1(self, b) -> int:
+        data = self.read1(len(b))
+        b[: len(data)] = data
+        return len(data)
 
 
 def _market_tags(text: str) -> frozenset[str]:
@@ -120,14 +138,15 @@ def _parse_row(row: dict[str, str]) -> ApkRecord:
 
 # Rows per chunk of the csv.reader path.
 _CHUNK_ROWS = 1 << 13
-# Characters per parse block: what a parse holds at once follows this, not the file size.
+# Bytes (characters, of a stream read as text) per read of a parse block: what
+# a parse holds at once follows this, not the file size.
 _BLOCK_CHARS = 1 << 20
+# Room for the line a block carries to the next in a new block buffer; a longer line grows it.
+_LINE_ROOM = 1 << 16
 # Market and family texts longer than this go through _parse_row.
 _TEXT_BYTES = 256
 # Zero bytes after each buffer, so a window of up to _TEXT_BYTES at any span start fits.
 _PAD = bytes(_TEXT_BYTES)
-# Text that csv.reader reads otherwise than a split on "\n" and ",".
-_SPECIAL = ('"', "\r", "\0")
 
 _FIRST_SECOND = np.datetime64(f"{MIN_YEAR}-01-01", "s").astype(np.int64)
 _END_SECOND = np.datetime64(f"{MAX_YEAR + 1}-01-01", "s").astype(np.int64)
@@ -299,21 +318,6 @@ def _as_dict(header: list[str], row: list[str]) -> dict:
     return record
 
 
-def _undecodable(stream: IO[str], text: str) -> tuple[int, Optional[UnicodeDecodeError]]:
-    """Where text, read from stream, holds its first byte that is not UTF-8, and
-    the error decoding it gives, or (-1, None). Only open_text's streams read
-    such bytes (as lone surrogates); others raise the error as they are read."""
-    if getattr(stream, "errors", None) == "surrogateescape" and not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            try:
-                text[exc.start :].encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as error:
-                return exc.start, error
-    return -1, None
-
-
 def _not_utf8(stream: IO[str], default: str, rows: int, exc: UnicodeDecodeError) -> FormatError:
     """The error for input that is not UTF-8, naming the file and the rows read before it."""
     name = getattr(stream, "name", None) or default
@@ -335,14 +339,17 @@ def _unreadable(stream: IO[str], default: str, rows: int, exc: Exception) -> For
 
 
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
-    """The parts end to end; each part leaves the list once copied, so the
-    parts and the result never both hold all of the data."""
-    column = np.empty(sum(map(len, parts)), dtype=dtype)
-    at = len(column)
+    """The parts end to end. The first part grows in place (a realloc, which
+    moves no rows where the allocator can remap them) by each next one, and
+    each part leaves the list once copied, so the parts and the result never
+    both hold all of the data."""
+    parts.reverse()
+    column = np.array(parts.pop() if parts else (), dtype=dtype)
     while parts:
         part = parts.pop()
-        column[at - len(part) : at] = part
-        at -= len(part)
+        at = len(column)
+        column.resize(at + len(part), refcheck=False)
+        column[at:] = part
     return column
 
 
@@ -364,11 +371,10 @@ def _fields(line: str) -> Union[list[str], csv.Error]:
     return fields
 
 
-def _block_chunk(text: str, width: int) -> tuple:
-    """The rows of whole lines of text free of quotes, CR and NUL: numpy finds the
-    line ends and commas, and the rows of `width` fields are read as spans."""
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + _PAD, dtype=np.uint8)
-    size = len(buf) - len(_PAD)
+def _block_chunk(buf: np.ndarray, size: int, width: int) -> tuple:
+    """The rows of the whole lines in buf[:size], free of quotes, CR and NUL,
+    which _PAD's zero bytes follow in buf: numpy finds the line ends and commas,
+    and the rows of `width` fields are read as spans."""
     mark = buf[:size] == ord(",")  # one mask at a time: it is as large as the text
     mark |= buf[:size] == ord("\n")
     marks = np.append(np.flatnonzero(mark), size)  # the end ends a line
@@ -406,43 +412,96 @@ def _rows_chunk(rows: list, width: int) -> tuple:
     return len(rows), span, regular, rows.__getitem__
 
 
-def _blocks(stream: IO[str]) -> Iterator[str]:
-    """The stream's text in blocks of whole lines: each read of _BLOCK_CHARS is cut
-    after its last line end, and the rest starts the next block. Every CSV input
-    is read through here, so these rules hold for each:
-    - An empty read is read once more, which gives "" at the end of the data and
-      raises a fault of open_text's gzip data; so a line the fault cut is never given.
+def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
+    """The stream's bytes in blocks of whole lines, as (buf, size, plain): buf[:size]
+    holds the lines and buf ends in _PAD, and plain says they hold no quote, CR or
+    NUL, so a split on "\n" and "," reads them as csv.reader does. buf is a view of
+    one buffer that every block reuses: it holds the line the last block carried,
+    a read of _BLOCK_CHARS and _PAD, and grows only for a longer line. So a block
+    is valid until the next is asked for. Each read is cut after its last line
+    end, and the rest is carried to the next block.
+
+    An open_text stream is read as bytes from its binary layer (readinto1: a
+    plain file's, or _GzipFile's, which keeps the rule for data before a fault),
+    unless its text layer has read (_Text.unread). Any other stream is read as
+    text, _BLOCK_CHARS characters at a time, and encoded. Every CSV input is
+    read through here, so these rules hold for each:
+    - An empty read is read once more, which gives nothing at the end of the data
+      and raises a fault of open_text's gzip data; so a line the fault cut is never given.
     - A block whose every CR starts a CRLF has its CRLFs read as LF, as csv.reader
       reads them, until the first quote: from there a CRLF may be a quoted field's text.
-    - A byte that is not UTF-8 (see _undecodable) ends its block before its line,
-      and its error is raised once the lines before it are taken."""
-    pending, quoted = "", False  # text after the last line end read
+    - A byte that is not UTF-8 ends its block before its line, and its
+      UnicodeDecodeError is raised once the lines before it are taken. Only a
+      block that is not ASCII (it holds a byte over 0x7F) is decoded to find
+      it. Streams that read such a byte as text raise the error themselves,
+      except those that read it as a lone surrogate (errors="surrogateescape"),
+      which are checked as open_text's are."""
+    binary = stream.unread() if isinstance(stream, _Text) else None
+    checked = binary is not None or getattr(stream, "errors", None) == "surrogateescape"
+    errors = "surrogateescape" if checked else "surrogatepass"  # either gives back the bytes read
+    buf, kept, quoted = bytearray(), 0, False  # buf[:kept] is the line carried to the next block
+
+    def read() -> int:
+        """Read up to _BLOCK_CHARS into buf after buf[:kept], leaving room for _PAD; the bytes read."""
+        nonlocal buf
+        data = stream.read(_BLOCK_CHARS).encode("utf-8", errors) if binary is None else None
+        need = kept + (_BLOCK_CHARS if data is None else len(data)) + len(_PAD)
+        if need > len(buf):
+            grown = bytearray(max(need + _LINE_ROOM, 2 * len(buf)))
+            grown[:kept] = memoryview(buf)[:kept]
+            buf = grown
+        if data is not None:
+            buf[kept : kept + len(data)] = data
+            return len(data)
+        into = memoryview(buf)[kept : kept + _BLOCK_CHARS]
+        got = 0
+        while got < len(into) and (n := binary.readinto1(into[got:])):
+            got += n
+        return got
+
     while True:
-        text = stream.read(_BLOCK_CHARS) or stream.read(_BLOCK_CHARS)
-        cut = text.rfind("\n") + 1
-        if text and not cut:
-            pending += text
+        got = read() or read()
+        size = kept + got
+        cut = buf.rfind(b"\n", kept, size) + 1 if got else size  # at the end, the block is the last line
+        if got and not cut:  # no line end read: the line goes on
+            kept = size
             continue
-        block, pending, ended = pending + text[:cut], text[cut:], not text  # at the end, block is the last line
-        del text  # the block holds its lines; the read is not kept while they are parsed
-        at, error = _undecodable(stream, block)
+        view, error = np.frombuffer(buf, dtype=np.uint8), None
+        if checked and view[:cut].max(initial=0) >= 0x80:
+            try:
+                str(view[:cut], "utf-8")
+            except UnicodeDecodeError as exc:
+                error = exc
+        carried = bytes(memoryview(buf)[cut:size])
         if error:
-            block = block[: block.rfind("\n", 0, at) + 1]
-        quoted = quoted or '"' in block
-        if not quoted and "\r" in block and block.count("\r") == block.count("\r\n"):
-            block = block.replace("\r\n", "\n")
-        if block:
-            yield block
+            cut = buf.rfind(b"\n", 0, error.start) + 1
+        quote = buf.find(b'"', 0, cut) >= 0
+        quoted = quoted or quote
+        if not quoted and buf.find(b"\r", 0, cut) >= 0 and buf.count(b"\r", 0, cut) == buf.count(b"\r\n", 0, cut):
+            lines = bytes(memoryview(buf)[:cut]).replace(b"\r\n", b"\n")
+            cut = len(lines)
+            buf[:cut] = lines
+        view[cut : cut + len(_PAD)] = 0
+        if cut:
+            plain = not quote and buf.find(b"\r", 0, cut) < 0 and buf.find(b"\0", 0, cut) < 0
+            yield view[: cut + len(_PAD)], cut, plain
         if error:
             raise error
-        if ended:
+        if not got:
             return
+        buf[: len(carried)] = carried
+        kept = len(carried)
 
 
-def _lines(blocks: Iterable[str]) -> Iterator[str]:
+def _text(buf: np.ndarray, size: int) -> str:
+    """The text of buf[:size], bytes from _blocks."""
+    return str(buf[:size], "utf-8", "surrogatepass")
+
+
+def _lines(blocks: Iterable[tuple[np.ndarray, int, bool]]) -> Iterator[str]:
     """The lines of the blocks as a newline="" stream gives them; csv.reader reads only these."""
-    for block in blocks:
-        yield from io.StringIO(block, newline="")
+    for buf, size, _ in blocks:
+        yield from io.StringIO(_text(buf, size), newline="")
 
 
 def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, strict: bool) -> _Rows:
@@ -458,19 +517,20 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     its buffers are gone before the next block is read.
 
     Each block of _blocks is one chunk that numpy splits into rows and fields.
-    The first block that holds a quote, NUL or CR hands itself and the rest of
-    the blocks to csv.reader, in chunks of _CHUNK_ROWS rows. A fault _blocks
-    raises is a FormatError naming the stream (else name) and the stats.rows
-    counted before it. A header kind refuses, or none, is a FormatError naming
-    the stream, when it has a name.
+    The first block that is not plain (it holds a quote, NUL or CR) hands itself
+    and the rest of the blocks to csv.reader, in chunks of _CHUNK_ROWS rows. A
+    fault _blocks raises is a FormatError naming the stream (else name) and the
+    stats.rows counted before it. A header kind refuses, or none, is a
+    FormatError naming the stream, when it has a name.
     """
     reader = None
     blocks = _blocks(stream)
     try:
         for block in blocks:
-            if any(special in block for special in _SPECIAL):
+            buf, size, plain = block
+            if not plain:
                 rows = _csv_rows(csv.reader(_lines(itertools.chain([block], blocks))))
-                del block
+                del block, buf
                 if reader is None:
                     reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
                 while True:
@@ -487,10 +547,12 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                     if not chunk:
                         return reader
             if reader is None:
-                line, _, block = block.partition("\n")
-                reader = kind(_fields(line), stats, strict)
-            if block:
-                reader.add(*_block_chunk(block, len(reader.header)))
+                ends = buf[:size] == ord("\n")
+                line = int(ends.argmax()) if ends.any() else size
+                reader = kind(_fields(_text(buf, line)), stats, strict)
+                buf, size = buf[line + 1 :], max(size - line - 1, 0)
+            if size:
+                reader.add(*_block_chunk(buf, size, len(reader.header)))
         if reader is None:
             raise FormatError(f"empty {kind.what} input")
     except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
@@ -593,19 +655,26 @@ class _Columns(_Rows):
         """Unique hashes in first-seen order, each with its last row's values.
 
         Columns are joined part by part and duplicates dropped in place, so the
-        step holds, besides the columns, index arrays only.
+        step holds, besides the columns, index arrays only, each dropped once used.
         """
         columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in COLUMNS.items()}
+        rows = len(columns["sha256"])
         first, last = _key_runs(columns["sha256"])
-        by_row = np.argsort(first)
-        kept = first[by_row]  # kept rows in file order
-        sha_order = np.empty_like(by_row)  # each hash's rank in them
-        sha_order[by_row] = np.arange(len(by_row))
-        stats.duplicates = len(columns["sha256"]) - len(kept)
-        if stats.duplicates:
-            moved = first != last
+        stats.duplicates = rows - len(first)
+        if not stats.duplicates:  # every row is kept, and first sorts them by hash
+            del last
+            sha_order = first.astype(np.int64)
+        else:
+            moved = np.flatnonzero(first != last)
+            into, source = first[moved], last[moved]
+            del moved, last
+            kept = np.sort(first)  # kept rows in file order
+            at = np.empty(rows, dtype=np.int64)  # each kept row's place among them
+            at[kept] = np.arange(len(kept))
+            sha_order = at[first]
+            del at, first
             for column in columns.values():
-                column[first[moved]] = column[last[moved]]
+                column[into] = column[source]
                 _compact(column, kept)
         return Population.from_columns(
             columns,
@@ -868,17 +937,19 @@ def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
 
 def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population, FamilyJoinStats]:
     """Attach family labels to matching records; unmatched hashes are counted."""
-    stats = FamilyJoinStats(mapped=len(mapping))
-    hashes = list(mapping)
-    rows = pop.positions(hashes)
+    rows = pop.positions(list(mapping))
+    found = rows >= 0
+    names = list(itertools.compress(mapping.values(), found.tolist()))  # of the matched hashes, in mapping order
     families = {name: i for i, name in enumerate(pop.families)}
+    code = {None: -2}  # a None name sets nothing; a blank one sets -1, no family
+    for name in dict.fromkeys(names):  # new names are coded in the order they first show up
+        if name is not None:
+            code[name] = families.setdefault(name, len(families)) if name.strip() else -1
+    codes = np.fromiter(map(code.__getitem__, names), dtype=np.int32, count=len(names))
+    named = codes != -2
     family = pop.family.copy()
-    for sha, row in zip(hashes, rows.tolist()):
-        name = mapping[sha]
-        if row >= 0 and name is not None:
-            stats.matched += 1
-            family[row] = families.setdefault(name, len(families)) if name.strip() else -1
-    stats.unmatched = int(np.count_nonzero(rows < 0))
+    family[rows[found][named]] = codes[named]
+    stats = FamilyJoinStats(mapped=len(mapping), matched=int(named.sum()), unmatched=int(np.count_nonzero(~found)))
     columns = pop.columns() | {"family": family}
     joined = Population.from_columns(
         columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, sha_order=pop.sha_order

@@ -252,31 +252,41 @@ def _sorted_neighbours(sha: np.ndarray, order: np.ndarray, compare) -> np.ndarra
 
 
 def _hash_order(sha: np.ndarray) -> np.ndarray:
-    """np.argsort(sha, kind="stable") of an S64 array: a stable sort of each
-    hash's first 8 bytes read as a big-endian integer, with the runs of equal
-    prefixes ordered by the full hash."""
+    """np.argsort(sha, kind="stable") of an S64 array: a sort of each hash's
+    first 8 bytes read as a big-endian integer (not stable, which is several
+    times faster), with the runs of equal prefixes ordered by the full hash and
+    then by row."""
     prefix = np.ascontiguousarray(sha).view(">u8")[::8].astype(np.uint64)
-    order = np.argsort(prefix, kind="stable")
+    order = np.argsort(prefix)
     same = _sorted_neighbours(prefix, order, np.equal)  # order[i + 1] shares order[i]'s prefix
     del prefix
     if same.any():
         tied = np.zeros(len(order), dtype=bool)
         tied[1:] = same
         tied[:-1] |= same
-        # one stable sort of all tied rows keeps each run in its slots: the prefix leads the full hash
-        runs = order[tied]
+        # one stable sort of all tied rows, taken in row order, keeps each run
+        # in its slots: the prefix leads the full hash
+        runs = np.sort(order[tied])
         order[tied] = runs[np.argsort(sha[runs], kind="stable")]
     return order
 
 
 def _key_runs(sha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the last row of each distinct key's run of equal keys, in ascending key order."""
+    """The first and the last row of each distinct key's run of equal keys, in
+    ascending key order: int32 rows, unless there are more than int32 holds."""
     order = _hash_order(sha)
+    if len(sha) <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
     new = np.ones(len(sha), dtype=bool)  # order[i] holds another key than order[i - 1]
     new[1:] = _sorted_neighbours(sha, order, np.not_equal)
     starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(sha))[: len(starts)]
-    return order[starts], order[ends - 1]  # the stable sort puts a key's first row first
+    del new
+    first = order[starts]  # the stable sort puts a key's first row first
+    last = np.empty_like(first)
+    starts -= 1  # the end of the run before each
+    np.take(order, starts[1:], out=last[:-1])
+    last[-1:] = order[-1:]
+    return first, last
 
 
 def _is_key_order(sha: np.ndarray, order: np.ndarray) -> bool:
