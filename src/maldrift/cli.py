@@ -235,8 +235,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         family_info = None
     _write_population_gz(pop, out / "population.csv.gz")
     ingest_mod._write_sidecar(pop, out / ingest_mod.SIDECAR, out / "population.csv.gz")
-    years, counts = np.unique(pop.dex_date.astype("datetime64[Y]").astype(np.int64) + MIN_YEAR, return_counts=True)
-    per_year = {str(year): n for year, n in zip(years.tolist(), counts.tolist())}
+    counts = np.bincount(pop.dex_date.astype("datetime64[Y]").view(np.int64))  # years from 1970, MIN_YEAR
+    per_year = {str(MIN_YEAR + year): n for year, n in enumerate(counts.tolist()) if n}
     stats_payload = {
         "rows": stats.rows,
         "parsed": stats.parsed,

@@ -9,12 +9,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
-import hashlib
 import io
 import itertools
 import json
 import zipfile
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from datetime import datetime
@@ -417,12 +417,14 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
     holds the lines and buf ends in _PAD, and plain says they hold no quote, CR or
     NUL, so a split on "\n" and "," reads them as csv.reader does. buf is a view of
     one buffer that every block reuses: it holds the line the last block carried,
-    a read of _BLOCK_CHARS and _PAD, and grows only for a longer line. So a block
-    is valid until the next is asked for. Each read is cut after its last line
+    a read of up to _BLOCK_CHARS and _PAD. It is sized by the first read, and
+    grows only for a larger read or a longer line. So a block is valid until
+    the next is asked for. Each read is cut after its last line
     end, and the rest is carried to the next block.
 
-    An open_text stream is read as bytes from its binary layer (readinto1: a
-    plain file's, or _GzipFile's, which keeps the rule for data before a fault),
+    An open_text stream is read as bytes from its binary layer (readinto1, or
+    read1 where buf has no room yet: a plain file's, or _GzipFile's, which
+    keeps the rule for data before a fault),
     unless its text layer has read (_Text.unread). Any other stream is read as
     text, _BLOCK_CHARS characters at a time, and encoded. Every CSV input is
     read through here, so these rules hold for each:
@@ -442,22 +444,31 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
     buf, kept, quoted = bytearray(), 0, False  # buf[:kept] is the line carried to the next block
 
     def read() -> int:
-        """Read up to _BLOCK_CHARS into buf after buf[:kept], leaving room for _PAD; the bytes read."""
+        """Read up to _BLOCK_CHARS into buf after buf[:kept], leaving room for _PAD;
+        the bytes read. A read buf has no room for is taken as bytes first and
+        buf grown to fit it, so a small input gets a buffer of its size."""
         nonlocal buf
-        data = stream.read(_BLOCK_CHARS).encode("utf-8", errors) if binary is None else None
-        need = kept + (_BLOCK_CHARS if data is None else len(data)) + len(_PAD)
+        if binary is not None and kept + _BLOCK_CHARS + len(_PAD) <= len(buf):
+            into = memoryview(buf)[kept : kept + _BLOCK_CHARS]
+            got = 0
+            while got < len(into) and (n := binary.readinto1(into[got:])):
+                got += n
+            return got
+        if binary is None:
+            data = stream.read(_BLOCK_CHARS).encode("utf-8", errors)
+        else:
+            parts, got = [], 0
+            while got < _BLOCK_CHARS and (part := binary.read1(_BLOCK_CHARS - got)):
+                parts.append(part)
+                got += len(part)
+            data = b"".join(parts)
+        need = kept + len(data) + len(_PAD)
         if need > len(buf):
             grown = bytearray(max(need + _LINE_ROOM, 2 * len(buf)))
             grown[:kept] = memoryview(buf)[:kept]
             buf = grown
-        if data is not None:
-            buf[kept : kept + len(data)] = data
-            return len(data)
-        into = memoryview(buf)[kept : kept + _BLOCK_CHARS]
-        got = 0
-        while got < len(into) and (n := binary.readinto1(into[got:])):
-            got += n
-        return got
+        buf[kept : kept + len(data)] = data
+        return len(data)
 
     while True:
         got = read() or read()
@@ -533,19 +544,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
                 del block, buf
                 if reader is None:
                     reader = kind(next(rows, []), stats, strict)  # the block holds text, so a first row
-                while True:
-                    chunk, error = [], None
-                    try:
-                        for row in itertools.islice(rows, _CHUNK_ROWS):
-                            chunk.append(row)
-                    except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:  # where it is read: read the rows before it first
-                        error = exc
-                    if filled := [row for row in chunk if row]:
-                        reader.add(*_rows_chunk(filled, len(reader.header)))
-                    if error:
-                        raise error
-                    if not chunk:
-                        return reader
+                _add_rows(reader, rows)
+                return reader
             if reader is None:
                 ends = buf[:size] == ord("\n")
                 line = int(ends.argmax()) if ends.any() else size
@@ -562,6 +562,25 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
             raise  # a row's error, or a stream with no name
         raise FormatError(f"{stream.name}: {exc}") from None
     return reader
+
+
+def _add_rows(reader: _Rows, rows: Iterator) -> None:
+    """Give reader.add the rows of _csv_rows in chunks of _CHUNK_ROWS, blank
+    rows dropped. A fault raised where a row is read is raised once the rows
+    before it are given."""
+    while True:
+        chunk, error = [], None
+        try:
+            for row in itertools.islice(rows, _CHUNK_ROWS):
+                chunk.append(row)
+        except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
+            error = exc
+        if filled := [row for row in chunk if row]:
+            reader.add(*_rows_chunk(filled, len(reader.header)))
+        if error:
+            raise error
+        if not chunk:
+            return
 
 
 class _Rows:
@@ -668,11 +687,8 @@ class _Columns(_Rows):
             moved = np.flatnonzero(first != last)
             into, source = first[moved], last[moved]
             del moved, last
-            kept = np.sort(first)  # kept rows in file order
-            at = np.empty(rows, dtype=np.int64)  # each kept row's place among them
-            at[kept] = np.arange(len(kept))
-            sha_order = at[first]
-            del at, first
+            kept, sha_order = _first_rows(first, rows)
+            del first
             for column in columns.values():
                 column[into] = column[source]
                 _compact(column, kept)
@@ -683,6 +699,15 @@ class _Columns(_Rows):
             provenance,
             sha_order=sha_order,
         )
+
+
+def _first_rows(first: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """From the first row of each key of _key_runs (in key order) among rows:
+    those rows in file order, and the sha_order of a table of just them."""
+    kept = np.sort(first)
+    at = np.empty(rows, dtype=np.int64)  # each kept row's place among them
+    at[kept] = np.arange(len(kept))
+    return kept, at[first]
 
 
 def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") -> ParseResult:
@@ -790,6 +815,8 @@ _SIDECAR_CONTENT = (*COLUMNS, "sha_order", "market_sets", "families")
 
 
 def _file_sha256(path: Union[str, Path]) -> str:
+    import hashlib  # here, not at the top: only sidecar I/O maps OpenSSL's libcrypto
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -799,6 +826,8 @@ def _file_sha256(path: Union[str, Path]) -> str:
 
 def _content_digest(arrays: dict) -> str:
     """SHA-256 over the name, dtype, shape and bytes of each content array, in order."""
+    import hashlib  # as in _file_sha256
+
     digest = hashlib.sha256()
     for name in _SIDECAR_CONTENT:
         array = np.ascontiguousarray(arrays[name])
@@ -909,47 +938,158 @@ class FamilyJoinStats:
     unmatched: int = 0
 
 
-def parse_families(stream: IO[str]) -> tuple[dict[str, str], int]:
+class Families(KeyedTable, Mapping):
+    """A read-only sha256 -> family mapping held as columns in mapping order:
+    ``sha256`` (KEY_DTYPE) and ``name``, int32 codes into the ``names``
+    table (-1 where the value is None). It reads as a dict of the same items.
+
+    A key KEY_DTYPE cannot hold (not 64 ASCII characters, or ending in NUL)
+    is held as a stand-in: 0xFF and its place in the ``odd`` table. Such a
+    key matches no record, whose hash is 64 hex digits.
+    """
+
+    _COLUMNS = {"sha256": KEY_DTYPE, "name": np.int32}
+    _TABLES = ("names", "odd")
+    _WHAT = "family mapping"
+
+    @staticmethod
+    def _key(sha: str, odd: dict[str, int]) -> bytes:
+        """The column value of key sha; a new odd key is added to odd."""
+        if len(sha) == 64 and sha.isascii() and not sha.endswith("\0"):
+            return sha.encode()
+        return b"\xff%d" % odd.setdefault(sha, len(odd))
+
+    @classmethod
+    def of(cls, mapping: Mapping) -> "Families":
+        """The mapping as Families; a Families is returned as it is."""
+        if isinstance(mapping, Families):
+            return mapping
+        names: dict[str, int] = {}
+        odd: dict[str, int] = {}
+        columns = {
+            "sha256": np.array([cls._key(sha, odd) for sha in mapping], dtype=KEY_DTYPE),
+            "name": [-1 if name is None else names.setdefault(name, len(names)) for name in mapping.values()],
+        }
+        return cls._from_columns(columns, names, odd)
+
+    def __iter__(self) -> Iterator[str]:
+        if not self.odd:
+            return iter(_key_texts(self.sha256))
+        return (self.odd[int(key[1:])] if key[:1] == b"\xff" else key.decode() for key in self.sha256.tolist())
+
+    def __getitem__(self, sha: str) -> Optional[str]:
+        at = -1
+        if isinstance(sha, str):  # a key not in odd gets a stand-in no row holds
+            key = self._key(sha, {text: i for i, text in enumerate(self.odd)})
+            at = int(self.positions(np.array([key], dtype=KEY_DTYPE))[0])
+        if at < 0:
+            raise KeyError(sha)
+        code = int(self.name[at])
+        return None if code < 0 else self.names[code]
+
+
+class _FamilyRows(_Rows):
+    """The rows of a family CSV as parts of key and name-code columns, in file
+    order; a row whose name is blank maps nothing and is not kept."""
+
+    what = "family"
+
+    def __init__(self, stats: ParseStats):
+        super().__init__(["sha256", "family"], stats, strict=False)
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in Families._COLUMNS}
+        self.names: dict[str, int] = {}
+        self.odd: dict[str, int] = {}
+
+    def _code(self, name: Optional[str]) -> int:
+        return -1 if name is None else self.names.setdefault(name, len(self.names))
+
+    def add(self, n: int, span, regular: np.ndarray, row) -> None:
+        """Read a chunk as _Columns.add does: the hash and name kernels, then
+        _family_row for every row they reject. A header row is neither kept nor counted."""
+        sha, ok = _hashes(*span(0))
+        ok &= regular
+        name = _text_codes(*span(1), ok, lambda raw: self._code(_family_name(raw.decode("utf-8", "surrogatepass"))))
+        headers = 0
+        for k, fields in self.fallback(~ok, row, _family_row):
+            if fields is None:
+                headers += 1
+                continue
+            ok[k] = True
+            sha[k], name[k] = Families._key(fields[0], self.odd), self._code(fields[1])
+        self.stats.rows += n - headers
+        ok &= name >= 0
+        self.parts["sha256"].append(sha[ok])
+        self.parts["name"].append(name[ok])
+
+    def families(self) -> Families:
+        """Each key at the place of its first row, with its last row's name."""
+        keys, name = (_joined(self.parts.pop(column), dtype) for column, dtype in Families._COLUMNS.items())
+        first, last = _key_runs(keys)
+        name[first] = name[last]
+        kept, sha_order = _first_rows(first, len(keys))
+        columns = {"sha256": keys[kept], "name": name[kept]}
+        return Families._from_columns(columns, self.names, self.odd, sha_order=sha_order)
+
+
+def _family_row(row: dict) -> Optional[tuple[str, Optional[str]]]:
+    """The key and name of one family row as csv.DictReader gives it (a short
+    row's name is None); None for a header row."""
+    if row == {"sha256": "sha256", "family": "family"}:
+        return None
+    sha = row["sha256"].strip().lower()
+    if len(sha) != 64:
+        raise ValueError(f"bad sha256 {sha!r}")
+    return sha, _family_name(row["family"])
+
+
+def parse_families(stream: IO[str]) -> tuple[Families, int]:
     """Parse a two-column sha256,family file; returns (mapping, malformed count).
 
-    A row csv cannot read (say, a field over csv.field_size_limit()) is malformed.
+    A sha256,family row anywhere is a header and is skipped. A key is stripped
+    and lower-cased and must then be 64 characters, or its row is malformed;
+    so is a row csv cannot read (say, a field over csv.field_size_limit()) and
+    one with fewer than two fields. A blank name maps nothing. A repeated key
+    keeps its last name, at the place of its first row (blank names aside).
+    Plain blocks are read by the hash and text kernels, as parse_metadata's are.
     """
-    mapping: dict[str, str] = {}
-    malformed = rows = 0
+    stats = ParseStats()
+    reader = _FamilyRows(stats)
+    blocks = _blocks(stream)
     try:
-        for row in _csv_rows(csv.reader(_lines(_blocks(stream)))):
-            if not row or row == ["sha256", "family"]:
-                continue
-            rows += 1
-            if isinstance(row, csv.Error) or len(row) < 2:
-                malformed += 1
-                continue
-            sha, family = row[0].strip().lower(), row[1].strip()
-            if len(sha) != 64:
-                malformed += 1
-                continue
-            if family:
-                mapping[sha] = family
+        for block in blocks:
+            buf, size, plain = block
+            if not plain:
+                rows = _csv_rows(csv.reader(_lines(itertools.chain([block], blocks))))
+                del block, buf
+                _add_rows(reader, rows)
+                break
+            reader.add(*_block_chunk(buf, size, 2))
     except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
-        raise _unreadable(stream, "family input", rows, exc) from None
-    return mapping, malformed
+        raise _unreadable(stream, "family input", stats.rows, exc) from None
+    return reader.families(), stats.malformed
 
 
-def join_families(pop: Population, mapping: dict[str, str]) -> tuple[Population, FamilyJoinStats]:
-    """Attach family labels to matching records; unmatched hashes are counted."""
-    rows = pop.positions(list(mapping))
+def join_families(pop: Population, mapping: Mapping) -> tuple[Population, FamilyJoinStats]:
+    """Attach family labels to matching records; unmatched hashes are counted.
+
+    mapping (sha256 -> name) is read as Families. A None name sets nothing,
+    a blank one sets no family, and new names are coded in the order their
+    first matched hash comes in mapping.
+    """
+    table = Families.of(mapping)
+    rows = pop.positions(table.sha256)
     found = rows >= 0
-    names = list(itertools.compress(mapping.values(), found.tolist()))  # of the matched hashes, in mapping order
+    named = found & (table.name >= 0)
+    codes = table.name[named]
     families = {name: i for i, name in enumerate(pop.families)}
-    code = {None: -2}  # a None name sets nothing; a blank one sets -1, no family
-    for name in dict.fromkeys(names):  # new names are coded in the order they first show up
-        if name is not None:
-            code[name] = families.setdefault(name, len(families)) if name.strip() else -1
-    codes = np.fromiter(map(code.__getitem__, names), dtype=np.int32, count=len(names))
-    named = codes != -2
+    family_of = np.full(len(table.names), -1, dtype=np.int32)
+    distinct, first = np.unique(codes, return_index=True)
+    for code in distinct[np.argsort(first)].tolist():
+        name = table.names[code]
+        family_of[code] = families.setdefault(name, len(families)) if name.strip() else -1
     family = pop.family.copy()
-    family[rows[found][named]] = codes[named]
-    stats = FamilyJoinStats(mapped=len(mapping), matched=int(named.sum()), unmatched=int(np.count_nonzero(~found)))
+    family[rows[named]] = family_of[codes]
+    stats = FamilyJoinStats(mapped=len(table), matched=len(codes), unmatched=int(np.count_nonzero(~found)))
     columns = pop.columns() | {"family": family}
     joined = Population.from_columns(
         columns, pop.market_sets, tuple(families), pop.provenance, pop.snapshot_date, sha_order=pop.sha_order

@@ -417,11 +417,18 @@ class KeyedTable:
         return len(self.sha256)
 
     def positions(self, hashes: Union[Sequence[str], np.ndarray]) -> np.ndarray:
-        """Row position of each hash (strings, or a KEY_DTYPE array), -1 where the table lacks it."""
+        """Row position of each hash (strings, or a KEY_DTYPE array), -1 where the table lacks it.
+
+        The hashes are searched in ascending key order and the places
+        scattered back: each search then starts near the last one's end.
+        """
         keys, valid = _keys(hashes)
-        if not len(self):
+        if not len(self) or not len(keys):
             return np.full(len(keys), -1, dtype=np.int64)
-        at = self.sha_order[np.minimum(np.searchsorted(self.sha256, keys, sorter=self.sha_order), len(self) - 1)]
+        order = _hash_order(keys)
+        at = np.empty(len(keys), dtype=np.int64)
+        at[order] = np.searchsorted(self.sha256, keys[order], sorter=self.sha_order)
+        at = self.sha_order[np.minimum(at, len(self) - 1)]
         return np.where(valid & (self.sha256[at] == keys), at, -1)
 
     def _replace(self, rows=None, **fields):

@@ -258,10 +258,16 @@ def _manifest(
     """The manifest of the candidates at the positions in chosen, candidates
     being pop's records at rows (sha-sorted) with their class codes and period
     indices. Entries are in period, label name (goodware < malware) and sha256
-    order; markets and family stay codes into the population's tables."""
+    order; markets and family stay codes into the population's tables. The
+    candidates' ranks give the entries' sha256 order, so no key is sorted."""
     picked = np.concatenate([np.zeros(0, dtype=np.int64), *chosen])
     picked = picked[np.lexsort((picked, classes[picked], periods[picked]))]
     at = rows[picked]
+    sha_order = np.argsort(picked)
+    ranks = picked[sha_order]
+    repeated = ranks[1:] == ranks[:-1]  # a stratum listed twice (a hand-built sizing) picks a candidate twice
+    if repeated.any():  # the first repeat in sorted order is the smallest repeated hash
+        raise ValueError(f"duplicate sha256 in manifest: {pop.sha256[rows[ranks[repeated.argmax()]]].decode()}")
     columns = {
         "sha256": pop.sha256[at],
         "label": classes[picked],
@@ -271,7 +277,8 @@ def _manifest(
         "family": pop.family[at],
     }
     return DatasetManifest._from_columns(
-        columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills)
+        columns, pop.market_sets, pop.families, spec=spec, created=_default_created(pop), strata=tuple(fills),
+        sha_order=sha_order,
     )
 
 

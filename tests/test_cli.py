@@ -750,6 +750,37 @@ def test_step_loads_only_its_modules(tmp_path):
         assert not {name.removeprefix("maldrift.") for name in loaded} & absent, argv[0]
 
 
+def test_only_digests_map_openssl(tmp_path):
+    """A library load (parse_metadata, parse_families, join_families) and
+    `evaluate` leave hashlib's OpenSSL module (_hashlib) unloaded; writing and
+    reading a sidecar loads it, and the sidecar reads back the population."""
+    (tmp_path / "meta.csv").write_text(CSV)
+    (tmp_path / "families.csv").write_text(f"sha256,family\n{sha_of(1)},adware\n{sha_of(2)},\n")
+    code = (
+        "import sys; from pathlib import Path; from maldrift import ingest, labeling, metrics, sizing\n"
+        "with ingest.open_text('meta.csv') as fh: pop = ingest.parse_metadata(fh).population\n"
+        "with ingest.open_text('families.csv') as fh: mapping, _ = ingest.parse_families(fh)\n"
+        "pop, _ = ingest.join_families(pop, mapping)\n"
+        "loaded = '_hashlib' in sys.modules\n"
+        "ingest._write_sidecar(pop, Path('population.npz'), Path('meta.csv'))\n"
+        "back = ingest._read_sidecar('population.npz', ingest._file_sha256('meta.csv'))\n"
+        "print(loaded, '_hashlib' in sys.modules, back.records == pop.records)"
+    )
+    assert _fresh_process(code, cwd=tmp_path) == "False True True"
+    assert run(["synth", "--preset", "stable", "--out", tmp_path / "synth"]) == 0
+    assert run(["ingest", "--input", tmp_path / "synth" / "population.csv.gz", "--out", tmp_path / "cache"]) == 0
+    sample = ["sample", "--population", tmp_path / "cache" / "population.csv.gz", "--timestamp", "dex",
+              "--mode", "monthly", "--spatial", "--seed", "3", "--out", tmp_path / "sample"]
+    assert run(sample) == 0
+    with open(tmp_path / "sample" / "manifest.csv", newline="") as fh:
+        hashes = [row["sha256"] for row in csv.DictReader(fh)]
+    assert hashes
+    (tmp_path / "preds.csv").write_text("sha256,score\n" + "".join(f"{sha},0.9\n" for sha in hashes))
+    code = "import sys; from maldrift import cli; rc = cli.main(sys.argv[1:]); print(rc, '_hashlib' in sys.modules)"
+    argv = ["evaluate", "--manifest", "sample/manifest.json", "--predictions", "p=preds.csv", "--out", "eval"]
+    assert _fresh_process(code, *argv, cwd=tmp_path) == "0 False"
+
+
 # every name the package exported before its submodules loaded lazily, by module
 PACKAGE_NAMES = {
     "model": "ApkRecord ClassLabel Granularity Period Population period_of period_range",

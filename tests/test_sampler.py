@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from maldrift.labeling import GOODWARE, LabelRule, TimestampKind, TimestampPolicy
 from maldrift.metrics import overlap_series
-from maldrift.model import ClassLabel, Period, Population
+from maldrift.model import ClassLabel, Period, Population, _is_key_order
 from maldrift.sampler import (
     market_scenario,
     read_manifest_json,
@@ -43,6 +44,19 @@ def test_sample_deterministic_repeat():
     b = stratified_sample(pop, RULE, DEX, sizing, seed=42)
     assert a == b
     assert a.hashes() == b.hashes()
+
+
+def test_manifest_key_order_comes_from_the_candidates():
+    """A sample's sha_order, taken from the candidates' ranks, sorts its keys;
+    a hand-built sizing that lists a stratum twice picks each of its
+    candidates twice, and the manifest names the smallest repeated hash."""
+    pop = one_month_pool(goodware=30, malware=30)
+    sizing = spatial_sizing(pop)
+    manifest = stratified_sample(pop, RULE, DEX, sizing, seed=42)
+    assert len(manifest) and _is_key_order(manifest.sha256, manifest.sha_order)
+    twice = dataclasses.replace(sizing, strata=sizing.strata * 2)
+    with pytest.raises(ValueError, match=f"^duplicate sha256 in manifest: {min(manifest.hashes())}$"):
+        stratified_sample(pop, RULE, DEX, twice, seed=42)
 
 
 def test_sample_seed_changes_selection():
