@@ -206,9 +206,12 @@ def write_run_config(out: Path, command: str, config: dict) -> None:
     ingest_mod._write_json(out / "run_config.json", payload, sort_keys=True)
 
 
-def _out_dir(settings: Settings, default: str) -> Path:
-    out = Path(settings.get("out", default))
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(settings: Settings, default: Optional[str] = None) -> Optional[Path]:
+    """The out setting's directory, made; None when neither it nor default is given."""
+    out = settings.get("out", default)
+    if out is not None:
+        out = Path(out)
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -254,6 +257,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if not (args.vtt_curve or args.markets or args.timestamps or args.overlap):
+        print("nothing to do: pass at least one of --vtt-curve/--markets/--timestamps/--overlap", file=sys.stderr)
+        return EXIT_USAGE
     settings = Settings(args, "stats")
     out = _out_dir(settings, "stats_out")
     pop = _load_population(args.population)
@@ -327,9 +333,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             [(str(p), f"{v:.6f}") for p, v in series.points],
         )
         wrote.append("family_overlap.csv")
-    if not wrote:
-        print("nothing to do: pass at least one of --vtt-curve/--markets/--timestamps/--overlap", file=sys.stderr)
-        return EXIT_USAGE
     write_run_config(out, "stats", {"population": args.population, "tables": wrote})
     _say(f"wrote {', '.join(wrote)} -> {out}")
     return EXIT_OK
@@ -447,8 +450,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pop = _load_population(args.population) if args.population else None
     checks = sampler.verify_constraints(manifest, population=pop)
     results = _print_checks(checks)
-    if args.out:
-        out = _out_dir(settings, args.out)
+    out = _out_dir(settings)
+    if out:
         ingest_mod._write_json(out / "verify.json", results)
         write_run_config(out, "verify", {"manifest": args.manifest, "population": args.population})
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CONSTRAINT
@@ -473,8 +476,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     ]
     for split in plan.splits:
         _say(split.label())
-    if args.out:
-        out = _out_dir(settings, args.out)
+    out = _out_dir(settings)
+    if out:
         ingest_mod._write_json(out / "splits.json", {"window_months": window, "splits": payload})
     return EXIT_OK
 

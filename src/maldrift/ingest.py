@@ -585,14 +585,18 @@ def _add_rows(reader: _Rows, rows: Iterator) -> None:
 
 class _Rows:
     """What reads the rows of a CSV stream for _read_csv: built from the header
-    row, then given each chunk by add(n, span, regular, row). A subclass names
-    its input for messages in `what`."""
+    row, then given each chunk by add(n, span, regular, row), which keeps the
+    well-formed rows' columns (keep); finish builds the table. A subclass names
+    its input for messages in `what` and its KeyedTable in `table`."""
+
+    table: type[KeyedTable]
 
     def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
         if isinstance(header, csv.Error):
             raise FormatError(f"unreadable {self.what} header: {header}")
         self.header, self.stats, self.strict = header, stats, strict
         self.position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in self.table._COLUMNS}
 
     def fallback(self, rejected: np.ndarray, row, parse) -> Iterator:
         """(k, parse(row k as csv.DictReader gives it)) for each rejected row k
@@ -611,6 +615,43 @@ class _Rows:
                 continue
             yield k, value
 
+    def keep(self, mask: np.ndarray, **columns: np.ndarray) -> None:
+        """Keep the chunk's rows under mask, one array per column of the table."""
+        for name, column in columns.items():
+            self.parts[name].append(column[mask])
+
+    def finish(self, *values, **fields) -> KeyedTable:
+        """The table of the kept rows, with the given tables and fields. The
+        parts are joined one by one and repeated keys dropped in place
+        (_last_wins, counted in stats.duplicates), so the step holds, besides
+        the columns, index arrays only, each dropped once used."""
+        columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in self.table._COLUMNS.items()}
+        sha_order, self.stats.duplicates = _last_wins(columns)
+        return self.table._from_columns(columns, *values, sha_order=sha_order, **fields)
+
+
+def _last_wins(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
+    """Keep each sha256 once, in place: at its first row's place, with its last
+    row's values. The one rule for a repeated key in every CSV input. Returns
+    the sha_order of the kept rows and the number of rows dropped."""
+    rows = len(columns["sha256"])
+    first, last = _key_runs(columns["sha256"])
+    dropped = rows - len(first)
+    if not dropped:  # every row is kept, and first sorts them by hash
+        return first.astype(np.int64), 0
+    moved = np.flatnonzero(first != last)
+    into, source = first[moved], last[moved]
+    del moved, last
+    kept = np.sort(first)
+    at = np.empty(rows, dtype=np.int64)  # each kept row's place among them
+    at[kept] = np.arange(len(kept))
+    sha_order = at[first]
+    del first, at
+    for column in columns.values():
+        column[into] = column[source]
+        _compact(column, kept)
+    return sha_order, dropped
+
 
 class _Columns(_Rows):
     """The well-formed rows of a metadata CSV as column parts, plus the value
@@ -618,13 +659,13 @@ class _Columns(_Rows):
     the rows read in bulk first, then the rows _parse_row reads."""
 
     what = "metadata"
+    table = Population
 
     def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
         super().__init__(header, stats, strict)
         missing = [c for c in REQUIRED_COLUMNS if c not in self.position]
         if missing:
             raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
-        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
         self.market_sets: dict[frozenset[str], int] = {}
         self.families: dict[str, int] = {}
         self._market_text: dict[bytes, int] = {}
@@ -665,49 +706,8 @@ class _Columns(_Rows):
             family[k] = -1 if rec.family is None else self.families.setdefault(rec.family, len(self.families))
         self.stats.rows += n
         self.stats.parsed += int(valid.sum())
-        chunk = dict(sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
-                     apk_size=size, markets=markets, family=family)
-        for name, column in chunk.items():
-            self.parts[name].append(column[valid])
-
-    def population(self, stats: ParseStats, provenance: str) -> Population:
-        """Unique hashes in first-seen order, each with its last row's values.
-
-        Columns are joined part by part and duplicates dropped in place, so the
-        step holds, besides the columns, index arrays only, each dropped once used.
-        """
-        columns = {name: _joined(self.parts.pop(name), dtype) for name, dtype in COLUMNS.items()}
-        rows = len(columns["sha256"])
-        first, last = _key_runs(columns["sha256"])
-        stats.duplicates = rows - len(first)
-        if not stats.duplicates:  # every row is kept, and first sorts them by hash
-            del last
-            sha_order = first.astype(np.int64)
-        else:
-            moved = np.flatnonzero(first != last)
-            into, source = first[moved], last[moved]
-            del moved, last
-            kept, sha_order = _first_rows(first, rows)
-            del first
-            for column in columns.values():
-                column[into] = column[source]
-                _compact(column, kept)
-        return Population.from_columns(
-            columns,
-            tuple(self.market_sets),
-            tuple(self.families),
-            provenance,
-            sha_order=sha_order,
-        )
-
-
-def _first_rows(first: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """From the first row of each key of _key_runs (in key order) among rows:
-    those rows in file order, and the sha_order of a table of just them."""
-    kept = np.sort(first)
-    at = np.empty(rows, dtype=np.int64)  # each kept row's place among them
-    at[kept] = np.arange(len(kept))
-    return kept, at[first]
+        self.keep(valid, sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
+                  apk_size=size, markets=markets, family=family)
 
 
 def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") -> ParseResult:
@@ -719,8 +719,8 @@ def parse_metadata(stream: IO[str], strict: bool = False, provenance: str = "") 
     row goes through _parse_row, the one definition of a well-formed row.
     """
     stats = ParseStats()
-    columns = _read_csv(stream, provenance or "metadata input", _Columns, stats, strict)
-    return ParseResult(columns.population(stats, provenance), stats)
+    reader = _read_csv(stream, provenance or "metadata input", _Columns, stats, strict)
+    return ParseResult(reader.finish(reader.market_sets, reader.families, provenance), stats)
 
 
 def _csv_fields(texts: list[str], end: str = "") -> np.ndarray:
@@ -989,14 +989,14 @@ class Families(KeyedTable, Mapping):
 
 
 class _FamilyRows(_Rows):
-    """The rows of a family CSV as parts of key and name-code columns, in file
-    order; a row whose name is blank maps nothing and is not kept."""
+    """The rows of a family CSV as key and name-code columns; a row whose name
+    is blank maps nothing and is not kept."""
 
     what = "family"
+    table = Families
 
     def __init__(self, stats: ParseStats):
         super().__init__(["sha256", "family"], stats, strict=False)
-        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in Families._COLUMNS}
         self.names: dict[str, int] = {}
         self.odd: dict[str, int] = {}
 
@@ -1017,18 +1017,7 @@ class _FamilyRows(_Rows):
             ok[k] = True
             sha[k], name[k] = Families._key(fields[0], self.odd), self._code(fields[1])
         self.stats.rows += n - headers
-        ok &= name >= 0
-        self.parts["sha256"].append(sha[ok])
-        self.parts["name"].append(name[ok])
-
-    def families(self) -> Families:
-        """Each key at the place of its first row, with its last row's name."""
-        keys, name = (_joined(self.parts.pop(column), dtype) for column, dtype in Families._COLUMNS.items())
-        first, last = _key_runs(keys)
-        name[first] = name[last]
-        kept, sha_order = _first_rows(first, len(keys))
-        columns = {"sha256": keys[kept], "name": name[kept]}
-        return Families._from_columns(columns, self.names, self.odd, sha_order=sha_order)
+        self.keep(ok & (name >= 0), sha256=sha, name=name)
 
 
 def _family_row(row: dict) -> Optional[tuple[str, Optional[str]]]:
@@ -1066,7 +1055,7 @@ def parse_families(stream: IO[str]) -> tuple[Families, int]:
             reader.add(*_block_chunk(buf, size, 2))
     except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
         raise _unreadable(stream, "family input", stats.rows, exc) from None
-    return reader.families(), stats.malformed
+    return reader.finish(reader.names, reader.odd), stats.malformed
 
 
 def join_families(pop: Population, mapping: Mapping) -> tuple[Population, FamilyJoinStats]:
@@ -1105,9 +1094,9 @@ class PredictionRow:
 
 
 class PredictionSet(KeyedTable):
-    """One classifier's predictions as columns in the order given (parsed ones
-    in hash order): ``sha256``, ``score`` and the explicit ``label`` (-1 where
-    absent), and the ``predicted_class`` they give at threshold.
+    """One classifier's predictions as columns in the order given (parsed
+    ones in first-seen order): ``sha256``, ``score`` and the explicit
+    ``label`` (-1 where absent), and the ``predicted_class`` they give at threshold.
     ``PredictionSet(name, rows)`` and ``rows`` are a row view of PredictionRow
     objects.
     """
@@ -1151,24 +1140,23 @@ def parse_predictions(
 
     The rows come from _read_csv, as parse_metadata's do: the hash, score and
     label kernels read the regular rows, and every row they reject goes
-    through _prediction_row. A repeated hash keeps its last row.
+    through _prediction_row. A repeated hash keeps its last row's values at
+    its first row's place.
     """
     stats = ParseStats()
-    columns = _read_csv(stream, name, _Predictions, stats, strict).columns()
-    sha_order = np.arange(len(columns["sha256"]))  # the columns are in hash order
-    return PredictionSet._from_columns(columns, name, threshold, sha_order=sha_order), stats
+    return _read_csv(stream, name, _Predictions, stats, strict).finish(name, threshold), stats
 
 
 class _Predictions(_Rows):
     """The well-formed rows of a prediction CSV as parts of keys, scores and labels (-1: none)."""
 
     what = "prediction"
+    table = PredictionSet
 
     def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
         super().__init__(header, stats, strict)
         if "sha256" not in self.position or "score" not in self.position:
             raise FormatError("prediction input must have columns sha256,score[,label]")
-        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in PredictionSet._COLUMNS}
 
     def add(self, n: int, span, regular: np.ndarray, row) -> None:
         """Parse a chunk of _read_csv, as _Columns.add does, with _prediction_row."""
@@ -1190,15 +1178,7 @@ class _Predictions(_Rows):
             ok[k], label[k] = True, -1 if predicted is None else predicted
         self.stats.rows += n
         self.stats.parsed += int(ok.sum())
-        for part, column in zip(self.parts.values(), (sha, score, label)):
-            part.append(column[ok])
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """The hashes, scores and labels in ascending hash order, a hash's last row only."""
-        columns = {name: _joined(self.parts[name], dtype) for name, dtype in PredictionSet._COLUMNS.items()}
-        _, kept = _key_runs(columns["sha256"])
-        self.stats.duplicates = len(columns["sha256"]) - len(kept)
-        return {name: column[kept] for name, column in columns.items()}
+        self.keep(ok, sha256=sha, score=score, label=label)
 
 
 def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:

@@ -1308,3 +1308,32 @@ def test_config_with_crlf_line_ends(tmp_path, capsys):
     config.write_bytes(b"[sample-size]\r\ndelta = 0.5\r\n")
     assert run(["sample-size", "--population-size", 10**9, "--config", config]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+@pytest.mark.parametrize("command", ["split", "verify"])
+def test_out_resolves_from_the_config_file(good_manifest, tmp_path, monkeypatch, command):
+    """split and verify read out as every setting is read: the flag, then the
+    config file's key, then the default (no output files)."""
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    argv, written = {
+        "split": (["split", "--start", "2014-01", "--end", "2015-12"], "splits.json"),
+        "verify": (["verify", "--manifest", manifest], "verify.json"),
+    }[command]
+    config = tmp_path / "maldrift.ini"
+    config.write_text(f"[{command}]\nout = from_config\n")
+    assert run([*argv, "--config", config, "--out", "from_flag"]) == 0
+    assert (tmp_path / "from_flag" / written).is_file()
+    assert not (tmp_path / "from_config").exists()  # the flag wins
+    assert run([*argv, "--config", config]) == 0
+    assert (tmp_path / "from_config" / written).is_file()
+
+
+def test_stats_without_a_table_flag_exits_before_loading(tmp_path, capsys):
+    """stats with no table flag is a usage error found before the population is
+    loaded or the output directory made: a missing --population is not read."""
+    out = tmp_path / "stats"
+    assert run(["stats", "--population", tmp_path / "missing.csv", "--out", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("nothing to do: ")
+    assert not out.exists()

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maldrift import cli, ingest, model, synth
@@ -601,3 +601,38 @@ def test_parse_shared_prefixes_keep_first_seen_order_and_last_row():
     assert [r.sha256 for r in pop] == hashes
     assert [r.vt_detection for r in pop] == [0, 10, 2, 3, 41, 5]
     assert np.array_equal(pop.sha_order, np.argsort(pop.sha256, kind="stable"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=30),
+    quoted=st.booleans(),
+    block=st.sampled_from([37, 1 << 20]),
+)
+def test_every_reader_keeps_a_repeated_key_as_a_dict_does(rows, quoted, block):
+    """Metadata, family and prediction files share one rule for a repeated
+    sha256: each key once, at its first row's place, with its last row's values,
+    the items a dict filled row by row gives (a blank family name maps nothing).
+    A quote sends the rows through csv.reader; a small block gives many parts."""
+    q = '"' if quoted else ""
+    metadata, families, predictions = HEADER, "", "sha256,score\n"
+    want: dict = {}
+    named: dict = {}
+    for i, (key, blank) in enumerate(rows):
+        sha = sha_of(key)
+        name = "" if blank else f"fam{i}"
+        metadata += f"{sha},2014-01-15,{i},{q}play{q},,,{i},\n"
+        families += f"{sha},{q}{name}{q}\n"
+        predictions += f"{sha},{q}0.{i:02d}{q}\n"
+        want[sha] = i
+        if name:
+            named[sha] = name
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        pop = parse_metadata(io.StringIO(metadata)).population
+        mapping, _ = parse_families(io.StringIO(families))
+        predset, _ = parse_predictions(io.StringIO(predictions))
+    assert [(r.sha256, r.vt_detection, r.apk_size) for r in pop] == [(sha, i, i) for sha, i in want.items()]
+    assert list(mapping.items()) == list(named.items())
+    assert [(sha, row.score) for sha, row in predset.rows.items()] == [(sha, i / 100) for sha, i in want.items()]
+    for table in (pop, mapping, predset):
+        assert model._is_key_order(table.sha256, table.sha_order)
