@@ -482,14 +482,16 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_predset_arg(value: str, threshold: float) -> ingest_mod.PredictionSet:
+def _parse_predset_arg(value: str, threshold: float) -> tuple[ingest_mod.PredictionSet, str]:
+    """The prediction set of a [NAME=]PATH value, and what its parse dropped ("" if nothing)."""
     if "=" in value:
         name, path = value.split("=", 1)
     else:
         name, path = Path(value).stem, value
     with ingest_mod.open_text(path) as fh:
-        predset, _ = ingest_mod.parse_predictions(fh, name=name, threshold=threshold)
-    return predset
+        predset, stats = ingest_mod.parse_predictions(fh, name=name, threshold=threshold)
+    note = f"{path}: dropped rows: malformed={stats.malformed} duplicates={stats.duplicates}"
+    return predset, note if stats.malformed or stats.duplicates else ""
 
 
 def _aut_value(text: str) -> float:
@@ -546,7 +548,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         threshold = settings.get("threshold", 0.5, float)
         manifest = sampler.read_manifest_json(args.manifest)
-        predsets = [_parse_predset_arg(v, threshold) for v in args.predictions]
+        predsets, dropped = zip(*(_parse_predset_arg(v, threshold) for v in args.predictions))
         result = report.evaluate_manifest(
             manifest,
             predsets,
@@ -554,6 +556,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             metric=settings.get("metric", "f1", _one_of(metrics.METRIC_NAMES)),
             lenient=settings.get("lenient", False, bool),
         )
+        for note in filter(None, dropped):  # once scored, so an error stays stderr's first line
+            print(f"warning: {note}", file=sys.stderr)
         config_echo = {
             "manifest": args.manifest,
             "predictions": list(args.predictions),

@@ -515,10 +515,13 @@ def _lines(blocks: Iterable[tuple[np.ndarray, int, bool]]) -> Iterator[str]:
         yield from io.StringIO(_text(buf, size), newline="")
 
 
-def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, strict: bool) -> _Rows:
-    """Read a CSV stream with a header into kind(header, stats, strict), a
-    _Rows, whose add(n, span, regular, row) takes the rows chunk by chunk.
-    Returns that reader.
+def _read_csv(
+    stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, strict: bool, header: Optional[list[str]] = None
+) -> _Rows:
+    """Read a CSV stream into kind(header, stats, strict), a _Rows, whose
+    add(n, span, regular, row) takes the rows chunk by chunk. Returns that
+    reader. The header is the stream's first row, unless it is given: the
+    column names of a stream with no header row, whose rows may then be none.
 
     span(at) gives the n rows' fields in column at (None: an absent column) as
     (buf, start, end): spans of a uint8 buffer that ends in _PAD, empty where a
@@ -531,10 +534,10 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     The first block that is not plain (it holds a quote, NUL or CR) hands itself
     and the rest of the blocks to csv.reader, in chunks of _CHUNK_ROWS rows. A
     fault _blocks raises is a FormatError naming the stream (else name) and the
-    stats.rows counted before it. A header kind refuses, or none, is a
-    FormatError naming the stream, when it has a name.
+    stats.rows counted before it. Any other FormatError (a header kind refuses,
+    no header, a row strict refuses) names the stream, when it has a name.
     """
-    reader = None
+    reader = None if header is None else kind(header, stats, strict)
     blocks = _blocks(stream)
     try:
         for block in blocks:
@@ -558,8 +561,8 @@ def _read_csv(stream: IO[str], name: str, kind: type[_Rows], stats: ParseStats, 
     except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
         raise _unreadable(stream, name, stats.rows, exc) from None
     except FormatError as exc:
-        if reader is not None or not getattr(stream, "name", None):
-            raise  # a row's error, or a stream with no name
+        if not getattr(stream, "name", None):
+            raise
         raise FormatError(f"{stream.name}: {exc}") from None
     return reader
 
@@ -585,9 +588,10 @@ def _add_rows(reader: _Rows, rows: Iterator) -> None:
 
 class _Rows:
     """What reads the rows of a CSV stream for _read_csv: built from the header
-    row, then given each chunk by add(n, span, regular, row), which keeps the
-    well-formed rows' columns (keep); finish builds the table. A subclass names
-    its input for messages in `what` and its KeyedTable in `table`."""
+    row, then given each chunk by add(n, span, regular, row), which counts the
+    chunk's rows and keeps the well-formed ones' columns (keep); finish builds
+    the table. A subclass names its input for messages in `what` and its
+    KeyedTable in `table`."""
 
     table: type[KeyedTable]
 
@@ -615,8 +619,11 @@ class _Rows:
                 continue
             yield k, value
 
-    def keep(self, mask: np.ndarray, **columns: np.ndarray) -> None:
-        """Keep the chunk's rows under mask, one array per column of the table."""
+    def keep(self, rows: int, mask: np.ndarray, **columns: np.ndarray) -> None:
+        """Count a chunk of rows in stats and keep those under mask, one array
+        per column of the table."""
+        self.stats.rows += rows
+        self.stats.parsed += int(np.count_nonzero(mask))
         for name, column in columns.items():
             self.parts[name].append(column[mask])
 
@@ -704,9 +711,7 @@ class _Columns(_Rows):
             scan[k] = np.datetime64("NaT") if rec.vt_scan_date is None else rec.vt_scan_date
             markets[k] = self.market_sets.setdefault(rec.markets, len(self.market_sets))
             family[k] = -1 if rec.family is None else self.families.setdefault(rec.family, len(self.families))
-        self.stats.rows += n
-        self.stats.parsed += int(valid.sum())
-        self.keep(valid, sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
+        self.keep(n, valid, sha256=sha, dex_date=dex, crawl_date=crawl, vt_scan_date=scan, vt_detection=vt,
                   apk_size=size, markets=markets, family=family)
 
 
@@ -995,8 +1000,8 @@ class _FamilyRows(_Rows):
     what = "family"
     table = Families
 
-    def __init__(self, stats: ParseStats):
-        super().__init__(["sha256", "family"], stats, strict=False)
+    def __init__(self, header: list[str], stats: ParseStats, strict: bool):
+        super().__init__(header, stats, strict)
         self.names: dict[str, int] = {}
         self.odd: dict[str, int] = {}
 
@@ -1016,8 +1021,7 @@ class _FamilyRows(_Rows):
                 continue
             ok[k] = True
             sha[k], name[k] = Families._key(fields[0], self.odd), self._code(fields[1])
-        self.stats.rows += n - headers
-        self.keep(ok & (name >= 0), sha256=sha, name=name)
+        self.keep(n - headers, ok & (name >= 0), sha256=sha, name=name)
 
 
 def _family_row(row: dict) -> Optional[tuple[str, Optional[str]]]:
@@ -1039,22 +1043,11 @@ def parse_families(stream: IO[str]) -> tuple[Families, int]:
     so is a row csv cannot read (say, a field over csv.field_size_limit()) and
     one with fewer than two fields. A blank name maps nothing. A repeated key
     keeps its last name, at the place of its first row (blank names aside).
-    Plain blocks are read by the hash and text kernels, as parse_metadata's are.
+    The file is read by _read_csv, as parse_metadata's is, with the column
+    names given: its first line is a row, and it may hold none.
     """
     stats = ParseStats()
-    reader = _FamilyRows(stats)
-    blocks = _blocks(stream)
-    try:
-        for block in blocks:
-            buf, size, plain = block
-            if not plain:
-                rows = _csv_rows(csv.reader(_lines(itertools.chain([block], blocks))))
-                del block, buf
-                _add_rows(reader, rows)
-                break
-            reader.add(*_block_chunk(buf, size, 2))
-    except (UnicodeDecodeError, *_GZIP_ERRORS) as exc:
-        raise _unreadable(stream, "family input", stats.rows, exc) from None
+    reader = _read_csv(stream, "family input", _FamilyRows, stats, False, ["sha256", "family"])
     return reader.finish(reader.names, reader.odd), stats.malformed
 
 
@@ -1176,9 +1169,7 @@ class _Predictions(_Rows):
         ok &= (label >= 0) | ((score >= 0.0) & (score <= 1.0))
         for k, (sha[k], score[k], predicted) in self.fallback(~ok, row, _prediction_row):
             ok[k], label[k] = True, -1 if predicted is None else predicted
-        self.stats.rows += n
-        self.stats.parsed += int(ok.sum())
-        self.keep(ok, sha256=sha, score=score, label=label)
+        self.keep(n, ok, sha256=sha, score=score, label=label)
 
 
 def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:

@@ -75,8 +75,12 @@ def evaluate_manifest(
 
     Each split's AUT is computed over the test months with a defined metric
     value; the all-months variant is reported alongside when it differs
-    (it is refused, not interpolated, when a month is absent).
+    (it is refused, not interpolated, when a month is absent). The sets'
+    names key the results and window series, so they must differ.
     """
+    names = [preds.name for preds in predsets]
+    if repeated := sorted({name for k, name in enumerate(names) if name in names[:k]}):
+        raise ValueError(f"prediction sets share a name: {', '.join(map(repr, repeated))}")
     if not len(manifest):
         raise ValueError("manifest has no entries to evaluate")
     periods, _ = manifest._periods()

@@ -956,6 +956,51 @@ def test_metadata_header_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: metadata input missing required columns: dex_date, vt_detection\n"
 
 
+def test_strict_row_error_names_the_file(tmp_path, capsys):
+    src = tmp_path / "meta.csv"
+    src.write_text(CSV.replace("2014-02-15", "notadate"))
+    assert run(["ingest", "--input", src, "--out", tmp_path / "cache", "--strict"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: malformed metadata row at line 3: unparseable timestamp: 'notadate'\n"
+
+
+def test_evaluate_refuses_prediction_sets_of_one_name(good_manifest, tmp_path, capsys):
+    """Two files named preds.csv both default to the name preds: evaluate
+    exits 1 before it writes a report, not with one set's series lost."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    argv = ["evaluate", "--manifest", manifest, "--out", tmp_path / "eval"]
+    for run_dir in ("r1", "r2"):
+        (tmp_path / run_dir).mkdir()
+        preds = tmp_path / run_dir / "preds.csv"
+        preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"]))
+        argv += ["--predictions", preds]
+    assert run(argv) == cli.EXIT_ERROR
+    assert "'preds'" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.md").exists()
+
+
+def test_evaluate_warns_of_dropped_prediction_rows(good_manifest, tmp_path, capsys):
+    """A skipped row and a repeated hash are named on stderr with the file; a
+    file without either prints nothing there. The outputs are the same."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    entries = good_manifest["entries"]
+    rows = "".join(f"{e['sha256']},0.9\n" for e in entries)
+    clean, dropped = tmp_path / "clean.csv", tmp_path / "dropped.csv"
+    clean.write_text("sha256,score\n" + rows)
+    dropped.write_text(f"sha256,score\n{entries[0]['sha256']},1.7\n{entries[1]['sha256']},0.2\n" + rows)
+    written, printed = {}, {}
+    for preds in (clean, dropped):
+        out = tmp_path / preds.stem
+        assert run(["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", out]) == 0
+        written[preds] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "run_config.json"}
+        printed[preds] = capsys.readouterr()
+    assert printed[clean].err == ""
+    assert printed[dropped].err == f"warning: {dropped}: dropped rows: malformed=1 duplicates=1\n"
+    assert (written[dropped], printed[dropped].out) == (written[clean], printed[clean].out)
+
+
 @pytest.fixture(scope="module")
 def ingested(tmp_path_factory):
     """A cache written by ingest: population.csv.gz and its population.npz sidecar."""

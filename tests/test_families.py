@@ -142,6 +142,20 @@ def test_join_accepts_parsed_and_plain_mappings():
     assert (joined.family.tolist(), joined.families, stats) == (by_dict.family.tolist(), by_dict.families, dict_stats)
 
 
+@pytest.mark.parametrize("first", ["fam0", '"fam, 0"'], ids=["plain", "quoted"])
+def test_first_family_line_is_a_row(first):
+    """A family file has no header row: its first line is mapped, whether the
+    first block is read in bulk or (holding a quote) by csv.reader."""
+    mapping, malformed = parse_families(io.StringIO(f"{sha_of(0)},{first}\n{sha_of(1)},fam1\n"))
+    assert (dict(mapping), malformed) == ({sha_of(0): first.strip('"'), sha_of(1): "fam1"}, 0)
+
+
+@pytest.mark.parametrize("text", ["", "sha256,family\n"], ids=["empty", "header-only"])
+def test_family_file_without_rows(text):
+    mapping, malformed = parse_families(io.StringIO(text))
+    assert (dict(mapping), malformed) == ({}, 0)
+
+
 # KeyedTable.positions as it was before it searched in key order.
 
 

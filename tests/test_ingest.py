@@ -345,8 +345,55 @@ def test_every_csv_reader_reads_the_block_lines():
                 source = node.args[0].func if node.args and isinstance(node.args[0], ast.Call) else None
                 if getattr(source, "id", getattr(source, "attr", None)) != "_lines":
                     found.append(f"{path.name}:{node.lineno}")
-    assert readers >= 3  # metadata and predictions, families, AUT tables
+    assert readers >= 2  # _read_csv (metadata, predictions and families) and cli._aut_rows (AUT tables)
     assert found == []
+
+
+def _owners(tree: ast.AST, owner: str, hit) -> list[str]:
+    """The dotted name of the def or class around each node hit(node) holds for."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if hit(node):
+            found.append(owner)
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += _owners(node, f"{owner}.{node.name}" if named else owner, hit)
+    return found
+
+
+def test_blocks_and_row_counts_have_one_home():
+    """ingest._blocks is walked only by _read_csv, for every keyed CSV input,
+    and by cli._aut_rows; ParseStats.rows and .parsed are counted only in _Rows.keep."""
+
+    def blocks_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_blocks"
+
+    def count(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return any(isinstance(t, ast.Attribute) and t.attr in ("rows", "parsed") and getattr(t.value, "attr", None) == "stats"
+                   for t in targets)
+
+    calls, counts = [], []
+    for path in sorted((SRC / "maldrift").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += _owners(tree, path.stem, blocks_call)
+        counts += _owners(tree, path.stem, count)
+    assert calls == ["cli._aut_rows", "ingest._read_csv"]
+    assert counts == ["ingest._Rows.keep", "ingest._Rows.keep"]
+
+
+def test_strict_prediction_row_error_names_the_file(tmp_path):
+    """A row strict mode refuses names the file it is read from; a stream
+    without a name gives the row's message alone."""
+    text = f"sha256,score\n{sha_of(1)},0.5\n{sha_of(2)},1.7\n"
+    message = "malformed prediction row at line 3: score 1.7 outside [0,1] without a label column"
+    path = tmp_path / "preds.csv"
+    path.write_text(text)
+    with ingest.open_text(path) as fh, pytest.raises(FormatError) as named:
+        parse_predictions(fh, strict=True)
+    assert str(named.value) == f"{path}: {message}"
+    with pytest.raises(FormatError) as unnamed:
+        parse_predictions(io.StringIO(text), strict=True)
+    assert str(unnamed.value) == message
 
 
 def _families_of(path):
