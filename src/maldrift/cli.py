@@ -377,6 +377,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"snapshot {snapshot_raw}: kept {len(pop)}, dropped {snap.dropped_late} late,"
             f" {snap.dropped_missing_crawl} without crawl date"
         )
+        del snap  # else its population outlives a --markets selection
     markets_raw = settings.get("markets")
     market_filter = frozenset(m.strip() for m in markets_raw.split(",") if m.strip()) if markets_raw else None
     if market_filter:
@@ -536,6 +537,9 @@ def _aut_rows(path: str) -> list[tuple[str, list[float]]]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import report, sampler
 
+    if not (bool(args.aut_table) == (not args.manifest) == (not args.predictions)):
+        print("evaluate takes --aut-table alone, or --manifest with --predictions", file=sys.stderr)
+        return EXIT_USAGE
     settings = Settings(args, "evaluate")
     out = _out_dir(settings, "evaluate_out")
     window = settings.get("window", 12, int)
@@ -543,19 +547,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         result = report.report_from_aut_table(_aut_rows(args.aut_table), window)
         config_echo = {"aut_table": args.aut_table, "window": window}
     else:
-        if not args.manifest or not args.predictions:
-            print("evaluate needs --manifest and --predictions (or --aut-table)", file=sys.stderr)
-            return EXIT_USAGE
         threshold = settings.get("threshold", 0.5, float)
         manifest = sampler.read_manifest_json(args.manifest)
         predsets, dropped = zip(*(_parse_predset_arg(v, threshold) for v in args.predictions))
-        result = report.evaluate_manifest(
-            manifest,
-            predsets,
-            window,
-            metric=settings.get("metric", "f1", _one_of(metrics.METRIC_NAMES)),
-            lenient=settings.get("lenient", False, bool),
-        )
+        try:
+            result = report.evaluate_manifest(
+                manifest,
+                predsets,
+                window,
+                metric=settings.get("metric", "f1", _one_of(metrics.METRIC_NAMES)),
+                lenient=settings.get("lenient", False, bool),
+            )
+        except MissingPredictionsError as exc:  # a dropped row is a likely cause: name them on the same line
+            raise MissingPredictionsError("; ".join([str(exc), *filter(None, dropped)]), exc.hashes) from None
         for note in filter(None, dropped):  # once scored, so an error stays stderr's first line
             print(f"warning: {note}", file=sys.stderr)
         config_echo = {

@@ -18,9 +18,8 @@ from .errors import MissingPredictionsError
 from .labeling import CLASSES, GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
 from .model import ClassLabel, Granularity, Period, Population, _key_texts, _keys
 
-if TYPE_CHECKING:  # the CLI loads this module for every command; these load where they run
+if TYPE_CHECKING:  # the CLI loads this module for every command; ingest loads where it runs
     from .ingest import PredictionSet
-    from .sampler import DatasetManifest
 
 METRIC_NAMES = ("f1", "fpr", "tpr", "precision", "recall")
 
@@ -79,41 +78,37 @@ TruthEntry = tuple[str, ClassLabel, Period]
 
 
 def confusion_metrics(
-    truth: Union[DatasetManifest, Iterable[TruthEntry]],
+    truth: Iterable[TruthEntry],
     preds: PredictionSet,
     granularity: Optional[Granularity] = None,
     lenient: bool = False,
 ) -> ConfusionReport:
     """Per-period confusion counts and derived metrics; positives are malware.
 
-    truth is a manifest's entries, or (sha256, label, period) triples. Every
-    truth hash needs a prediction: missing ones raise (with the hash list, in
-    truth order) unless lenient, in which case they are dropped and counted.
-    Empty-denominator metrics are explicit absent values, never silent zeros.
+    truth is (sha256, label, period) triples. Every truth hash needs a
+    prediction: missing ones raise (with the hash list, in truth order) unless
+    lenient, in which case they are dropped and counted. Empty-denominator
+    metrics are explicit absent values, never silent zeros.
     """
-    from .sampler import DatasetManifest
+    rows = list(truth)
+    hashes = _keys([sha for sha, _, _ in rows], strict=True)[0]
+    classes = np.array([CLASSES.index(cls) for _, cls, _ in rows], dtype=np.int8)
+    given: dict[Period, int] = {}
+    codes = [given.setdefault(period, len(given)) for _, _, period in rows]  # one hash per row
+    periods = [p.year_period() if granularity is Granularity.YEAR else p for p in given]
+    ordered = sorted(dict.fromkeys(periods), key=lambda p: p.index)
+    rank = {p: k for k, p in enumerate(ordered)}
+    period_of = np.array([rank[p] for p in periods], dtype=np.int64)[codes]
+    predicted = np.append(preds.predicted_class, -1)[preds.positions(hashes)]
+    return _confusion(hashes, classes, period_of, ordered, predicted, lenient)
 
-    if isinstance(truth, DatasetManifest):
-        hashes, classes = truth.sha256, truth.label
-        periods, period_of = truth._periods()
-    else:
-        rows = list(truth)
-        hashes = _keys([sha for sha, _, _ in rows], strict=True)[0]
-        classes = np.array([CLASSES.index(cls) for _, cls, _ in rows], dtype=np.int8)
-        periods = list(dict.fromkeys(period for _, _, period in rows))
-        position = {period: k for k, period in enumerate(periods)}
-        period_of = np.array([position[period] for _, _, period in rows], dtype=np.int64)
+
+def _confusion(hashes, classes, period_of, periods: Sequence[Period], predicted, lenient: bool) -> ConfusionReport:
+    """confusion_metrics over columns: each truth entry's key, class code, position in
+    periods (distinct, ascending) and predicted class (-1 where the set lacks the key)."""
     greyware = classes == GREYWARE
     if greyware.any():
         raise ValueError(f"greyware entry {hashes[greyware.argmax()].decode()} cannot be scored")
-    if granularity is Granularity.YEAR:
-        periods = [p.year_period() for p in periods]
-    ordered = sorted(dict.fromkeys(periods), key=lambda p: p.index)
-    rank = {p: k for k, p in enumerate(ordered)}
-    period_of = np.array([rank[p] for p in periods], dtype=np.int64)[period_of]
-
-    found = preds.positions(hashes)
-    predicted = np.where(found >= 0, preds.predicted_class[found], -1) if len(preds) else found
     scored = predicted >= 0
     missing = _key_texts(hashes[~scored])
     if missing and not lenient:
@@ -124,9 +119,9 @@ def confusion_metrics(
     actual, positive = classes[scored] == MALWARE, predicted[scored] != 0
     cells = np.where(positive, np.where(actual, 0, 1), np.where(actual, 3, 2))  # tp fp tn fn
     at = period_of[scored]
-    table = np.bincount(at * 4 + cells, minlength=4 * len(ordered)).reshape(-1, 4).tolist()
-    present = np.bincount(at, minlength=len(ordered)).tolist()
-    counts = {p: ConfusionCounts(*table[k]) for k, p in enumerate(ordered) if present[k]}
+    table = np.bincount(at * 4 + cells, minlength=4 * len(periods)).reshape(-1, 4).tolist()
+    present = np.bincount(at, minlength=len(periods)).tolist()
+    counts = {p: ConfusionCounts(*table[k]) for k, p in enumerate(periods) if present[k]}
     series = {
         name: MetricSeries(name, tuple((p, c.metric(name)) for p, c in counts.items()))
         for name in METRIC_NAMES

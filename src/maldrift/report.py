@@ -18,13 +18,7 @@ import numpy as np
 from .errors import MissingPredictionsError
 from .ingest import PredictionSet
 from .labeling import MALWARE
-from .metrics import (
-    MetricSeries,
-    a_aut,
-    aut,
-    confusion_metrics,
-    rolling_splits,
-)
+from .metrics import MetricSeries, _confusion, a_aut, aut, rolling_splits
 from .model import Granularity, Period, _key_texts
 from .sampler import DatasetManifest
 
@@ -112,21 +106,25 @@ def evaluate_manifest(
     results = []
     window_series: dict[tuple[str, int], dict[str, MetricSeries]] = {}
     for preds in predsets:
-        unknown = manifest.positions(preds.sha256) < 0
-        extras = _key_texts(preds.sha256[preds.sha_order[unknown[preds.sha_order]]])  # in hash order
+        found = preds.positions(manifest.sha256)  # the one lookup of this set
+        unresolved = np.ones(len(preds) + 1, dtype=bool)
+        unresolved[found] = False  # an entry without a prediction clears the spare last slot
+        extras = _key_texts(preds.sha256[preds.sha_order[unresolved[preds.sha_order]]])  # in hash order
         if extras and not lenient:
             shown = ", ".join(extras[:10])
             raise MissingPredictionsError(
                 f"{len(extras)} prediction hashes do not resolve against the manifest (e.g. {shown})",
                 tuple(extras),
             )
+        predicted = np.append(preds.predicted_class, -1)[found]  # -1 where the set lacks the entry
         auts: list[float] = []
         stricts: list[Optional[float]] = []
         for idx, split in enumerate(plan.splits):
             truth = rows_in(split.test)
             if not len(truth):
                 raise ValueError(f"split {split.label()} has no test entries")
-            report = confusion_metrics(manifest._replace(rows=truth), preds, lenient=lenient)
+            month_of = manifest.period[truth] - split.test[0].index
+            report = _confusion(manifest.sha256[truth], manifest.label[truth], month_of, split.test, predicted[truth], lenient)
             window_series[(preds.name, idx)] = report.series
             series = report.series[metric]
             strict_points = dict(series.points)
@@ -138,6 +136,7 @@ def evaluate_manifest(
                 )
             auts.append(aut(defined))
             stricts.append(aut(strict_values) if all(v is not None for v in strict_values) else None)
+        del found, unresolved, predicted  # before the next set's lookup
         mu, sigma = a_aut(auts)
         strict_differs = any(
             s is None or abs(s - a) > 1e-12 for s, a in zip(stricts, auts)

@@ -1001,6 +1001,39 @@ def test_evaluate_warns_of_dropped_prediction_rows(good_manifest, tmp_path, caps
     assert (written[dropped], printed[dropped].out) == (written[clean], printed[clean].out)
 
 
+def test_missing_predictions_error_names_the_dropped_rows(good_manifest, tmp_path, capsys):
+    """When a truth hash lacks a prediction, the error's line also names the
+    rows each prediction file's parse dropped: a skipped row is a likely cause."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(good_manifest))
+    *entries, last = good_manifest["entries"]
+    preds = tmp_path / "preds.csv"
+    preds.write_text("sha256,score\n" + "".join(f"{e['sha256']},0.9\n" for e in entries) + f"{last['sha256']},x\n")
+    argv = ["evaluate", "--manifest", manifest, "--predictions", f"p={preds}", "--out", tmp_path / "e"]
+    assert run(argv) == cli.EXIT_ERROR
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"error: 1 truth hashes lack predictions (e.g. {last['sha256']})")
+    assert first.endswith(f"; {preds}: dropped rows: malformed=1 duplicates=0")
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        ["--aut-table", "aut.csv", "--manifest", "missing.json", "--predictions", "x=missing.csv"],
+        ["--aut-table", "aut.csv", "--predictions", "x=missing.csv"],
+        ["--manifest", "missing.json"],
+    ],
+    ids=["mixed", "aut-and-predictions", "manifest-alone"],
+)
+def test_evaluate_takes_one_input_form(given, tmp_path, capsys, monkeypatch):
+    """--aut-table alone, or --manifest with --predictions: any other call is a
+    usage error before a directory is made or a file is read."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["evaluate", *given, "--out", tmp_path / "e"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "evaluate takes --aut-table alone, or --manifest with --predictions\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def ingested(tmp_path_factory):
     """A cache written by ingest: population.csv.gz and its population.npz sidecar."""
@@ -1232,6 +1265,29 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
     monkeypatch.setattr(cli, "_load_population", loading)
     monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
     argv = ["sample", "--population", ingested / "population.csv.gz", "--markets", "play.google.com,anzhi"]
+    assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
+    assert freed == [True]
+
+
+def test_sample_frees_the_snapshotted_population_before_sizing(ingested, tmp_path, monkeypatch):
+    """With --snapshot too, the population the snapshot kept is gone once
+    --markets has selected from it, before plan_sizes runs."""
+    kept, freed = [], []
+    snapshot_filter, plan_sizes = cli.ingest_mod.snapshot_filter, cli.sizing.plan_sizes
+
+    def snapshotting(pop, when):
+        snap = snapshot_filter(pop, when)
+        kept.append(weakref.ref(snap.population))
+        return snap
+
+    def planning(pop, *args):
+        freed.append(kept[0]() is None)
+        return plan_sizes(pop, *args)
+
+    monkeypatch.setattr(cli.ingest_mod, "snapshot_filter", snapshotting)
+    monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
+    argv = ["sample", "--population", ingested / "population.csv.gz", "--snapshot", "2030-01-01",
+            "--markets", "play.google.com,anzhi", "--timestamp", "dex"]
     assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
     assert freed == [True]
 

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maldrift import metrics
 from maldrift.errors import MissingPredictionsError
 from maldrift.ingest import PredictionRow, PredictionSet
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
@@ -269,3 +273,19 @@ def test_overlap_series_errors_on_empty_slice():
         overlap_series({P("2015-01"): ["a"]}, P("2015-02"), [P("2015-01")])
     with pytest.raises(ValueError):
         overlap_series({P("2015-01"): ["a"]}, P("2015-01"), [P("2015-03")])
+
+
+def test_metrics_does_not_import_sampler():
+    """The metric engine scores columns: it knows no manifest type, so no
+    import of sampler appears in metrics.py, at module level or inside a function."""
+    path = Path(metrics.__file__)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names] + [node.module or ""]
+        else:
+            continue
+        found += [f"{node.lineno} {name}" for name in names if "sampler" in name.split(".")]
+    assert found == []

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from maldrift import model
 from maldrift.errors import MissingPredictionsError
 from maldrift.ingest import PredictionRow, PredictionSet
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
@@ -129,3 +130,47 @@ def test_aut_table_refuses_values_outside_unit_interval(value):
     with pytest.raises(ValueError, match=rf"^AUT table row 2 \(bad\), split2: {re.escape(repr(value))} is not a number in \[0, 1\]$"):
         report_from_aut_table(rows)
     assert report_from_aut_table([("edges", [0, 1.0])]).results[0].auts == (0, 1.0)
+
+
+def test_each_prediction_set_is_looked_up_once(monkeypatch):
+    """Two sets over two splits: one key lookup per set, and no sub-manifest per split."""
+    manifest = month_manifest("2014-01", 36)
+    sets = [predictions(manifest, "a"), predictions(manifest, "b", wrong_hashes={sha_of("m20-0")})]
+    calls = {"positions": [], "_replace": []}
+    for name in calls:
+        method = getattr(model.KeyedTable, name)
+
+        def counting(table, *args, _name=name, _method=method, **kwargs):
+            calls[_name].append(type(table).__name__)
+            return _method(table, *args, **kwargs)
+
+        monkeypatch.setattr(model.KeyedTable, name, counting)
+    report = evaluate_manifest(manifest, sets, 12)
+    assert len(report.split_labels) == 2
+    assert calls == {"positions": ["PredictionSet", "PredictionSet"], "_replace": []}
+
+
+def _without(preds, hashes):
+    return PredictionSet(preds.name, {sha: row for sha, row in preds.rows.items() if sha not in hashes})
+
+
+def test_missing_predictions_are_checked_split_by_split():
+    """36 months, a 12-month window: months 1-12 are in no test window, months
+    13-24 and 25-36 are the two splits' test windows. A hash missing outside
+    every test window is never asked for; one missing in a window fails that
+    split, naming exactly the missing hashes in entry order, or, lenient, drops
+    out of that split's counts only."""
+    manifest = month_manifest("2014-01", 36)
+    full = predictions(manifest, wrong_hashes={sha_of(f"g{m}-0") for m in range(36)})  # fpr 1/2 each month
+    assert evaluate_manifest(manifest, [_without(full, {sha_of("g2-0")})], 12).results == (
+        evaluate_manifest(manifest, [full], 12).results
+    )
+    late = [sha_of(f"g{m}-0") for m in range(24, 36)]
+    with pytest.raises(MissingPredictionsError, match="^12 truth hashes lack predictions") as raised:
+        evaluate_manifest(manifest, [_without(full, set(late))], 12)
+    assert raised.value.hashes == tuple(late)
+    lenient = evaluate_manifest(manifest, [_without(full, set(late))], 12, lenient=True).window_series
+    complete = evaluate_manifest(manifest, [full], 12).window_series
+    assert lenient[("clf", 0)] == complete[("clf", 0)]
+    assert complete[("clf", 1)]["fpr"].values() == [0.5] * 12
+    assert lenient[("clf", 1)]["fpr"].values() == [0.0] * 12  # the false positives were the dropped hashes
