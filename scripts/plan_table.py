@@ -8,7 +8,7 @@ monthly / spatial combinations, all applied to the same population.
 import argparse
 from pathlib import Path
 
-from maldrift.ingest import open_text, parse_metadata, write_csv
+from maldrift.ingest import load_population, write_csv
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
 from maldrift.sizing import PlanMode, SizingParams, SizingPlan, compare_plans
 from maldrift.synth import SynthConfig, generate
@@ -16,7 +16,9 @@ from maldrift.synth import SynthConfig, generate
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--population", help="metadata CSV (.gz ok); default: synthetic 60 months")
+    parser.add_argument(
+        "--population", help="metadata CSV (.gz ok) or population.npz, loaded as stats loads it; default: synthetic 60 months"
+    )
     parser.add_argument("--vtt", type=int, default=4)
     parser.add_argument("--timestamp", choices=["dex", "vt", "crawl"], default="dex")
     parser.add_argument("--bonferroni-m", type=int, default=30)
@@ -24,8 +26,7 @@ def main():
     args = parser.parse_args()
 
     if args.population:
-        with open_text(args.population) as fh:
-            pop = parse_metadata(fh).population
+        pop = load_population(args.population)
     else:
         pop, _ = generate(SynthConfig(months=60, per_month=2000, family_pool=10, seed=1))
     print(f"population: {len(pop)} records")

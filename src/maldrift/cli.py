@@ -7,17 +7,13 @@ document with one section per subcommand. Exit codes: 0 success, 1 error,
 from __future__ import annotations
 
 import argparse
-import codecs
 import configparser
-import csv
 import dataclasses
-import gzip
 import io
-import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,11 +21,8 @@ import numpy as np
 from . import ingest as ingest_mod
 from . import labeling, metrics, sizing
 from .errors import FormatError, MissingPredictionsError
-from .model import MIN_YEAR, ClassLabel, Granularity, Period, Population, _key_texts, parse_timestamp
+from .model import MIN_YEAR, Granularity, Period, parse_timestamp
 from .version import __version__
-
-if TYPE_CHECKING:
-    from . import synth
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -153,53 +146,6 @@ def _say(text) -> None:
     print(str(text).encode(encoding, "backslashreplace").decode(encoding))
 
 
-def _load_population(path: str) -> Population:
-    """The population of a .npz sidecar, or of a metadata CSV: read from the
-    population.npz beside it when that records the digest of the CSV's bytes,
-    and parsed otherwise (a stale sidecar is ignored)."""
-    if path.endswith(".npz"):
-        return ingest_mod._read_sidecar(path, provenance=path)
-    sidecar = Path(path).with_name(ingest_mod.SIDECAR)
-    if sidecar.is_file():
-        pop = ingest_mod._read_sidecar(sidecar, ingest_mod._file_sha256(path), provenance=path)
-        if pop is not None:
-            return pop
-    with ingest_mod.open_text(path) as fh:
-        result = ingest_mod.parse_metadata(fh, provenance=path)
-    return result.population
-
-
-def _write_population_gz(pop: Population, path: Path) -> None:
-    """Write pop's CSV gzipped, a chunk at a time, through path's .part file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a fixed mtime keeps the bytes the same across runs. The chunks' UTF-8
-    # bytes go straight to GzipFile.write, and nothing flushes the compressor
-    # before close: a sync flush (as TextIOWrapper's flush, detach or close
-    # sends) would change the bytes, and how the input is split does not
-    with ingest_mod._replacing(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
-        ingest_mod.write_metadata_csv(pop, codecs.getwriter("utf-8")(gz))
-
-
-def _write_ground_truth(truth: synth.GroundTruth, config_echo: dict, path: Path) -> None:
-    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline, where
-    payload holds the config echo, the active families by period and the true
-    class by sha256; the true classes are written a chunk at a time in sha256
-    order, from the population's columns (hex hashes need no JSON escaping)."""
-    classes = [json.dumps(cls.value) for cls in ClassLabel]
-    sha256, order, codes = truth.true_class.pop.sha256, truth.true_class.pop.sha_order, truth.true_class.codes
-
-    def render(rows: slice):
-        at = order[rows]
-        return (f'    "{sha}": {classes[code]}' for sha, code in zip(_key_texts(sha256[at]), codes[at].tolist()))
-
-    payload = {
-        "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
-        "config": config_echo,
-        "true_class": {},  # sorts last
-    }
-    ingest_mod._write_json(path, payload, len(order), render, sort_keys=True)
-
-
 def write_run_config(out: Path, command: str, config: dict) -> None:
     """Echo the fully-resolved run configuration next to the outputs."""
     payload = {"tool_version": __version__, "command": command, "config": config}
@@ -236,8 +182,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         }
     else:
         family_info = None
-    _write_population_gz(pop, out / "population.csv.gz")
-    ingest_mod._write_sidecar(pop, out / ingest_mod.SIDECAR, out / "population.csv.gz")
+    ingest_mod.write_population(pop, out / "population.csv.gz", sidecar=True)
     counts = np.bincount(pop.dex_date.astype("datetime64[Y]").view(np.int64))  # years from 1970, MIN_YEAR
     per_year = {str(MIN_YEAR + year): n for year, n in enumerate(counts.tolist()) if n}
     stats_payload = {
@@ -262,7 +207,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     settings = Settings(args, "stats")
     out = _out_dir(settings, "stats_out")
-    pop = _load_population(args.population)
+    pop = ingest_mod.load_population(args.population)
     rule = labeling.LabelRule(settings.get("vtt", 4, int))
     wrote = []
     if args.vtt_curve:
@@ -368,7 +313,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     seed = settings.get("seed", 0, int)
     allow_violations = settings.get("allow_violations", False, bool)
     rule, policy, plan, params = _sizing_inputs(settings)
-    pop = _load_population(args.population)
+    pop = ingest_mod.load_population(args.population)
     snapshot_raw = settings.get("snapshot", None, _Checked(parse_timestamp))
     if snapshot_raw:
         snap = ingest_mod.snapshot_filter(pop, parse_timestamp(snapshot_raw))
@@ -448,7 +393,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     settings = Settings(args, "verify")
     manifest = sampler.read_manifest_json(args.manifest)
-    pop = _load_population(args.population) if args.population else None
+    pop = ingest_mod.load_population(args.population) if args.population else None
     checks = sampler.verify_constraints(manifest, population=pop)
     results = _print_checks(checks)
     out = _out_dir(settings)
@@ -495,45 +440,6 @@ def _parse_predset_arg(value: str, threshold: float) -> tuple[ingest_mod.Predict
     return predset, note if stats.malformed or stats.duplicates else ""
 
 
-def _aut_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # false for nan
-        raise ValueError(f"AUT value {text!r} is not a number in [0, 1]")
-    return value
-
-
-def _aut_rows(path: str) -> list[tuple[str, list[float]]]:
-    """The (name, AUT values) rows of an --aut-table CSV. A value that is not a
-    number in [0, 1], a row without values or of another width than the first,
-    a table without rows, and text that csv, UTF-8 or gzip cannot read are
-    FormatErrors naming the file and the line."""
-    rows: list[tuple[str, list[float]]] = []
-    with ingest_mod.open_text(path) as fh:
-        reader = csv.reader(ingest_mod._lines(ingest_mod._blocks(fh)))
-        try:
-            for row in ingest_mod._csv_rows(reader):
-                if isinstance(row, csv.Error):
-                    raise row
-                if not row or row[0] == "classifier":
-                    continue
-                values = [_aut_value(v) for v in row[1:]]
-                if not values:
-                    raise ValueError("no AUT values")
-                if rows and len(values) != len(rows[0][1]):
-                    raise ValueError(f"width {len(values)} differs from the first row's {len(rows[0][1])} AUT values")
-                rows.append((row[0], values))
-        except UnicodeDecodeError as exc:  # raised by the line csv.reader would read next
-            message = f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-            raise FormatError(f"{path}:{reader.line_num + 1}: {message}") from None
-        except ingest_mod._GZIP_ERRORS as exc:
-            raise FormatError(f"{path}:{reader.line_num + 1}: unreadable gzip data ({exc})") from None
-        except (ValueError, csv.Error) as exc:
-            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}:{reader.line_num + 1}: empty AUT table")
-    return rows
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import report, sampler
 
@@ -544,7 +450,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(settings, "evaluate_out")
     window = settings.get("window", 12, int)
     if args.aut_table:
-        result = report.report_from_aut_table(_aut_rows(args.aut_table), window)
+        result = report.report_from_aut_table(ingest_mod.read_aut_table(args.aut_table), window)
         config_echo = {"aut_table": args.aut_table, "window": window}
     else:
         threshold = settings.get("threshold", 0.5, float)
@@ -599,9 +505,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ),
     )
     pop, truth = synth.generate(config)
-    _write_population_gz(pop, out / "population.csv.gz")
+    ingest_mod.write_population(pop, out / "population.csv.gz")
     echo = dataclasses.asdict(config)
-    _write_ground_truth(truth, echo, out / "ground_truth.json")
+    synth.write_ground_truth(truth, echo, out / "ground_truth.json")
     write_run_config(out, "synth", echo | {"preset": args.preset})
     _say(f"generated {len(pop)} records over {config.months} months -> {out / 'population.csv.gz'}")
     return EXIT_OK

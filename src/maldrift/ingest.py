@@ -1,4 +1,5 @@
-"""Parse metadata/family/prediction files, write CSV outputs, emulate snapshots.
+"""Parse metadata/family/prediction/AUT-table files, load and write the population
+cache (CSV and sidecar), write CSV outputs, emulate snapshots.
 
 Column names follow the public AndroZoo metadata: "added" maps to the crawl
 date and "markets" is a "|"-separated list. Lenient parsing (count and skip
@@ -6,6 +7,7 @@ malformed rows) is the default because real snapshots contain bad rows.
 """
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import gzip
@@ -935,10 +937,38 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
     )
 
 
+def load_population(path: str) -> Population:
+    """The population of a .npz sidecar, or of a metadata CSV: read from the
+    population.npz beside it when that records the digest of the CSV's bytes,
+    and parsed otherwise (a stale sidecar is ignored)."""
+    if path.endswith(".npz"):
+        return _read_sidecar(path, provenance=path)
+    sidecar = Path(path).with_name(SIDECAR)
+    if sidecar.is_file():
+        pop = _read_sidecar(sidecar, _file_sha256(path), provenance=path)
+        if pop is not None:
+            return pop
+    with open_text(path) as fh:
+        return parse_metadata(fh, provenance=path).population
+
+
+def write_population(pop: Population, path: Path, sidecar: bool = False) -> None:
+    """Write pop's CSV gzipped, a chunk at a time, through path's .part file;
+    with sidecar, then the population.npz beside it (_write_sidecar)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a fixed mtime keeps the bytes the same across runs. The chunks' UTF-8
+    # bytes go straight to GzipFile.write, and nothing flushes the compressor
+    # before close: a sync flush (as TextIOWrapper's flush, detach or close
+    # sends) would change the bytes, and how the input is split does not
+    with _replacing(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
+        write_metadata_csv(pop, codecs.getwriter("utf-8")(gz))
+    if sidecar:
+        _write_sidecar(pop, path.with_name(SIDECAR), path)
+
+
 @dataclass
 class FamilyJoinStats:
     mapped: int = 0
-    malformed: int = 0
     matched: int = 0
     unmatched: int = 0
 
@@ -1187,6 +1217,45 @@ def _prediction_row(row: dict) -> tuple[str, float, Optional[int]]:
     elif not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score} outside [0,1] without a label column")
     return sha, score, predicted
+
+
+def _aut_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for nan
+        raise ValueError(f"AUT value {text!r} is not a number in [0, 1]")
+    return value
+
+
+def read_aut_table(path: str) -> list[tuple[str, list[float]]]:
+    """The (name, AUT values) rows of an AUT-table CSV (classifier,aut1,aut2,...).
+    A value that is not a number in [0, 1], a row without values or of another
+    width than the first, a table without rows, and text that csv, UTF-8 or
+    gzip cannot read are FormatErrors naming the file and the line."""
+    rows: list[tuple[str, list[float]]] = []
+    with open_text(path) as fh:
+        reader = csv.reader(_lines(_blocks(fh)))
+        try:
+            for row in _csv_rows(reader):
+                if isinstance(row, csv.Error):
+                    raise row
+                if not row or row[0] == "classifier":
+                    continue
+                values = [_aut_value(v) for v in row[1:]]
+                if not values:
+                    raise ValueError("no AUT values")
+                if rows and len(values) != len(rows[0][1]):
+                    raise ValueError(f"width {len(values)} differs from the first row's {len(rows[0][1])} AUT values")
+                rows.append((row[0], values))
+        except UnicodeDecodeError as exc:  # raised by the line csv.reader would read next
+            message = f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            raise FormatError(f"{path}:{reader.line_num + 1}: {message}") from None
+        except _GZIP_ERRORS as exc:
+            raise FormatError(f"{path}:{reader.line_num + 1}: unreadable gzip data ({exc})") from None
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}:{reader.line_num + 1}: empty AUT table")
+    return rows
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,17 @@ and every aggregate count is fixed by the config (seed-independent).
 from __future__ import annotations
 
 import hashlib
+import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .model import COLUMNS, MAX_YEAR, ClassLabel, Period, Population, _WRITE_ROWS
+from .ingest import _write_json
+from .model import COLUMNS, MAX_YEAR, ClassLabel, Period, Population, _WRITE_ROWS, _key_texts
 from .sizing import round_half_up
 
 _LAST_SECOND = np.datetime64(datetime.max, "s")
@@ -149,6 +152,26 @@ class TrueClass(Mapping[str, ClassLabel]):
 class GroundTruth:
     active_families: dict[Period, tuple[str, ...]]
     true_class: TrueClass
+
+
+def write_ground_truth(truth: GroundTruth, config_echo: dict, path: Path) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline, where
+    payload holds the config echo, the active families by period and the true
+    class by sha256; the true classes are written a chunk at a time in sha256
+    order, from the population's columns (hex hashes need no JSON escaping)."""
+    classes = [json.dumps(cls.value) for cls in _CLASSES]
+    sha256, order, codes = truth.true_class.pop.sha256, truth.true_class.pop.sha_order, truth.true_class.codes
+
+    def render(rows: slice):
+        at = order[rows]
+        return (f'    "{sha}": {classes[code]}' for sha, code in zip(_key_texts(sha256[at]), codes[at].tolist()))
+
+    payload = {
+        "active_families": {str(p): list(fams) for p, fams in truth.active_families.items()},
+        "config": config_echo,
+        "true_class": {},  # sorts last
+    }
+    _write_json(path, payload, len(order), render, sort_keys=True)
 
 
 def _family_births(config: SynthConfig) -> list[tuple[str, int]]:

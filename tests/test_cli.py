@@ -273,7 +273,7 @@ def test_population_gz_is_one_gzip_write(tmp_path, monkeypatch, rows):
         gz.write(text.getvalue().encode("utf-8"))
     if rows:
         monkeypatch.setattr(ingest, "_WRITE_ROWS", rows)
-    cli._write_population_gz(pop, tmp_path / "population.csv.gz")
+    ingest.write_population(pop, tmp_path / "population.csv.gz")
     assert (tmp_path / "population.csv.gz").read_bytes() == expected.getvalue()
 
 
@@ -288,7 +288,7 @@ def test_ground_truth_is_json_dumps_across_chunks(tmp_path, monkeypatch, preset)
         "true_class": {sha: cls.value for sha, cls in sorted(truth.true_class.items())},
     }
     monkeypatch.setattr(ingest, "_WRITE_ROWS", 7)
-    cli._write_ground_truth(truth, echo, tmp_path / "ground_truth.json")
+    synth.write_ground_truth(truth, echo, tmp_path / "ground_truth.json")
     assert (tmp_path / "ground_truth.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -301,8 +301,8 @@ def _manifest_of(truth):
 
 
 _WRITERS = {
-    "population.csv.gz": lambda pop, truth, path: cli._write_population_gz(pop, path),
-    "ground_truth.json": lambda pop, truth, path: cli._write_ground_truth(truth, {}, path),
+    "population.csv.gz": lambda pop, truth, path: ingest.write_population(pop, path),
+    "ground_truth.json": lambda pop, truth, path: synth.write_ground_truth(truth, {}, path),
     "manifest.json": lambda pop, truth, path: sampler.write_manifest_json(_manifest_of(truth), path),
 }
 
@@ -748,6 +748,31 @@ def test_step_loads_only_its_modules(tmp_path):
         rc, *loaded = _fresh_process(code, *argv, cwd=tmp_path).split()
         assert rc == "0", argv
         assert not {name.removeprefix("maldrift.") for name in loaded} & absent, argv[0]
+
+
+def test_cli_implements_no_file_format():
+    """cli.py keeps settings and orchestration: the file formats live in ingest
+    (the population store and every CSV reader) and synth (ground truth). So
+    it imports no codecs, csv, gzip or json, and of the private names of
+    maldrift's modules (dunders aside) it uses only ingest's output helpers."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules, used = {}, []  # local name -> maldrift module; (maldrift module or "", name) pairs
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used += [("", alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            used.append(("", node.module))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            used += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            used.append((modules[node.value.id], node.attr))
+    assert {"ingest", "synth"} <= set(modules.values())
+    assert {name for module, name in used if not module} & {"codecs", "csv", "gzip", "json"} == set()
+    private = {f"{module}.{name}" for module, name in used if module and name[:1] == "_" and name[:2] != "__"}
+    assert private <= {"ingest._write_json", "ingest._replacing"}
 
 
 def test_only_digests_map_openssl(tmp_path):
@@ -1251,7 +1276,7 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
     """After --markets, sample holds the selected records only: the population
     it loaded is gone before plan_sizes runs."""
     loaded, freed = [], []
-    load, plan_sizes = cli._load_population, cli.sizing.plan_sizes
+    load, plan_sizes = cli.ingest_mod.load_population, cli.sizing.plan_sizes
 
     def loading(path):
         pop = load(path)
@@ -1262,7 +1287,7 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
         freed.append(loaded[0]() is None)
         return plan_sizes(pop, *args)
 
-    monkeypatch.setattr(cli, "_load_population", loading)
+    monkeypatch.setattr(cli.ingest_mod, "load_population", loading)
     monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
     argv = ["sample", "--population", ingested / "population.csv.gz", "--markets", "play.google.com,anzhi"]
     assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0

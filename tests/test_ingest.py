@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maldrift import cli, ingest, model, synth
+from maldrift import ingest, model, synth
 from maldrift.errors import FormatError
 from maldrift.ingest import (
     join_families,
@@ -345,7 +345,7 @@ def test_every_csv_reader_reads_the_block_lines():
                 source = node.args[0].func if node.args and isinstance(node.args[0], ast.Call) else None
                 if getattr(source, "id", getattr(source, "attr", None)) != "_lines":
                     found.append(f"{path.name}:{node.lineno}")
-    assert readers >= 2  # _read_csv (metadata, predictions and families) and cli._aut_rows (AUT tables)
+    assert readers >= 2  # _read_csv (metadata, predictions and families) and read_aut_table (AUT tables)
     assert found == []
 
 
@@ -362,7 +362,7 @@ def _owners(tree: ast.AST, owner: str, hit) -> list[str]:
 
 def test_blocks_and_row_counts_have_one_home():
     """ingest._blocks is walked only by _read_csv, for every keyed CSV input,
-    and by cli._aut_rows; ParseStats.rows and .parsed are counted only in _Rows.keep."""
+    and by read_aut_table; ParseStats.rows and .parsed are counted only in _Rows.keep."""
 
     def blocks_call(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_blocks"
@@ -377,7 +377,7 @@ def test_blocks_and_row_counts_have_one_home():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         calls += _owners(tree, path.stem, blocks_call)
         counts += _owners(tree, path.stem, count)
-    assert calls == ["cli._aut_rows", "ingest._read_csv"]
+    assert calls == ["ingest._read_csv", "ingest.read_aut_table"]
     assert counts == ["ingest._Rows.keep", "ingest._Rows.keep"]
 
 
@@ -411,7 +411,7 @@ _BLOCK_CASES = {
     "aut-table": (
         "classifier,aut1,aut2\r\n",
         lambda i: [f"c{i},0.{i},0.5\r\n", "\n", f'"c, {i}",0.25,0.{i}\n', f'"c\r\n{i}\r\n",1,0\r\n'][i % 4],
-        lambda path: cli._aut_rows(str(path)),
+        lambda path: ingest.read_aut_table(str(path)),
     ),
 }
 
@@ -558,7 +558,7 @@ def test_population_gz_memory_follows_chunk_size(tmp_path):
     under 4 MB: one chunk's text is gone before the next is rendered. Holding
     the whole CSV would add tens of MB."""
     peaks = [
-        _write_peak(cli._write_population_gz, synth.generate(synth.SynthConfig(months=100, per_month=n))[0], tmp_path / "p.csv.gz")
+        _write_peak(ingest.write_population, synth.generate(synth.SynthConfig(months=100, per_month=n))[0], tmp_path / "p.csv.gz")
         for n in (400, 1600)
     ]
     assert peaks[1] - peaks[0] < 4_000_000

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_rows as oracle
-from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing, synth
+from maldrift import ingest, labeling, metrics, report, sampler, sizing, synth
 from maldrift.errors import FormatError
 from maldrift.labeling import LabelRule, TimestampKind, TimestampPolicy
 from maldrift.model import ClassLabel, Granularity
@@ -226,7 +226,7 @@ def test_sidecar_holds_what_parsing_the_cache_gives(text):
     pop = ingest.parse_metadata(io.StringIO(text.replace(" anzhi | appchina ", "anzhi|appchina"))).population
     with tempfile.TemporaryDirectory() as tmp:
         csv_gz, sidecar = Path(tmp, "population.csv.gz"), Path(tmp, ingest.SIDECAR)
-        cli._write_population_gz(pop, csv_gz)
+        ingest.write_population(pop, csv_gz)
         ingest._write_sidecar(pop, sidecar, csv_gz)
         loaded = ingest._read_sidecar(sidecar, ingest._file_sha256(csv_gz))
         with ingest.open_text(csv_gz) as fh:
