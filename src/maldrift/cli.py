@@ -13,16 +13,16 @@ import io
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
-# sampler, report and synth load inside the commands that run them
-from . import ingest as ingest_mod
-from . import labeling, metrics, sizing
+# numpy and the layers load inside the commands that run them, so --help,
+# --version and a usage error load none of them
 from .errors import FormatError, MissingPredictionsError
-from .model import MIN_YEAR, Granularity, Period, parse_timestamp
 from .version import __version__
+
+if TYPE_CHECKING:
+    from . import ingest as ingest_mod, labeling, sizing
+    from .model import Granularity, Period
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,11 +33,11 @@ CACHE_ENV = "MALDRIFT_CACHE_DIR"
 
 WORKERS_HELP = "deprecated and ignored (sampling and generation run serially); kept so existing command lines work"
 
-_TIMESTAMP_KINDS = {
-    "dex": labeling.TimestampKind.CREATION_DEX,
-    "vt": labeling.TimestampKind.CREATION_VT,
-    "crawl": labeling.TimestampKind.PUBLICATION_CRAWL,
-}
+# the labeling.TimestampKind value of each --timestamp name
+_TIMESTAMP_KINDS = {"dex": "creation_dex", "vt": "creation_vt", "crawl": "publication_crawl"}
+# the values of sizing.PlanMode and metrics.METRIC_NAMES, in their order
+_MODES = ("global", "yearly", "monthly")
+_METRICS = ("f1", "fpr", "tpr", "precision", "recall")
 
 
 class Settings:
@@ -116,6 +116,8 @@ def _period_at(granularity: Granularity) -> Callable[[str], Period]:
     """The cast of a --ref-period, which must be of the --granularity of the overlap series."""
 
     def parse(text: str) -> Period:
+        from .model import Period
+
         period = Period.parse(text)
         if period.granularity is not granularity:
             raise ValueError(f"a {period.granularity.value} period, while --granularity is {granularity.value}")
@@ -133,10 +135,12 @@ _timestamp_name = _one_of(_TIMESTAMP_KINDS)
 
 
 def _policy_from(settings: Settings) -> labeling.TimestampPolicy:
-    kind = _TIMESTAMP_KINDS[settings.get("timestamp", "crawl", _timestamp_name)]
+    from .labeling import TimestampKind, TimestampPolicy
+
+    kind = TimestampKind(_TIMESTAMP_KINDS[settings.get("timestamp", "crawl", _timestamp_name)])
     fallback_name = settings.get("timestamp_fallback", None, _timestamp_name)
-    fallback = _TIMESTAMP_KINDS[fallback_name] if fallback_name else None
-    return labeling.TimestampPolicy(kind, fallback)
+    fallback = TimestampKind(_TIMESTAMP_KINDS[fallback_name]) if fallback_name else None
+    return TimestampPolicy(kind, fallback)
 
 
 def _say(text) -> None:
@@ -148,6 +152,8 @@ def _say(text) -> None:
 
 def write_run_config(out: Path, command: str, config: dict) -> None:
     """Echo the fully-resolved run configuration next to the outputs."""
+    from . import ingest as ingest_mod
+
     payload = {"tool_version": __version__, "command": command, "config": config}
     ingest_mod._write_json(out / "run_config.json", payload, sort_keys=True)
 
@@ -162,6 +168,11 @@ def _out_dir(settings: Settings, default: Optional[str] = None) -> Optional[Path
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import ingest as ingest_mod
+    from .model import MIN_YEAR
+
     settings = Settings(args, "ingest")
     strict = settings.get("strict", False, bool)
     cache_default = os.environ.get(CACHE_ENV, "maldrift_cache")
@@ -205,6 +216,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not (args.vtt_curve or args.markets or args.timestamps or args.overlap):
         print("nothing to do: pass at least one of --vtt-curve/--markets/--timestamps/--overlap", file=sys.stderr)
         return EXIT_USAGE
+    from . import ingest as ingest_mod, labeling
+    from .model import Granularity, Period
+
     settings = Settings(args, "stats")
     out = _out_dir(settings, "stats_out")
     pop = ingest_mod.load_population(args.population)
@@ -243,7 +257,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         wrote += ["market_composition.csv", "market_consistency.json"]
     if args.timestamps:
-        lag = labeling.timestamp_lag_stats(pop, _TIMESTAMP_KINDS["dex"], _TIMESTAMP_KINDS["crawl"])
+        kinds = labeling.TimestampKind
+        lag = labeling.timestamp_lag_stats(pop, kinds.CREATION_DEX, kinds.PUBLICATION_CRAWL)
         ingest_mod.write_csv(
             out / "timestamp_lag.csv",
             ("stat", "value"),
@@ -262,6 +277,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         wrote += ["timestamp_lag.csv", "timestamp_lag_histogram.csv"]
     if args.overlap:
+        from . import metrics
+
         policy = _policy_from(settings)
         gran = Granularity(settings.get("granularity", "year", Granularity))
         slices = metrics.malware_families_by_period(pop, rule, policy, gran)
@@ -284,6 +301,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_size(args: argparse.Namespace) -> int:
+    from . import sizing
+
     settings = Settings(args, "sample-size")
     n = sizing.required_sample_size(args.population_size, _sizing_params(settings))
     _say(n)
@@ -291,11 +310,16 @@ def cmd_sample_size(args: argparse.Namespace) -> int:
 
 
 def _sizing_params(settings: Settings) -> sizing.SizingParams:
-    return sizing.SizingParams(**settings.given(confidence=float, delta=float, p=float, bonferroni_m=int))
+    from .sizing import SizingParams
+
+    return SizingParams(**settings.given(confidence=float, delta=float, p=float, bonferroni_m=int))
 
 
 def _sizing_inputs(settings: Settings):
-    rule = labeling.LabelRule(settings.get("vtt", 4, int))
+    from . import sizing
+    from .labeling import LabelRule
+
+    rule = LabelRule(settings.get("vtt", 4, int))
     policy = _policy_from(settings)
     plan = sizing.SizingPlan(
         mode=sizing.PlanMode(settings.get("mode", "monthly", sizing.PlanMode)),
@@ -306,7 +330,8 @@ def _sizing_inputs(settings: Settings):
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    from . import sampler
+    from . import ingest as ingest_mod, sampler, sizing
+    from .model import parse_timestamp
 
     settings = Settings(args, "sample")
     out = _out_dir(settings, "sample_out")
@@ -389,7 +414,7 @@ def _print_checks(checks) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import sampler
+    from . import ingest as ingest_mod, sampler
 
     settings = Settings(args, "verify")
     manifest = sampler.read_manifest_json(args.manifest)
@@ -404,6 +429,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    from . import metrics
+    from .model import Period
+
     settings = Settings(args, "split")
     window = settings.get("window", 12, int)
     plan = metrics.rolling_splits(
@@ -424,12 +452,16 @@ def cmd_split(args: argparse.Namespace) -> int:
         _say(split.label())
     out = _out_dir(settings)
     if out:
+        from . import ingest as ingest_mod
+
         ingest_mod._write_json(out / "splits.json", {"window_months": window, "splits": payload})
     return EXIT_OK
 
 
 def _parse_predset_arg(value: str, threshold: float) -> tuple[ingest_mod.PredictionSet, str]:
     """The prediction set of a [NAME=]PATH value, and what its parse dropped ("" if nothing)."""
+    from . import ingest as ingest_mod
+
     if "=" in value:
         name, path = value.split("=", 1)
     else:
@@ -441,7 +473,7 @@ def _parse_predset_arg(value: str, threshold: float) -> tuple[ingest_mod.Predict
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from . import report, sampler
+    from . import ingest as ingest_mod, report, sampler
 
     if not (bool(args.aut_table) == (not args.manifest) == (not args.predictions)):
         print("evaluate takes --aut-table alone, or --manifest with --predictions", file=sys.stderr)
@@ -461,7 +493,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 manifest,
                 predsets,
                 window,
-                metric=settings.get("metric", "f1", _one_of(metrics.METRIC_NAMES)),
+                metric=settings.get("metric", "f1", _one_of(_METRICS)),
                 lenient=settings.get("lenient", False, bool),
             )
         except MissingPredictionsError as exc:  # a dropped row is a likely cause: name them on the same line
@@ -489,7 +521,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from . import synth
+    from . import ingest as ingest_mod, synth
 
     settings = Settings(args, "synth")
     out = _out_dir(settings, "synth_out")
@@ -562,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vtt", type=int)
     p.add_argument("--timestamp", choices=sorted(_TIMESTAMP_KINDS))
     p.add_argument("--timestamp-fallback", choices=sorted(_TIMESTAMP_KINDS))
-    p.add_argument("--mode", choices=[m.value for m in sizing.PlanMode])
+    p.add_argument("--mode", choices=_MODES)
     p.add_argument("--spatial", action=argparse.BooleanOptionalAction)
     p.add_argument("--ratio", type=float, help="malware ratio for spatial plans")
     p.add_argument("--confidence", type=float)
@@ -599,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--aut-table", help="CSV of name,aut1,aut2,... to aggregate directly")
     p.add_argument("--window", type=int)
-    p.add_argument("--metric", choices=list(metrics.METRIC_NAMES))
+    p.add_argument("--metric", choices=_METRICS)
     p.add_argument("--threshold", type=float)
     p.add_argument("--lenient", action="store_const", const=True)
     p.set_defaults(func=cmd_evaluate)

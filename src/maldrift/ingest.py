@@ -14,6 +14,7 @@ import gzip
 import io
 import itertools
 import json
+import os
 import zipfile
 import zlib
 from collections.abc import Mapping
@@ -604,6 +605,13 @@ class _Rows:
         self.position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         self.parts: dict[str, list[np.ndarray]] = {name: [] for name in self.table._COLUMNS}
 
+    def missing_columns(self, message: str) -> FormatError:
+        """The FormatError of a header that lacks a required column: message,
+        and a note when a UTF-8 byte-order mark hides the first column's name."""
+        if self.header[:1] and self.header[0].startswith("\ufeff"):
+            message += " (the file starts with a UTF-8 byte-order mark)"
+        return FormatError(message)
+
     def fallback(self, rejected: np.ndarray, row, parse) -> Iterator:
         """(k, parse(row k as csv.DictReader gives it)) for each rejected row k
         of a chunk. A row that parse or csv cannot read is malformed: a
@@ -674,7 +682,7 @@ class _Columns(_Rows):
         super().__init__(header, stats, strict)
         missing = [c for c in REQUIRED_COLUMNS if c not in self.position]
         if missing:
-            raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
+            raise self.missing_columns(f"metadata input missing required columns: {', '.join(missing)}")
         self.market_sets: dict[frozenset[str], int] = {}
         self.families: dict[str, int] = {}
         self._market_text: dict[bytes, int] = {}
@@ -937,10 +945,11 @@ def _sidecar_population(npz, path: str, csv_sha256: Optional[str], provenance: s
     )
 
 
-def load_population(path: str) -> Population:
+def load_population(path: Union[str, os.PathLike]) -> Population:
     """The population of a .npz sidecar, or of a metadata CSV: read from the
     population.npz beside it when that records the digest of the CSV's bytes,
     and parsed otherwise (a stale sidecar is ignored)."""
+    path = os.fspath(path)
     if path.endswith(".npz"):
         return _read_sidecar(path, provenance=path)
     sidecar = Path(path).with_name(SIDECAR)
@@ -1179,7 +1188,7 @@ class _Predictions(_Rows):
     def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
         super().__init__(header, stats, strict)
         if "sha256" not in self.position or "score" not in self.position:
-            raise FormatError("prediction input must have columns sha256,score[,label]")
+            raise self.missing_columns("prediction input must have columns sha256,score[,label]")
 
     def add(self, n: int, span, regular: np.ndarray, row) -> None:
         """Parse a chunk of _read_csv, as _Columns.add does, with _prediction_row."""

@@ -186,6 +186,8 @@ def rolling_splits(
         raise ValueError("rolling splits require month periods")
     if window_months < 1:
         raise ValueError(f"window must be >= 1 month, got {window_months}")
+    if end.index < start.index:
+        raise ValueError(f"end {end} comes before start {start}")
     span = end.index - start.index + 1
     if span < 2 * window_months:
         raise ValueError(

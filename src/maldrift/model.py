@@ -8,6 +8,7 @@ key format that the manifest and the prediction set share too.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -80,6 +81,11 @@ def format_timestamps(values: np.ndarray) -> list[str]:
     text = chars.view("U19").ravel()
     text[np.isnat(values)] = ""
     return text.tolist()
+
+
+def round_half_up(x: float) -> int:
+    """x rounded to the nearest integer, a half up (round() takes a half to even)."""
+    return math.floor(x + 0.5)
 
 
 def _check_year(year: int) -> None:

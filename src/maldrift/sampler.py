@@ -32,8 +32,8 @@ from .labeling import (
     eligible,
     timeline_dates,
 )
-from .model import KEY_DTYPE, ClassLabel, Granularity, KeyedTable, Period, Population, _key_texts, format_timestamp, period_indices
-from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult, round_half_up
+from .model import KEY_DTYPE, ClassLabel, Granularity, KeyedTable, Period, Population, _key_texts, format_timestamp, period_indices, round_half_up
+from .sizing import PlanMode, SizingParams, SizingPlan, SizingResult
 from .version import __version__
 
 _CLASS_CODE = {None: 0, ClassLabel.GOODWARE: 1, ClassLabel.MALWARE: 2}

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .labeling import GREYWARE, MALWARE, LabelRule, TimestampPolicy, eligible
-from .model import Granularity, Period, Population
+from .model import Granularity, Period, Population, round_half_up
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ class SizingPlan:
         else:
             suffix = {PlanMode.GLOBAL: "", PlanMode.YEARLY: "/Yearly", PlanMode.MONTHLY: "/Monthly"}
         return base + suffix[self.mode]
-
-
-def round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 def required_sample_size(population_size: int, params: SizingParams) -> int:

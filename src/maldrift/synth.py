@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .ingest import _write_json
-from .model import COLUMNS, MAX_YEAR, ClassLabel, Period, Population, _WRITE_ROWS, _key_texts
-from .sizing import round_half_up
+from .model import COLUMNS, MAX_YEAR, ClassLabel, Period, Population, _WRITE_ROWS, _key_texts, round_half_up
 
 _LAST_SECOND = np.datetime64(datetime.max, "s")
 # the last second ingest's parser reads: later crawl dates are capped to it

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import maldrift
-from maldrift import cli, ingest, report, sampler, synth
+from maldrift import cli, ingest, labeling, metrics, report, sampler, sizing, synth
 from maldrift.model import Period
 from maldrift.sampler import read_manifest_json
 
@@ -214,6 +214,11 @@ def test_split_prints_appendix_splits(capsys):
     assert run(["split", "--start", "2014-01", "--end", "2018-12", "--window", 12]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["2014|2015", "2015|2016", "2016|2017", "2017|2018"]
+
+
+def test_split_end_before_start(capsys):
+    assert run(["split", "--start", "2014-01", "--end", "2013-01"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: end 2013-01 comes before start 2014-01\n"
 
 
 def test_evaluate_aut_table(tmp_path, capsys):
@@ -750,6 +755,58 @@ def test_step_loads_only_its_modules(tmp_path):
         assert not {name.removeprefix("maldrift.") for name in loaded} & absent, argv[0]
 
 
+# prints `maldrift ARGV`'s exit code (None with no ARGV: the import alone) and
+# the maldrift modules and numpy loaded
+_LOADS = (
+    "import sys\n"
+    "from maldrift import cli\n"
+    "try:\n"
+    "    rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+    "except SystemExit as exc:\n"
+    "    rc = exc.code\n"
+    "print(rc, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('maldrift')))"
+)
+_CLI_ONLY = ["maldrift", "maldrift.cli", "maldrift.errors", "maldrift.version"]
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [([], "None"), (["--version"], "0"), (["--help"], "0"), (["sample", "--help"], "0"), (["sample", "--mode", "x"], "2")],
+    ids=["import", "version", "help", "command-help", "usage-error"],
+)
+def test_start_up_loads_no_layer(argv, rc):
+    """Importing the CLI, --version, --help and a usage error load no numpy and
+    no maldrift module besides cli, errors and version."""
+    assert _fresh_process(_LOADS, *argv).split() == [rc, *_CLI_ONLY]
+
+
+def test_command_loads_only_the_layers_it_runs(tmp_path):
+    """Each command, run as a process of its own, loads numpy and exactly the
+    layers it runs besides what every CLI process loads."""
+    cache = "cache/population.csv.gz"
+    steps = [
+        (["synth", "--preset", "stable", "--months", "24", "--out", "synth"], {"synth", "ingest", "model"}),
+        (["ingest", "--input", "synth/population.csv.gz", "--out", "cache"], {"ingest", "model"}),
+        (["stats", "--population", cache, "--vtt-curve", "--markets", "--timestamps"], {"ingest", "labeling", "model"}),
+        (["stats", "--population", cache, "--overlap"], {"ingest", "labeling", "metrics", "model"}),
+        (["split", "--start", "2014-01", "--end", "2018-12"], {"metrics", "labeling", "model"}),
+        (["split", "--start", "2014-01", "--end", "2018-12", "--out", "split"], {"ingest", "metrics", "labeling", "model"}),
+        (["sample-size", "--population-size", "200000"], {"sizing", "labeling", "model"}),
+    ]
+    for argv, layers in steps:
+        rc, *loaded = _fresh_process(_LOADS, *argv, cwd=tmp_path).split()
+        assert rc == "0", argv
+        assert loaded == sorted([*_CLI_ONLY, "numpy", *(f"maldrift.{layer}" for layer in layers)]), argv
+
+
+def test_choices_are_the_layers_values():
+    """The literal choices that let the parser load no layer are the layers' own values."""
+    assert cli._MODES == tuple(mode.value for mode in sizing.PlanMode)
+    assert cli._METRICS == metrics.METRIC_NAMES
+    kinds = labeling.TimestampKind
+    assert cli._TIMESTAMP_KINDS == {"dex": kinds.CREATION_DEX, "vt": kinds.CREATION_VT, "crawl": kinds.PUBLICATION_CRAWL}
+
+
 def test_cli_implements_no_file_format():
     """cli.py keeps settings and orchestration: the file formats live in ingest
     (the population store and every CSV reader) and synth (ground truth). So
@@ -959,8 +1016,12 @@ def test_unreadable_gzip_counts_every_whole_row(tmp_path, capsys, fault, quoted)
         ("sha,score\n", "prediction input must have columns sha256,score[,label]"),
         ("", "empty prediction input"),
         (f'"{LONG}"\n', "unreadable prediction header: field larger than field limit (131072)"),
+        (
+            "\ufeffsha256,score\n",
+            "prediction input must have columns sha256,score[,label] (the file starts with a UTF-8 byte-order mark)",
+        ),
     ],
-    ids=["columns", "empty", "unreadable"],
+    ids=["columns", "empty", "unreadable", "byte-order-mark"],
 )
 def test_prediction_header_errors_name_the_file(good_manifest, tmp_path, capsys, header, message):
     manifest = tmp_path / "manifest.json"
@@ -968,7 +1029,7 @@ def test_prediction_header_errors_name_the_file(good_manifest, tmp_path, capsys,
     rows = "".join(f"{e['sha256']},0.9\n" for e in good_manifest["entries"])
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text("sha256,score\n" + rows)
-    bad.write_text(header + rows if header else "")
+    bad.write_text(header + rows if header else "", encoding="utf-8")
     argv = ["evaluate", "--manifest", manifest, "--predictions", f"a={good}", "--predictions", f"b={bad}"]
     assert run([*argv, "--out", tmp_path / "eval"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
@@ -979,6 +1040,15 @@ def test_metadata_header_error_names_the_file(tmp_path, capsys):
     src.write_text(f"sha256,dex\n{sha_of(1)},2014-01-15\n")
     assert run(["ingest", "--input", src, "--out", tmp_path / "cache"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: {src}: metadata input missing required columns: dex_date, vt_detection\n"
+
+
+def test_metadata_header_error_names_a_byte_order_mark(tmp_path, capsys):
+    """A header whose first name a UTF-8 byte-order mark hides says so."""
+    src = tmp_path / "meta.csv"
+    src.write_text("\ufeff" + CSV, encoding="utf-8")
+    assert run(["ingest", "--input", src, "--out", tmp_path / "cache"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: metadata input missing required columns: sha256 (the file starts with a UTF-8 byte-order mark)\n"
 
 
 def test_strict_row_error_names_the_file(tmp_path, capsys):
@@ -1276,7 +1346,7 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
     """After --markets, sample holds the selected records only: the population
     it loaded is gone before plan_sizes runs."""
     loaded, freed = [], []
-    load, plan_sizes = cli.ingest_mod.load_population, cli.sizing.plan_sizes
+    load, plan_sizes = ingest.load_population, sizing.plan_sizes
 
     def loading(path):
         pop = load(path)
@@ -1287,8 +1357,8 @@ def test_sample_frees_the_loaded_population_before_sizing(ingested, tmp_path, mo
         freed.append(loaded[0]() is None)
         return plan_sizes(pop, *args)
 
-    monkeypatch.setattr(cli.ingest_mod, "load_population", loading)
-    monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
+    monkeypatch.setattr(ingest, "load_population", loading)
+    monkeypatch.setattr(sizing, "plan_sizes", planning)
     argv = ["sample", "--population", ingested / "population.csv.gz", "--markets", "play.google.com,anzhi"]
     assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
     assert freed == [True]
@@ -1298,7 +1368,7 @@ def test_sample_frees_the_snapshotted_population_before_sizing(ingested, tmp_pat
     """With --snapshot too, the population the snapshot kept is gone once
     --markets has selected from it, before plan_sizes runs."""
     kept, freed = [], []
-    snapshot_filter, plan_sizes = cli.ingest_mod.snapshot_filter, cli.sizing.plan_sizes
+    snapshot_filter, plan_sizes = ingest.snapshot_filter, sizing.plan_sizes
 
     def snapshotting(pop, when):
         snap = snapshot_filter(pop, when)
@@ -1309,8 +1379,8 @@ def test_sample_frees_the_snapshotted_population_before_sizing(ingested, tmp_pat
         freed.append(kept[0]() is None)
         return plan_sizes(pop, *args)
 
-    monkeypatch.setattr(cli.ingest_mod, "snapshot_filter", snapshotting)
-    monkeypatch.setattr(cli.sizing, "plan_sizes", planning)
+    monkeypatch.setattr(ingest, "snapshot_filter", snapshotting)
+    monkeypatch.setattr(sizing, "plan_sizes", planning)
     argv = ["sample", "--population", ingested / "population.csv.gz", "--snapshot", "2030-01-01",
             "--markets", "play.google.com,anzhi", "--timestamp", "dex"]
     assert run([*argv, "--allow-violations", "--out", tmp_path / "sample"]) == 0
@@ -1321,13 +1391,13 @@ def test_sample_frees_the_snapshotted_population_before_sizing(ingested, tmp_pat
 def test_sample_builds_one_view(ingested, tmp_path, monkeypatch):
     """plan_sizes, stratified_sample and verify_constraints share one derivation
     of class codes, timeline dates and periods."""
-    builds, class_codes = [], cli.labeling.class_codes
+    builds, class_codes = [], labeling.class_codes
 
     def counting(pop, rule):
         builds.append(rule)
         return class_codes(pop, rule)
 
-    monkeypatch.setattr(cli.labeling, "class_codes", counting)
+    monkeypatch.setattr(labeling, "class_codes", counting)
     argv = ["sample", "--population", ingested / "population.csv.gz", "--timestamp-fallback", "dex",
             "--markets", "play.google.com,anzhi", "--allow-violations", "--out", tmp_path / "sample"]
     assert run(argv) == 0

@@ -564,6 +564,21 @@ def test_population_gz_memory_follows_chunk_size(tmp_path):
     assert peaks[1] - peaks[0] < 4_000_000
 
 
+def test_load_population_takes_a_path_as_a_str(tmp_path):
+    """A Path and its str load the same population: a CSV through its current
+    sidecar (no parse), a CSV with no sidecar, and the sidecar itself."""
+    pop = synth.generate(synth.SynthConfig(months=3, per_month=20))[0]
+    cached, plain = tmp_path / "cache" / "population.csv.gz", tmp_path / "plain" / "population.csv.gz"
+    ingest.write_population(pop, cached, sidecar=True)
+    ingest.write_population(pop, plain)
+    for path, parses in [(cached, False), (plain, True), (cached.with_name(ingest.SIDECAR), False)]:
+        with mock.patch.object(ingest, "parse_metadata", wraps=ingest.parse_metadata) as parse:
+            by_path, by_str = ingest.load_population(path), ingest.load_population(str(path))
+        assert parse.called is parses, path
+        assert by_path.records == by_str.records == pop.records
+        assert by_path.provenance == by_str.provenance == str(path)
+
+
 def _manifest(n):
     """A manifest of n entries over 60 months, three market sets and a few families."""
     rng = np.random.default_rng(n)
