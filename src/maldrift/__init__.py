@@ -22,7 +22,7 @@ _MODULE_OF = {
         "ingest": "PredictionRow PredictionSet parse_families parse_metadata parse_predictions snapshot_filter"
         " write_metadata_csv",
         "sizing": "PlanMode SizingParams SizingPlan compare_plans plan_sizes required_sample_size",
-        "sampler": "DatasetManifest ManifestEntry market_scenario stratified_sample verify_constraints",
+        "sampler": "DatasetManifest ManifestEntry stratified_sample verify_constraints",
         "metrics": "MetricSeries SplitPlan a_aut aut confusion_metrics family_overlap overlap_series rolling_splits",
         "synth": "SynthConfig generate scenario_presets",
     }.items()

@@ -55,7 +55,8 @@ class Settings:
         self.config_path = self.args.get("config")
         if self.config_path:
             parser = configparser.ConfigParser()
-            raw = Path(self.config_path).read_bytes()
+            # a UTF-8 byte-order mark is dropped, as utf-8-sig reads it
+            raw = Path(self.config_path).read_bytes().removeprefix(b"\xef\xbb\xbf")
             try:
                 parser.read_file(io.StringIO(raw.decode("utf-8"), newline=None), source=self.config_path)
                 if parser.has_section(section):

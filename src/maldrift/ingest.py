@@ -431,6 +431,8 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
     unless its text layer has read (_Text.unread). Any other stream is read as
     text, _BLOCK_CHARS characters at a time, and encoded. Every CSV input is
     read through here, so these rules hold for each:
+    - A UTF-8 byte-order mark that starts the stream is dropped, as utf-8-sig
+      reads it: the first block never holds it.
     - An empty read is read once more, which gives nothing at the end of the data
       and raises a fault of open_text's gzip data; so a line the fault cut is never given.
     - A block whose every CR starts a CRLF has its CRLFs read as LF, as csv.reader
@@ -444,7 +446,7 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
     binary = stream.unread() if isinstance(stream, _Text) else None
     checked = binary is not None or getattr(stream, "errors", None) == "surrogateescape"
     errors = "surrogateescape" if checked else "surrogatepass"  # either gives back the bytes read
-    buf, kept, quoted = bytearray(), 0, False  # buf[:kept] is the line carried to the next block
+    buf, kept, quoted, first = bytearray(), 0, False, True  # buf[:kept] is the line carried to the next block
 
     def read() -> int:
         """Read up to _BLOCK_CHARS into buf after buf[:kept], leaving room for _PAD;
@@ -480,6 +482,10 @@ def _blocks(stream: IO[str]) -> Iterator[tuple[np.ndarray, int, bool]]:
         if got and not cut:  # no line end read: the line goes on
             kept = size
             continue
+        if first and buf.startswith(codecs.BOM_UTF8, 0, size):  # the first line is whole, and so is a mark
+            buf[: size - 3] = buf[3:size]
+            size, cut = size - 3, cut - 3
+        first = False
         view, error = np.frombuffer(buf, dtype=np.uint8), None
         if checked and view[:cut].max(initial=0) >= 0x80:
             try:
@@ -605,13 +611,6 @@ class _Rows:
         self.position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         self.parts: dict[str, list[np.ndarray]] = {name: [] for name in self.table._COLUMNS}
 
-    def missing_columns(self, message: str) -> FormatError:
-        """The FormatError of a header that lacks a required column: message,
-        and a note when a UTF-8 byte-order mark hides the first column's name."""
-        if self.header[:1] and self.header[0].startswith("\ufeff"):
-            message += " (the file starts with a UTF-8 byte-order mark)"
-        return FormatError(message)
-
     def fallback(self, rejected: np.ndarray, row, parse) -> Iterator:
         """(k, parse(row k as csv.DictReader gives it)) for each rejected row k
         of a chunk. A row that parse or csv cannot read is malformed: a
@@ -682,7 +681,7 @@ class _Columns(_Rows):
         super().__init__(header, stats, strict)
         missing = [c for c in REQUIRED_COLUMNS if c not in self.position]
         if missing:
-            raise self.missing_columns(f"metadata input missing required columns: {', '.join(missing)}")
+            raise FormatError(f"metadata input missing required columns: {', '.join(missing)}")
         self.market_sets: dict[frozenset[str], int] = {}
         self.families: dict[str, int] = {}
         self._market_text: dict[bytes, int] = {}
@@ -1188,7 +1187,7 @@ class _Predictions(_Rows):
     def __init__(self, header: Union[list[str], csv.Error], stats: ParseStats, strict: bool):
         super().__init__(header, stats, strict)
         if "sha256" not in self.position or "score" not in self.position:
-            raise self.missing_columns("prediction input must have columns sha256,score[,label]")
+            raise FormatError("prediction input must have columns sha256,score[,label]")
 
     def add(self, n: int, span, regular: np.ndarray, row) -> None:
         """Parse a chunk of _read_csv, as _Columns.add does, with _prediction_row."""

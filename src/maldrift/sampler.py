@@ -172,14 +172,13 @@ def _period_of(key: int) -> Period:
 def build_spec_echo(
     rule: LabelRule,
     policy: TimestampPolicy,
-    plan: Optional[SizingPlan],
-    params: Optional[SizingParams],
+    plan: SizingPlan,
+    params: SizingParams,
     seed: int,
     snapshot_date: Optional[datetime] = None,
     market_filter: Optional[frozenset[str]] = None,
-    extra: Optional[dict] = None,
 ) -> dict:
-    echo = {
+    return {
         "tool_version": __version__,
         "seed": seed,
         "rule": {"vtt": rule.vtt},
@@ -187,12 +186,8 @@ def build_spec_echo(
             "kind": policy.kind.value,
             "fallback": policy.fallback.value if policy.fallback else None,
         },
-        "plan": None
-        if plan is None
-        else {"mode": plan.mode.value, "spatial": plan.spatial, "ratio_malware": plan.ratio_malware},
-        "params": None
-        if params is None
-        else {
+        "plan": {"mode": plan.mode.value, "spatial": plan.spatial, "ratio_malware": plan.ratio_malware},
+        "params": {
             "confidence": params.confidence,
             "delta": params.delta,
             "p": params.p,
@@ -201,9 +196,6 @@ def build_spec_echo(
         "snapshot_date": format_timestamp(snapshot_date) if snapshot_date else None,
         "market_filter": sorted(market_filter) if market_filter else None,
     }
-    if extra:
-        echo.update(extra)
-    return echo
 
 
 def _stratum_rng(seed: int, granularity: Granularity, period: Optional[Period], cls: Optional[ClassLabel]) -> np.random.Generator:
@@ -452,76 +444,6 @@ def _misdated(manifest: DatasetManifest, population: Population, policy: Timesta
         mine = ok & (manifest.granularity == code)
         ok[mine] = period_indices(dates[mine], granularity) == manifest.period[mine]
     return manifest.sha256[~ok]
-
-
-# (goodware GP, goodware 3PM, malware GP, malware 3PM) per train/test split.
-# The proportional configuration's test malware follows the stated 10% test
-# ratio and 5,000-sample test size (400 GP + 100 3PM).
-MARKET_SCENARIOS: dict[str, tuple[tuple[int, int, int, int], tuple[int, int, int, int]]] = {
-    "D_GP": ((10000, 0, 10000, 0), (4500, 0, 500, 0)),
-    "D_3PM": ((0, 10000, 0, 10000), (0, 4500, 0, 500)),
-    "D_EVEN": ((5000, 5000, 5000, 5000), (2250, 2250, 250, 250)),
-    "D_PROP": ((8000, 2000, 8000, 2000), (3600, 900, 400, 100)),
-    "D_GP3PM": ((10000, 0, 0, 10000), (4500, 0, 0, 500)),
-    "D_3PMGP": ((0, 10000, 10000, 0), (0, 4500, 500, 0)),
-}
-
-DEFAULT_GP_TAGS = frozenset({"play.google.com"})
-
-
-def market_scenario(
-    pop: Population,
-    name: str,
-    rule: LabelRule,
-    policy: TimestampPolicy,
-    seed: int,
-) -> tuple[DatasetManifest, DatasetManifest]:
-    """Build one of the fixed train/test market-composition experiments.
-
-    Records carrying any of DEFAULT_GP_TAGS form the GP group; all others are
-    third-party (3PM). Train and test are drawn disjointly from one shuffle
-    per cell.
-    """
-    if name not in MARKET_SCENARIOS:
-        raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
-    train_cells, test_cells = MARKET_SCENARIOS[name]
-    rows, classes, months = _candidates(pop, rule, policy, Granularity.MONTH)
-    gp = pop.carrying_any(DEFAULT_GP_TAGS)[rows]
-
-    cell_order = [
-        (ClassLabel.GOODWARE, "GP", train_cells[0], test_cells[0]),
-        (ClassLabel.GOODWARE, "3PM", train_cells[1], test_cells[1]),
-        (ClassLabel.MALWARE, "GP", train_cells[2], test_cells[2]),
-        (ClassLabel.MALWARE, "3PM", train_cells[3], test_cells[3]),
-    ]
-    train_picks: list[np.ndarray] = []
-    test_picks: list[np.ndarray] = []
-    train_fills: list[StratumFill] = []
-    test_fills: list[StratumFill] = []
-    for cls, group, n_train, n_test in cell_order:
-        if n_train + n_test == 0:
-            continue
-        pool = np.flatnonzero((classes == CLASSES.index(cls)) & (gp == (group == "GP")))  # sha-sorted
-        if len(pool) < n_train + n_test:
-            raise ValueError(
-                f"insufficient population for cell ({group}, {cls.value}): "
-                f"need {n_train + n_test}, have {len(pool)}"
-            )
-        # one shuffle per (class, group) cell keeps train/test disjoint
-        code = 1 if group == "GP" else 2
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, code, _CLASS_CODE[cls]])))
-        picks = pool[rng.permutation(len(pool))]
-        train_picks.append(picks[:n_train])
-        test_picks.append(picks[n_train : n_train + n_test])
-        train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
-        test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
-
-    def build(chosen: list[np.ndarray], fills: list[StratumFill], split: str) -> DatasetManifest:
-        extra = {"scenario": name, "split": split, "gp_tags": sorted(DEFAULT_GP_TAGS)}
-        spec = build_spec_echo(rule, policy, None, None, seed, pop.snapshot_date, None, extra=extra)
-        return _manifest(pop, rows, classes, months, Granularity.MONTH, chosen, spec, fills)
-
-    return build(train_picks, train_fills, "train"), build(test_picks, test_fills, "test")
 
 
 def _manifest_head(manifest: DatasetManifest) -> dict:

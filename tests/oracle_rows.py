@@ -70,8 +70,6 @@ from maldrift.metrics import (
 )
 from maldrift.report import EvaluationReport, PredsetResult, _rank
 from maldrift.sampler import (
-    DEFAULT_GP_TAGS,
-    MARKET_SCENARIOS,
     CheckResult,
     DatasetManifest,
     ManifestEntry,
@@ -618,84 +616,6 @@ def verify_constraints(
             )
         )
     return checks
-
-
-def market_scenario(
-    pop: Population,
-    name: str,
-    rule: LabelRule,
-    policy: TimestampPolicy,
-    seed: int,
-    gp_tags: frozenset[str] = DEFAULT_GP_TAGS,
-) -> tuple[DatasetManifest, DatasetManifest]:
-    """Build one of the fixed train/test market-composition experiments.
-
-    Records carrying any gp_tag form the GP group; all others are third-party
-    (3PM). Train and test are drawn disjointly from one shuffle per cell.
-    """
-    if name not in MARKET_SCENARIOS:
-        raise ValueError(f"unknown market scenario {name!r}; choose from {sorted(MARKET_SCENARIOS)}")
-    train_cells, test_cells = MARKET_SCENARIOS[name]
-    pools: dict[tuple[ClassLabel, str], list[ManifestEntry]] = {}
-    for rec in pop:
-        cls = label(rec, rule)
-        if cls is ClassLabel.GREYWARE:
-            continue
-        ts = timeline_date(rec, policy)
-        if ts is None:
-            continue
-        group = "GP" if rec.markets & gp_tags else "3PM"
-        entry = ManifestEntry(rec.sha256, cls, period_of(ts, Granularity.MONTH), rec.markets, rec.family)
-        pools.setdefault((cls, group), []).append(entry)
-
-    cell_order = [
-        (ClassLabel.GOODWARE, "GP", train_cells[0], test_cells[0]),
-        (ClassLabel.GOODWARE, "3PM", train_cells[1], test_cells[1]),
-        (ClassLabel.MALWARE, "GP", train_cells[2], test_cells[2]),
-        (ClassLabel.MALWARE, "3PM", train_cells[3], test_cells[3]),
-    ]
-    train_entries: list[ManifestEntry] = []
-    test_entries: list[ManifestEntry] = []
-    train_fills: list[StratumFill] = []
-    test_fills: list[StratumFill] = []
-    for cls, group, n_train, n_test in cell_order:
-        if n_train + n_test == 0:
-            continue
-        pool = pools.get((cls, group), [])
-        if len(pool) < n_train + n_test:
-            raise ValueError(
-                f"insufficient population for cell ({group}, {cls.value}): "
-                f"need {n_train + n_test}, have {len(pool)}"
-            )
-        # one shuffle per (class, group) cell keeps train/test disjoint
-        code = 1 if group == "GP" else 2
-        ordered = sorted(pool, key=lambda e: e.sha256)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, code, _CLASS_CODE[cls]])))
-        picks = rng.permutation(len(ordered))
-        train_entries.extend(ordered[i] for i in picks[:n_train])
-        test_entries.extend(ordered[i] for i in picks[n_train : n_train + n_test])
-        train_fills.append(StratumFill(None, cls, n_train, n_train, note=group))
-        test_fills.append(StratumFill(None, cls, n_test, n_test, note=group))
-
-    def build(entries: list[ManifestEntry], fills: list[StratumFill], split: str) -> DatasetManifest:
-        spec = build_spec_echo(
-            rule,
-            policy,
-            None,
-            None,
-            seed,
-            pop.snapshot_date,
-            None,
-            extra={"scenario": name, "split": split, "gp_tags": sorted(gp_tags)},
-        )
-        return DatasetManifest(
-            entries=_sort_entries(entries),
-            spec=spec,
-            created=_default_created(pop),
-            strata=tuple(fills),
-        )
-
-    return build(train_entries, train_fills, "train"), build(test_entries, test_fills, "test")
 
 
 # from maldrift/metrics.py

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import codecs
 import contextlib
 import csv
 import dataclasses
@@ -863,7 +864,7 @@ def test_only_digests_map_openssl(tmp_path):
     assert _fresh_process(code, *argv, cwd=tmp_path) == "0 False"
 
 
-# every name the package exported before its submodules loaded lazily, by module
+# every name the package exports, by module
 PACKAGE_NAMES = {
     "model": "ApkRecord ClassLabel Granularity Period Population period_of period_range",
     "labeling": "LabelRule TimestampKind TimestampPolicy label market_composition market_consistency timeline_date "
@@ -871,7 +872,7 @@ PACKAGE_NAMES = {
     "ingest": "PredictionRow PredictionSet parse_families parse_metadata parse_predictions snapshot_filter "
     "write_metadata_csv",
     "sizing": "PlanMode SizingParams SizingPlan compare_plans plan_sizes required_sample_size",
-    "sampler": "DatasetManifest ManifestEntry market_scenario stratified_sample verify_constraints",
+    "sampler": "DatasetManifest ManifestEntry stratified_sample verify_constraints",
     "metrics": "MetricSeries SplitPlan a_aut aut confusion_metrics family_overlap overlap_series rolling_splits",
     "synth": "SynthConfig generate scenario_presets",
 }
@@ -1016,10 +1017,7 @@ def test_unreadable_gzip_counts_every_whole_row(tmp_path, capsys, fault, quoted)
         ("sha,score\n", "prediction input must have columns sha256,score[,label]"),
         ("", "empty prediction input"),
         (f'"{LONG}"\n', "unreadable prediction header: field larger than field limit (131072)"),
-        (
-            "\ufeffsha256,score\n",
-            "prediction input must have columns sha256,score[,label] (the file starts with a UTF-8 byte-order mark)",
-        ),
+        ("\ufeffsha,score\n", "prediction input must have columns sha256,score[,label]"),
     ],
     ids=["columns", "empty", "unreadable", "byte-order-mark"],
 )
@@ -1042,13 +1040,13 @@ def test_metadata_header_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: metadata input missing required columns: dex_date, vt_detection\n"
 
 
-def test_metadata_header_error_names_a_byte_order_mark(tmp_path, capsys):
-    """A header whose first name a UTF-8 byte-order mark hides says so."""
+def test_metadata_header_error_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark is read as utf-8-sig reads it, so it neither hides
+    the first column's name nor shows in a header error."""
     src = tmp_path / "meta.csv"
-    src.write_text("\ufeff" + CSV, encoding="utf-8")
+    src.write_text(f"\ufeffsha256,dex\n{sha_of(1)},2014-01-15\n", encoding="utf-8")
     assert run(["ingest", "--input", src, "--out", tmp_path / "cache"]) == cli.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err == f"error: {src}: metadata input missing required columns: sha256 (the file starts with a UTF-8 byte-order mark)\n"
+    assert capsys.readouterr().err == f"error: {src}: metadata input missing required columns: dex_date, vt_detection\n"
 
 
 def test_strict_row_error_names_the_file(tmp_path, capsys):
@@ -1504,6 +1502,67 @@ def test_config_with_crlf_line_ends(tmp_path, capsys):
     config.write_bytes(b"[sample-size]\r\ndelta = 0.5\r\n")
     assert run(["sample-size", "--population-size", 10**9, "--config", config]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def _read_input(kind: str, path: Path, form: str):
+    """What the reader of a kind of input gives for the file at path: read with
+    open_text, or as a text stream of its UTF-8 text when form is "stream"."""
+    if kind == "aut-table":
+        return ingest.read_aut_table(str(path))
+    if kind == "config":
+        return cli.Settings(argparse.Namespace(config=str(path)), "sample").section
+    with io.StringIO(path.read_text(encoding="utf-8")) if form == "stream" else ingest.open_text(path) as fh:
+        if kind == "metadata":
+            result = ingest.parse_metadata(fh)
+            return result.stats, {name: column.tolist() for name, column in result.population.columns().items()}
+        if kind == "predictions":
+            predset, stats = ingest.parse_predictions(fh, "p")
+            return stats, predset.rows
+        families, malformed = ingest.parse_families(fh)
+        return dict(families), malformed
+
+
+_MARKED_INPUTS = {
+    "metadata": CSV,
+    "predictions": f"sha256,score,label\n{sha_of(1)},0.9,\n{sha_of(2)},0.2,1\n",
+    "families": f"sha256,family\n{sha_of(1)},dowgin\n{sha_of(2)},\n",
+    "aut-table": "drebin,0.573,0.488\nhcc,0.620,0.561\n",
+    "config": "[sample]\nseed = 3\nmarkets = play.google.com, anzhi\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, form",
+    [(kind, form) for kind in ("metadata", "predictions", "families") for form in ("file", "gz", "stream")]
+    + [("aut-table", "file"), ("aut-table", "gz"), ("config", "file")],
+)
+def test_a_byte_order_mark_reads_as_utf8_sig(tmp_path, monkeypatch, kind, form):
+    """A CSV input or config file that starts with a UTF-8 byte-order mark gives
+    what the same file without the mark gives, at any block size: the mark is
+    not part of the first column's name, the AUT table's first classifier or a
+    family header."""
+    paths = []
+    for mark in (b"", codecs.BOM_UTF8):
+        data = mark + _MARKED_INPUTS[kind].encode()
+        paths.append(tmp_path / (f"{kind}{len(mark)}.csv.gz" if form == "gz" else f"{kind}{len(mark)}.csv"))
+        paths[-1].write_bytes(gzip.compress(data) if form == "gz" else data)
+    plain = _read_input(kind, paths[0], form)
+    if kind == "families":
+        assert plain == ({sha_of(1): "dowgin"}, 0)
+    elif kind == "aut-table":
+        assert [name for name, _ in plain] == ["drebin", "hcc"]
+    elif kind == "config":
+        assert plain == {"seed": "3", "markets": "play.google.com, anzhi"}
+    for block in (1, 2, ingest._BLOCK_CHARS):  # a read of 1 or 2 bytes holds part of the mark
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
+        assert _read_input(kind, paths[1], form) == plain, block
+
+
+def test_config_with_a_byte_order_mark_names_the_bad_line(tmp_path, capsys):
+    config = tmp_path / "maldrift.ini"
+    config.write_bytes(codecs.BOM_UTF8 + b"[sample-size]\n# caf\x82\ndelta = 0.5\n")
+    assert run(["sample-size", "--population-size", 1000, "--config", config]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {config}:2: invalid UTF-8 (byte 0x82: invalid start byte)\n"
 
 
 @pytest.mark.parametrize("command", ["split", "verify"])

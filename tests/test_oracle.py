@@ -245,9 +245,6 @@ _plan = st.builds(SizingPlan, st.sampled_from(list(PlanMode)), st.booleans(), st
 _params = st.builds(SizingParams, st.sampled_from([0.9, 0.99]), st.sampled_from([0.05, 0.2]))
 _filter = st.one_of(st.none(), st.sets(st.sampled_from(["anzhi", "play.google.com", "unknown"]), min_size=1).map(frozenset))
 
-# small market-scenario cells, so a 60-row population can fill them
-_TINY = {"TINY": ((1, 1, 1, 0), (1, 0, 0, 1)), "TINY_GP": ((1, 0, 1, 0), (1, 0, 0, 0))}
-
 
 @_oracle_settings
 @given(
@@ -281,9 +278,6 @@ def test_population_functions_match_oracle(text, vtt, policy, plan, params, seed
         )
         if manifest is not None:
             same(sampler.verify_constraints, oracle.verify_constraints, manifest, pop)
-    with mock.patch.dict(sampler.MARKET_SCENARIOS, _TINY):
-        for name in _TINY:
-            same(sampler.market_scenario, oracle.market_scenario, pop, name, rule, policy, seed)
     same(labeling.timestamp_lag_stats, oracle.timestamp_lag_stats, pop, a, b)
     same(labeling.market_composition, oracle.market_composition, pop, rule)
     same(labeling.market_consistency, oracle.market_consistency, pop, rule)

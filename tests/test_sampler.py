@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from maldrift.labeling import GOODWARE, LabelRule, TimestampKind, TimestampPolic
 from maldrift.metrics import overlap_series
 from maldrift.model import ClassLabel, Period, Population, _is_key_order
 from maldrift.sampler import (
-    market_scenario,
     read_manifest_json,
     stratified_sample,
     verify_constraints,
@@ -201,82 +201,28 @@ def test_verify_timestamp_policy_against_population():
     assert not checks["timestamp_policy"].passed
 
 
-def _scenario_population():
-    records = []
-    for i in range(15000):
-        records.append(make_record(f"gpg{i}", dex="2014-02-10", vt=0, markets=("play.google.com",)))
-        records.append(make_record(f"gpm{i}", dex="2014-02-11", vt=9, markets=("play.google.com",)))
-        records.append(make_record(f"tpg{i}", dex="2014-02-12", vt=0, markets=("anzhi",)))
-        records.append(make_record(f"tpm{i}", dex="2014-02-13", vt=9, markets=("VirusShare",)))
-    return make_population(records)
-
-
-@pytest.fixture(scope="module")
-def scenario_pop():
-    return _scenario_population()
-
-
-def test_market_scenario_even_cells(scenario_pop):
-    train, test = market_scenario(scenario_pop, "D_EVEN", RULE, DEX, seed=1)
-    assert len(train.entries) == 20000
-    assert len(test.entries) == 5000
-    gp = frozenset({"play.google.com"})
-
-    def cell(manifest, cls, in_gp):
-        return sum(
-            1
-            for e in manifest.entries
-            if e.label is cls and bool(e.markets & gp) == in_gp
-        )
-
-    assert cell(train, ClassLabel.GOODWARE, True) == 5000
-    assert cell(train, ClassLabel.GOODWARE, False) == 5000
-    assert cell(train, ClassLabel.MALWARE, True) == 5000
-    assert cell(train, ClassLabel.MALWARE, False) == 5000
-    assert cell(test, ClassLabel.GOODWARE, True) == 2250
-    assert cell(test, ClassLabel.GOODWARE, False) == 2250
-    assert cell(test, ClassLabel.MALWARE, True) == 250
-    assert cell(test, ClassLabel.MALWARE, False) == 250
-
-
-def test_market_scenario_gp3pm_composition(scenario_pop):
-    train, test = market_scenario(scenario_pop, "D_GP3PM", RULE, DEX, seed=1)
-    gp = frozenset({"play.google.com"})
-    for manifest in (train, test):
-        for entry in manifest.entries:
-            if entry.label is ClassLabel.GOODWARE:
-                assert entry.markets & gp
-            else:
-                assert not (entry.markets & gp)
-
-
-def test_market_scenario_disjoint_and_deterministic(scenario_pop):
-    train1, test1 = market_scenario(scenario_pop, "D_PROP", RULE, DEX, seed=2)
-    train2, test2 = market_scenario(scenario_pop, "D_PROP", RULE, DEX, seed=2)
-    assert not (train1.hashes() & test1.hashes())
-    assert train1 == train2 and test1 == test2
-
-
-def test_market_scenario_deficient_cell():
-    # plenty of third-party goodware but only 100 third-party malware
-    records = [make_record(f"g{i}", vt=0, markets=("anzhi",)) for i in range(15000)]
-    records += [make_record(f"m{i}", vt=9, markets=("VirusShare",)) for i in range(100)]
-    pop = make_population(records)
-    with pytest.raises(ValueError, match=r"\(3PM, malware\)"):
-        market_scenario(pop, "D_3PM", RULE, DEX, seed=0)
-
-
-def test_unknown_scenario():
-    with pytest.raises(ValueError):
-        market_scenario(_scenario_population(), "D_NOPE", RULE, DEX, seed=0)
-
-
 def test_manifest_json_round_trip(tmp_path):
     pop = one_month_pool(goodware=30, malware=10)
     sizing = spatial_sizing(pop)
     manifest = stratified_sample(pop, RULE, DEX, sizing, seed=0)
     write_manifest_json(manifest, tmp_path / "manifest.json")
     assert read_manifest_json(tmp_path / "manifest.json") == manifest
+
+
+def test_manifest_without_a_plan_reads_and_verifies(tmp_path):
+    """A manifest file whose spec has a null plan and params (outside input: no
+    sampler of maldrift writes one) is read and verified."""
+    pop = one_month_pool(goodware=30, malware=10)
+    manifest = stratified_sample(pop, RULE, DEX, spatial_sizing(pop), seed=0)
+    path = tmp_path / "manifest.json"
+    write_manifest_json(manifest, path)
+    data = json.loads(path.read_text())
+    data["spec"]["plan"] = data["spec"]["params"] = None
+    path.write_text(json.dumps(data))
+    planless = read_manifest_json(path)
+    assert planless.spec["plan"] is None and planless.hashes() == manifest.hashes()
+    checks = {c.name: c.passed for c in verify_constraints(planless, population=pop)}
+    assert checks == {c.name: c.passed for c in verify_constraints(manifest, population=pop)}
 
 
 def test_manifest_csv_shape():
